@@ -399,8 +399,8 @@ def _cmd_verify(args) -> int:
     crisp = crispify(model, args.p)
     config = _make_config(args, crisp, seed=args.seed)
     report = classify(crisp)
-    summary = ensemble(crisp, config, args.paths)
     tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)
+    summary = ensemble(crisp, config, args.paths)
     verdict = verify(report, summary, tol)
     _print_verdict(verdict)
     out = _out_dir(args, default_to_cwd=True)

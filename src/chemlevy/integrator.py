@@ -31,6 +31,11 @@ FLOOR_LOG = -700.0
 _FLOOR_LIN = math.exp(FLOOR_LOG)
 _CEIL_LOG = 700.0
 
+# Mesh steps the log-Euler kernel advances per chunk.  Noise, step sizes and
+# the kernel's per-step lists exist for one chunk at a time, so beyond the
+# mesh arrays a path's memory does not grow with its horizon.
+_CHUNK_STEPS = 4096
+
 
 class SimulationError(RuntimeError):
     """Integration failed (state overflow or positivity breach)."""
@@ -100,8 +105,8 @@ class Trajectory:
 
 
 def _check_config(config: SimConfig, positive_initial: bool) -> None:
-    if not config.t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {config.t_end!r}")
+    if not 0.0 < config.t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {config.t_end!r}")
     if not 0.0 < config.dt < config.t_end:
         raise ValueError(f"dt must lie in (0, t_end), got {config.dt!r}")
     if config.output_stride < 1:
@@ -147,27 +152,28 @@ def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, t_end, n + 1)
 
 
-def _merge_mesh(uniform: np.ndarray, events: list, stride: int):
-    """Weave jump events into the uniform grid.
+def _build_mesh(t_end: float, dt: float, events: list, stride: int):
+    """Weave jump events into the uniform dt-grid.
 
-    Returns parallel lists (times, mark index or -1, record flag).  An event
-    falling exactly on a grid point is placed before it, so recorded states
-    are right-continuous (post-jump).
+    Returns parallel arrays over the mesh: times, mark index (-1 on grid
+    points), and record flag.  An event falling exactly on a grid point is
+    placed before it, so recorded states are right-continuous (post-jump).
+    The origin is recorded up front by the caller, never as a step target.
     """
+    uniform = _uniform_grid(t_end, dt)
     n_last = len(uniform) - 1
-    times, marks, rec = [], [], []
-    ei, ne = 0, len(events)
-    for j, tu in enumerate(uniform.tolist()):
-        while ei < ne and events[ei][0] <= tu:
-            times.append(events[ei][0])
-            marks.append(events[ei][1])
-            rec.append(False)
-            ei += 1
-        times.append(tu)
-        marks.append(-1)
-        # the origin is recorded up front by the caller, never as a step target
-        rec.append(j != 0 and (j % stride == 0 or j == n_last))
-    return times, marks, rec
+    marks = np.full(len(uniform), -1, dtype=np.intp)
+    rec = np.zeros(len(uniform), dtype=bool)
+    rec[stride::stride] = True
+    rec[n_last] = True
+    if not events:
+        return uniform, marks, rec
+    ev_t = np.array([t for t, _ in events])
+    ev_mark = np.array([mk for _, mk in events], dtype=np.intp)
+    # first grid point at or after each event; equal-position events keep order
+    pos = np.searchsorted(uniform, ev_t, side="left")
+    return (np.insert(uniform, pos, ev_t), np.insert(marks, pos, ev_mark),
+            np.insert(rec, pos, False))
 
 
 def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
@@ -175,9 +181,11 @@ def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
 
     The Gaussian stream and the jump schedule are drawn from a generator
     seeded only by config.seed, so identical inputs give a bit-identical
-    trajectory.  Raises SimulationError if a log-coordinate overflows upward
-    (state above ~1e304); downward excursions are pinned at FLOOR_LOG and
-    flagged instead of aborting.
+    trajectory.  The mesh is stepped in chunks of _CHUNK_STEPS; each chunk
+    draws its normals in stream order, so the chunk size never changes the
+    result.  Raises SimulationError if a log-coordinate overflows upward
+    (state above ~1e304) or turns NaN; downward excursions are pinned at
+    FLOOR_LOG and flagged instead of aborting.
     """
     _check_config(config, positive_initial=True)
     if config.scheme == DIRECT_EULER:
@@ -185,33 +193,23 @@ def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     events = sample_jumps(model.jumps, config.t_end, rng)
-    uniform = _uniform_grid(config.t_end, config.dt)
-    mesh_t, mesh_mark, mesh_rec = _merge_mesh(uniform, events, config.output_stride)
-    m = len(mesh_t)
+    mesh_t, mesh_mark, mesh_rec = _build_mesh(
+        config.t_end, config.dt, events, config.output_stride)
+    n_steps = len(mesh_t) - 1
+    chunk = _CHUNK_STEPS
+    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
 
-    dts = np.diff(np.asarray(mesh_t))
-    sq = np.sqrt(dts)
-    z = rng.standard_normal((m - 1, 3))
-    g1l = (model.sigma1 * sq * z[:, 0]).tolist()
-    g2l = (model.sigma2 * sq * z[:, 1]).tolist()
-    g3l = (model.sigma3 * sq * z[:, 2]).tolist()
-    dtl = dts.tolist()
-
-    # per-mark log jump sizes and the two compensator slopes
+    # per-mark log jump sizes; the table's extra last row (mark -1) is zero
     jl1 = [math.log1p(mk.gamma1) for mk in model.jumps.marks]
     jl2 = [math.log1p(mk.gamma2) for mk in model.jumps.marks]
     jl3 = [math.log1p(mk.gamma3) for mk in model.jumps.marks]
-    comp1 = model.jumps.gamma_intensity(1)
-    comp2 = model.jumps.gamma_intensity(2)
-    comp3 = model.jumps.gamma_intensity(3)
-    lcomp1 = model.jumps.log_gamma_intensity(1)
-    lcomp2 = model.jumps.log_gamma_intensity(2)
-    lcomp3 = model.jumps.log_gamma_intensity(3)
+    jump_table = np.array(list(zip(jl1, jl2, jl3)) + [(0.0, 0.0, 0.0)])
+    lcomp = np.array([model.jumps.log_gamma_intensity(i) for i in (1, 2, 3)])
 
     # Ito-corrected log drifts: constants folded once
-    c1 = model.D + 0.5 * model.sigma1 ** 2 + comp1
-    c2 = model.D + 0.5 * model.sigma2 ** 2 + comp2
-    c3 = model.D + 0.5 * model.sigma3 ** 2 + comp3
+    c1 = model.D + 0.5 * model.sigma1 ** 2 + model.jumps.gamma_intensity(1)
+    c2 = model.D + 0.5 * model.sigma2 ** 2 + model.jumps.gamma_intensity(2)
+    c3 = model.D + 0.5 * model.sigma3 ** 2 + model.jumps.gamma_intensity(3)
     dso = model.D * model.S0
     m1d1 = model.m1 / model.delta1
     m2d2 = model.m2 / model.delta2
@@ -219,94 +217,92 @@ def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
     m2 = model.m2
 
     exp = math.exp
+    ceil, floor, floor_lin = _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN
     l1 = math.log(config.initial.S)
     l2 = math.log(config.initial.x)
     l3 = math.log(config.initial.y)
     e1, e2, e3 = exp(l1), exp(l2), exp(l3)
+    nan = float("nan")
+    # the t=0 record: a time average is the initial value, a rate is 0/0
+    head = [e1, e2, e3, e1, e2, e3, nan, nan]
 
     iS = ix = iy = 0.0            # running trapezoid integrals
-    mb1 = mb2 = mb3 = 0.0         # Brownian martingales
-    mj1 = mj2 = mj3 = 0.0         # jump sums (compensated at record time)
     floor1 = floor2 = floor3 = None
     jump_log = []
+    # per record: states, trapezoid integrals, log-states of x and y; the
+    # last five become time averages and rates once divided by t
+    recs = []
+    rec_rows, rec_brown, rec_jumps = [], [], []
+    brown = jumps = np.zeros((1, 3))   # martingale sums carried across chunks
 
-    rt = [0.0]
-    rS, rx, ry = [e1], [e2], [e3]
-    rmS, rmx, rmy = [e1], [e2], [e3]   # time average at t=0 is the initial value
-    rlx, rly = [float("nan")], [float("nan")]
-    rb = [(0.0, 0.0, 0.0)]
-    rj = [(0.0, 0.0, 0.0)]
-
-    for k in range(m - 1):
-        dt = dtl[k]
-        g1 = g1l[k]
-        g2 = g2l[k]
-        g3 = g3l[k]
-        p1, p2, p3 = e1, e2, e3
-        l1 += (dso / e1 - m1d1 * e2 - c1) * dt + g1
-        l2 += (m1 * e1 - m2d2 * e3 - c2) * dt + g2
-        l3 += (m2 * e2 - c3) * dt + g3
-        if l1 > _CEIL_LOG or l2 > _CEIL_LOG or l3 > _CEIL_LOG:
-            raise SimulationError("log-state overflow", mesh_t[k + 1])
-        e1 = exp(l1)
-        e2 = exp(l2)
-        e3 = exp(l3)
-        h = 0.5 * dt
-        iS += (p1 + e1) * h
-        ix += (p2 + e2) * h
-        iy += (p3 + e3) * h
-        mb1 += g1
-        mb2 += g2
-        mb3 += g3
-        mk = mesh_mark[k + 1]
-        if mk >= 0:
-            a1 = jl1[mk]
-            a2 = jl2[mk]
-            a3 = jl3[mk]
-            l1 += a1
-            l2 += a2
-            l3 += a3
+    for a in range(0, n_steps, chunk):
+        b = min(a + chunk, n_steps)
+        seg_t = mesh_t[a + 1:b + 1]
+        seg_mark = mesh_mark[a + 1:b + 1]
+        seg_rec = mesh_rec[a + 1:b + 1]
+        dts = np.diff(mesh_t[a:b + 1])
+        g = np.sqrt(dts)[:, None] * sigmas * rng.standard_normal((b - a, 3))
+        for t, dt, g1, g2, g3, mk, rec in zip(
+                seg_t.tolist(), dts.tolist(), g[:, 0].tolist(), g[:, 1].tolist(),
+                g[:, 2].tolist(), seg_mark.tolist(), seg_rec.tolist()):
+            p1, p2, p3 = e1, e2, e3
+            l1 += (dso / e1 - m1d1 * e2 - c1) * dt + g1
+            l2 += (m1 * e1 - m2d2 * e3 - c2) * dt + g2
+            l3 += (m2 * e2 - c3) * dt + g3
+            if not (l1 <= ceil and l2 <= ceil and l3 <= ceil):
+                raise SimulationError("log-state overflow", t)
             e1 = exp(l1)
             e2 = exp(l2)
             e3 = exp(l3)
-            mj1 += a1
-            mj2 += a2
-            mj3 += a3
-            jump_log.append((mesh_t[k + 1], mk))
-        if l1 < FLOOR_LOG or l2 < FLOOR_LOG or l3 < FLOOR_LOG:
-            t_now = mesh_t[k + 1]
-            if l1 < FLOOR_LOG:
-                l1, e1 = FLOOR_LOG, _FLOOR_LIN
-                if floor1 is None:
-                    floor1 = t_now
-            if l2 < FLOOR_LOG:
-                l2, e2 = FLOOR_LOG, _FLOOR_LIN
-                if floor2 is None:
-                    floor2 = t_now
-            if l3 < FLOOR_LOG:
-                l3, e3 = FLOOR_LOG, _FLOOR_LIN
-                if floor3 is None:
-                    floor3 = t_now
-        if mesh_rec[k + 1]:
-            t = mesh_t[k + 1]
-            rt.append(t)
-            rS.append(e1)
-            rx.append(e2)
-            ry.append(e3)
-            rmS.append(iS / t)
-            rmx.append(ix / t)
-            rmy.append(iy / t)
-            rlx.append(l2 / t)
-            rly.append(l3 / t)
-            rb.append((mb1, mb2, mb3))
-            rj.append((mj1 - t * lcomp1, mj2 - t * lcomp2, mj3 - t * lcomp3))
+            h = 0.5 * dt
+            iS += (p1 + e1) * h
+            ix += (p2 + e2) * h
+            iy += (p3 + e3) * h
+            if mk >= 0:
+                l1 += jl1[mk]
+                l2 += jl2[mk]
+                l3 += jl3[mk]
+                e1 = exp(l1)
+                e2 = exp(l2)
+                e3 = exp(l3)
+                jump_log.append((t, mk))
+            if l1 < floor or l2 < floor or l3 < floor:
+                if l1 < floor:
+                    l1, e1 = floor, floor_lin
+                    if floor1 is None:
+                        floor1 = t
+                if l2 < floor:
+                    l2, e2 = floor, floor_lin
+                    if floor2 is None:
+                        floor2 = t
+                if l3 < floor:
+                    l3, e3 = floor, floor_lin
+                    if floor3 is None:
+                        floor3 = t
+            if rec:
+                recs.append((e1, e2, e3, iS, ix, iy, l2, l3))
+        # martingale sums: cumsum adds in sequence, as a running += would
+        brown = np.cumsum(np.concatenate((brown[-1:], g)), axis=0)
+        jumps = np.cumsum(np.concatenate((jumps[-1:], jump_table[seg_mark])), axis=0)
+        rec_rows.append(np.array(recs).reshape(-1, 8))
+        recs.clear()
+        rec_brown.append(brown[1:][seg_rec])
+        rec_jumps.append(jumps[1:][seg_rec])
 
+    t = mesh_t[mesh_rec]
+    times = np.concatenate(([0.0], t))
+    rows = np.concatenate(rec_rows)
+    rows[:, 3:] /= t[:, None]
+    cols = np.concatenate(([head], rows)).T.copy()
+    zero = np.zeros((1, 3))
     return Trajectory(
-        times=np.array(rt),
-        S=np.array(rS), x=np.array(rx), y=np.array(ry),
-        mean_S=np.array(rmS), mean_x=np.array(rmx), mean_y=np.array(rmy),
-        lnx_over_t=np.array(rlx), lny_over_t=np.array(rly),
-        brownian=np.array(rb), comp_jump=np.array(rj),
+        times=times,
+        S=cols[0], x=cols[1], y=cols[2],
+        mean_S=cols[3], mean_x=cols[4], mean_y=cols[5],
+        lnx_over_t=cols[6], lny_over_t=cols[7],
+        brownian=np.concatenate([zero] + rec_brown),
+        # jump sums compensated at record time
+        comp_jump=np.concatenate([zero] + rec_jumps) - times[:, None] * lcomp,
         jump_log=jump_log,
         floor_times=(floor1, floor2, floor3),
     )
@@ -316,11 +312,11 @@ def _simulate_direct(model: CrispModel, config: SimConfig) -> Trajectory:
     """Linear-space Euler-Maruyama; aborts on the first nonpositive state."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     events = sample_jumps(model.jumps, config.t_end, rng)
-    uniform = _uniform_grid(config.t_end, config.dt)
-    mesh_t, mesh_mark, mesh_rec = _merge_mesh(uniform, events, config.output_stride)
+    mesh = _build_mesh(config.t_end, config.dt, events, config.output_stride)
+    dts = np.diff(mesh[0])
+    mesh_t, mesh_mark, mesh_rec = (a.tolist() for a in mesh)
     m = len(mesh_t)
 
-    dts = np.diff(np.asarray(mesh_t))
     sq = np.sqrt(dts)
     z = rng.standard_normal((m - 1, 3))
     g1l = (model.sigma1 * sq * z[:, 0]).tolist()

@@ -172,36 +172,39 @@ def validate(model: ImpreciseModel) -> ValidationReport:
     """Run every structural check; failures are report entries, never raises."""
     checks = []
 
+    # JSON admits Infinity and NaN, so every check also requires finiteness
     checks.append(CheckResult(
-        "s0_positive", model.S0 > 0.0, f"S0={model.S0!r}"))
+        "s0_positive", 0.0 < model.S0 < math.inf, f"S0={model.S0!r}"))
 
     bad_endpoints = [
-        name for name in _PARAM_FIELDS if getattr(model, name).lower <= 0.0
+        name for name in _PARAM_FIELDS
+        if not (getattr(model, name).lower > 0.0 and getattr(model, name).upper < math.inf)
     ]
     checks.append(CheckResult(
         "interval_endpoints_positive",
         not bad_endpoints,
         "all interval endpoints > 0" if not bad_endpoints
-        else "nonpositive lower endpoint in: " + ", ".join(bad_endpoints)))
+        else "nonpositive or non-finite endpoint in: " + ", ".join(bad_endpoints)))
 
     bad_weights = [
-        k for k, m in enumerate(model.jumps.marks) if not m.weight > 0.0
+        k for k, m in enumerate(model.jumps.marks) if not 0.0 < m.weight < math.inf
     ]
     checks.append(CheckResult(
         "weights_positive",
         not bad_weights,
         f"total rate {model.jumps.total_rate!r}" if not bad_weights
-        else f"nonpositive weight at marks {bad_weights}"))
+        else f"nonpositive or non-finite weight at marks {bad_weights}"))
 
     bad_gammas = [
         (k, i) for k, m in enumerate(model.jumps.marks)
-        for i in (1, 2, 3) if not m.gamma(i) > -1.0
+        for i in (1, 2, 3) if not -1.0 < m.gamma(i) < math.inf
     ]
     checks.append(CheckResult(
         "gamma_gt_neg1",
         not bad_gammas,
         "all jump sizes > -1" if not bad_gammas
-        else "gamma <= -1 at (mark, component): " + ", ".join(map(str, bad_gammas))))
+        else "gamma <= -1 or non-finite at (mark, component): "
+             + ", ".join(map(str, bad_gammas))))
 
     if bad_gammas:
         nan = float("nan")

@@ -46,6 +46,15 @@ def test_validate_names_failing_check(tmp_path, capsys):
     assert "gamma_gt_neg1" in captured.err
 
 
+def test_validate_rejects_infinite_parameter(tmp_path, capsys):
+    path = write_model(tmp_path, dict(EXTINCTION, sigma1=float("inf")))
+    assert main(["validate", "--model", path]) == 2
+    assert "interval_endpoints_positive" in capsys.readouterr().err
+    assert main(["simulate", "--model", path, "--p", "0", "--t-end", "1",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+
 def test_invalid_model_blocks_other_commands(tmp_path, capsys):
     bad = dict(EXTINCTION, S0=-1.0)
     path = write_model(tmp_path, bad)
@@ -172,10 +181,11 @@ def test_verify_extinction_passes(tmp_path, capsys):
 def test_verify_exit_one_on_claim_failure(tmp_path, capsys):
     path = write_model(tmp_path, EXTINCTION)
     out_dir = tmp_path / "verfail"
-    # a negative rate slack makes the one-sided rate claims unsatisfiable
+    # with zero relative slack the two-sided S_mean_limit claim needs the
+    # finite-horizon time average to hit its limit exactly, so it fails
     code = main(["verify", "--model", path, "--p", "0.5", "--t-end", "500",
                  "--dt", "0.02", "--seed", "31", "--paths", "10",
-                 "--tol-rate", "-10", "--out", str(out_dir)])
+                 "--tol-mean", "0", "--out", str(out_dir)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -187,6 +197,25 @@ def test_verify_refuses_short_horizon(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--t-end", "inf"), ("--t-end", "nan"),
+                                         ("--dt", "inf"), ("--dt", "nan")])
+def test_simulate_non_finite_horizon_is_usage_error(tmp_path, capsys, flag, value):
+    path = write_model(tmp_path, EXTINCTION)
+    argv = ["simulate", "--model", path, "--p", "0", "--out", str(tmp_path), flag, value]
+    assert main(argv) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol-mean", "--tol-rate"])
+def test_verify_negative_tolerance_is_usage_error(tmp_path, capsys, flag):
+    path = write_model(tmp_path, EXTINCTION)
+    argv = ["verify", "--model", path, "--p", "0", "--t-end", "600", "--dt", "0.5",
+            "--paths", "2", "--out", str(tmp_path), flag, "-1"]
+    assert main(argv) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "verdict.csv").exists()
 
 
 def test_sweep_thresholds_only(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,46 @@ def test_ensemble_worker_count_does_not_change_results():
             assert np.array_equal(a.series[name][stat], b.series[name][stat],
                                   equal_nan=True)
     assert np.array_equal(a.extinct_x_frac, b.extinct_x_frac)
+
+
+def test_path_alone_equals_path_in_pooled_ensemble():
+    model = make_extinction(jumps=TWO_MARKS)
+    config = small_config(t_end=20.0, output_stride=10)
+    summary = ensemble(model, config, 6, workers=2)
+    for i in (0, 5):
+        traj = simulate(model, cl.integrator.path_config(config, i))
+        term = summary.terminal
+        assert term["path"][i] == i
+        assert term["mean_S"][i] == traj.mean_S[-1]
+        assert term["mean_y"][i] == traj.mean_y[-1]
+        assert term["rate_x"][i] == traj.rate_x
+        assert term["rate_y"][i] == traj.rate_y
+        assert np.array_equal(term["brownian_over_t"][i], traj.brownian[-1] / 20.0)
+        assert np.array_equal(term["comp_jump_over_t"][i], traj.comp_jump[-1] / 20.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (7, 40), (120, 301)])
+def test_aggregate_equals_nan_reductions(shape):
+    rng = np.random.default_rng(shape[1])
+    stack = rng.standard_normal(shape) * rng.uniform(0.1, 1e3, size=shape[1])
+    q = [5.0, 50.0, 95.0]
+    for first in (np.nan, 0.39999999999999913):
+        stack[:, 0] = first
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pcts = np.nanpercentile(stack, q, axis=0)
+            mean = np.nanmean(stack, axis=0)
+        got = cl.harness._aggregate(stack)
+        assert got["mean"].tobytes() == mean.tobytes()
+        for k, stat in enumerate(("p5", "p50", "p95")):
+            assert got[stat].tobytes() == pcts[k].tobytes()
+
+
+@pytest.mark.parametrize("field", ["rate", "mean"])
+@pytest.mark.parametrize("value", [-1.0, -1e-12, math.inf, math.nan])
+def test_tolerances_reject_negative_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        VerifyTolerances(**{field: value})
 
 
 def test_ensemble_failure_rate_guard():

@@ -186,6 +186,34 @@ def test_overflow_aborts_with_time():
     assert info.value.time <= 1.0
 
 
+def test_nan_log_state_aborts():
+    # an infinite volatility turns the Ito-corrected drift into inf - inf;
+    # the overflow guard must catch the NaN instead of recording it
+    model = make_persistence().with_sigmas(math.inf, 0.1, 0.1)
+    with pytest.raises(SimulationError):
+        simulate(model, short_config(t_end=1.0))
+
+
+@pytest.mark.parametrize("model, config", [
+    (make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=1)),
+    (make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=3)),
+    # the extinction model pins y near t = 1400
+    (make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=1)),
+    (make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=3)),
+], ids=["jumps-stride1", "jumps-stride3", "pinned-stride1", "pinned-stride3"])
+def test_chunk_size_does_not_change_the_path(monkeypatch, model, config):
+    reference = simulate(model, config)
+    for chunk in (1, 7):
+        monkeypatch.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
+        traj = simulate(model, config)
+        for name in ("times", "S", "x", "y", "mean_S", "mean_x", "mean_y",
+                     "lnx_over_t", "lny_over_t", "brownian", "comp_jump"):
+            assert getattr(traj, name).tobytes() == getattr(reference, name).tobytes(), name
+        assert traj.jump_log == reference.jump_log
+        assert traj.floor_times == reference.floor_times
+    assert reference.floor_times[2] is not None or reference.jump_log
+
+
 def test_direct_euler_breaks_positivity_where_log_scheme_survives():
     model = make_extinction().with_sigmas(0.1, 2.0, 0.1)
     config = short_config(t_end=50.0, dt=0.05, seed=14, scheme=DIRECT_EULER)
@@ -209,6 +237,11 @@ def test_config_validation():
     model = make_persistence()
     with pytest.raises(ValueError):
         simulate(model, short_config(t_end=-1.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            simulate(model, short_config(t_end=bad))
+        with pytest.raises(ValueError):
+            simulate_ode(model, short_config(dt=bad))
     with pytest.raises(ValueError):
         simulate(model, short_config(dt=100.0))
     with pytest.raises(ValueError):

@@ -99,6 +99,23 @@ def test_validate_reports_bad_endpoints_and_weights():
                             if c.name == "interval_endpoints_positive").detail
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_validate_rejects_non_finite_parameters(value):
+    # JSON admits Infinity and NaN; each must fail the check that owns the field
+    cases = [
+        ("s0_positive", make_imprecise(S0=value)),
+        ("weights_positive", make_imprecise(jumps=JumpSpec((JumpMark(value, 0.1, 0.1, 0.1),)))),
+        ("gamma_gt_neg1", make_imprecise(jumps=JumpSpec((JumpMark(1.0, 0.1, value, 0.1),)))),
+    ]
+    if not math.isnan(value):  # IntervalNumber itself refuses NaN endpoints
+        cases += [
+            ("interval_endpoints_positive", make_imprecise(sigma1=I(abs(value), abs(value)))),
+            ("interval_endpoints_positive", make_imprecise(m2=I(0.2, abs(value)))),
+        ]
+    for check, model in cases:
+        assert {c.name for c in validate(model).failures()} == {check}
+
+
 def test_validate_never_raises_is_total():
     # even a thoroughly broken model yields a report
     jumps = JumpSpec((JumpMark(-1.0, -2.0, -1.0, 0.0),))

@@ -31,7 +31,6 @@ from .model import (
     drift,
     load_model,
     model_from_dict,
-    ode_rhs,
     validate,
 )
 from .thresholds import (
@@ -42,7 +41,6 @@ from .thresholds import (
     classify,
     r0s,
     r1s,
-    threshold_sweep,
 )
 from .integrator import (
     DIRECT_EULER,
@@ -60,12 +58,10 @@ from .harness import (
     EXTINCTION_THRESHOLD,
     Claim,
     EnsembleSummary,
-    MartingaleDiagnostics,
     SweepRow,
     Verdict,
     VerifyTolerances,
     ensemble,
-    martingale_diagnostics,
     p_sweep,
     verify,
 )

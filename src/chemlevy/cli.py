@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import VerifyTolerances, ensemble, p_sweep, verify
+from .harness import _SERIES, VerifyTolerances, ensemble, p_sweep, verify
 from .integrator import (
     DIRECT_EULER,
     LOG_EULER,
@@ -27,13 +27,10 @@ from .integrator import (
     simulate,
     simulate_ode,
 )
-from .model import State, check_H3, crispify, load_model, validate
+from .model import _PARAM_FIELDS, State, check_H3, crispify, load_model, validate
 from .thresholds import classify
 
-_SERIES_ORDER = ("S", "x", "y", "mean_S", "mean_x", "mean_y",
-                 "lnx_over_t", "lny_over_t", "phi")
-_PARAM_ORDER = ("S0", "D", "m1", "delta1", "sigma1", "m2", "delta2",
-                "sigma2", "sigma3")
+_PARAM_ORDER = ("S0",) + _PARAM_FIELDS
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +73,7 @@ def write_jumps_csv(traj, path) -> None:
 def write_ensemble_csv(summary, path) -> None:
     header = ["t"]
     columns = [summary.times.tolist()]
-    for name in _SERIES_ORDER:
+    for name in _SERIES:
         for stat in ("mean", "p5", "p50", "p95"):
             header.append(f"{name}_{stat}")
             columns.append(summary.series[name][stat].tolist())

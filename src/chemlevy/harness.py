@@ -35,6 +35,8 @@ EXTINCTION_THRESHOLD = 1e-30
 
 _SERIES = ("S", "x", "y", "mean_S", "mean_x", "mean_y",
            "lnx_over_t", "lny_over_t", "phi")
+# per-path terminal scalars, in the order of a path record's terminal row
+_TERMINAL = ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y", "phi")
 _PERCENTILES = (5.0, 50.0, 95.0)
 
 
@@ -105,43 +107,30 @@ class EnsembleSummary:
 
 
 def _path_record(model: CrispModel, config: SimConfig, index: int,
-                 threshold: float) -> dict:
+                 threshold: float) -> tuple:
+    """(index, error, times, series, extinct_x, extinct_y, terminal) of one path.
+
+    series is the (9, n) block of _SERIES over the recorded times; the
+    extinction flags are sticky over time; terminal is the _TERMINAL row
+    followed by M(T)/T of the Brownian and the compensated jump martingales.
+    A failed path is (index, error message).
+    """
     try:
         traj = simulate(model, path_config(config, index))
     except SimulationError as exc:
-        return {"index": index, "error": str(exc)}
+        return index, str(exc)
     phi = conservation_residual(traj, model)
     t_end = float(traj.times[-1])
-    extinct_x = np.logical_or.accumulate(traj.x < threshold)
-    extinct_y = np.logical_or.accumulate(traj.y < threshold)
-    return {
-        "index": index,
-        "error": None,
-        "series": {
-            "S": traj.S, "x": traj.x, "y": traj.y,
-            "mean_S": traj.mean_S, "mean_x": traj.mean_x, "mean_y": traj.mean_y,
-            "lnx_over_t": traj.lnx_over_t, "lny_over_t": traj.lny_over_t,
-            "phi": phi,
-        },
-        "extinct_x": extinct_x,
-        "extinct_y": extinct_y,
-        "times": traj.times,
-        "terminal": {
-            "mean_S": float(traj.mean_S[-1]),
-            "mean_x": float(traj.mean_x[-1]),
-            "mean_y": float(traj.mean_y[-1]),
-            "rate_x": traj.rate_x,
-            "rate_y": traj.rate_y,
-            "phi": float(phi[-1]),
-            "brownian_over_t": traj.brownian[-1] / t_end,
-            "comp_jump_over_t": traj.comp_jump[-1] / t_end,
-            "extinct_x": bool(extinct_x[-1]),
-            "extinct_y": bool(extinct_y[-1]),
-        },
-    }
+    series = np.stack((traj.S, traj.x, traj.y, traj.mean_S, traj.mean_x,
+                       traj.mean_y, traj.lnx_over_t, traj.lny_over_t, phi))
+    terminal = np.concatenate((series[3:6, -1], (traj.rate_x, traj.rate_y, phi[-1]),
+                               traj.brownian / t_end, traj.comp_jump / t_end))
+    return (index, None, traj.times, series,
+            np.logical_or.accumulate(traj.x < threshold),
+            np.logical_or.accumulate(traj.y < threshold), terminal)
 
 
-def _path_record_star(args) -> dict:
+def _path_record_star(args) -> tuple:
     return _path_record(*args)
 
 
@@ -184,34 +173,30 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
     else:
         records = [_path_record(*t) for t in tasks]
 
-    aborted = tuple((r["index"], r["error"]) for r in records if r["error"])
+    aborted = tuple(r for r in records if r[1])
     if len(aborted) >= 0.1 * n_paths:
         detail = "; ".join(f"path {i}: {msg}" for i, msg in aborted[:5])
         raise RuntimeError(
             f"{len(aborted)}/{n_paths} paths aborted (>= 10%): {detail}")
-    good = [r for r in records if not r["error"]]
+    index, _, times, blocks, ext_x, ext_y, rows = zip(*(r for r in records if not r[1]))
 
-    times = good[0]["times"]
-    series = {name: _aggregate(np.stack([r["series"][name] for r in good]))
-              for name in _SERIES}
-    extinct_x_frac = np.mean(np.stack([r["extinct_x"] for r in good]), axis=0)
-    extinct_y_frac = np.mean(np.stack([r["extinct_y"] for r in good]), axis=0)
-
-    terminal = {"path": np.array([r["index"] for r in good])}
-    for key in ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y", "phi"):
-        terminal[key] = np.array([r["terminal"][key] for r in good])
-    for key in ("brownian_over_t", "comp_jump_over_t"):
-        terminal[key] = np.stack([r["terminal"][key] for r in good])
-    for key in ("extinct_x", "extinct_y"):
-        terminal[key] = np.array([r["terminal"][key] for r in good], dtype=bool)
+    series = {name: _aggregate(np.stack([b[k] for b in blocks]))
+              for k, name in enumerate(_SERIES)}
+    rows = np.stack(rows).T.copy()
+    terminal = {"path": np.array(index)}
+    terminal.update(zip(_TERMINAL, rows))
+    terminal["brownian_over_t"] = rows[6:9].T.copy()
+    terminal["comp_jump_over_t"] = rows[9:12].T.copy()
+    terminal["extinct_x"] = np.array([e[-1] for e in ext_x])
+    terminal["extinct_y"] = np.array([e[-1] for e in ext_y])
 
     return EnsembleSummary(
         n_paths=n_paths,
-        horizon=float(times[-1]),
-        times=times,
+        horizon=float(times[0][-1]),
+        times=times[0],
         series=series,
-        extinct_x_frac=extinct_x_frac,
-        extinct_y_frac=extinct_y_frac,
+        extinct_x_frac=np.mean(np.stack(ext_x), axis=0),
+        extinct_y_frac=np.mean(np.stack(ext_y), axis=0),
         terminal=terminal,
         extinction_threshold=extinction_threshold,
         aborted=aborted,
@@ -273,36 +258,6 @@ def verify(report: ThresholdReport, summary: EnsembleSummary,
     return Verdict(regime=report.regime, claims=tuple(claims))
 
 
-@dataclass(frozen=True)
-class MartingaleDiagnostics:
-    """Terminal M_i(T)/T per path and their cross-path means, per noise source."""
-
-    brownian_over_t: np.ndarray   # (n_paths, 3)
-    comp_jump_over_t: np.ndarray  # (n_paths, 3)
-
-    @property
-    def brownian_mean(self) -> np.ndarray:
-        return self.brownian_over_t.mean(axis=0)
-
-    @property
-    def comp_jump_mean(self) -> np.ndarray:
-        return self.comp_jump_over_t.mean(axis=0)
-
-
-def martingale_diagnostics(trajectories) -> MartingaleDiagnostics:
-    """Collect terminal martingale-over-time ratios from simulated paths.
-
-    Both families must vanish as t grows; persistently nonzero means point at
-    a broken compensator or a biased noise stream.
-    """
-    trajs = list(trajectories)
-    if not trajs:
-        raise ValueError("need at least one trajectory")
-    brow = np.stack([tr.brownian[-1] / float(tr.times[-1]) for tr in trajs])
-    cjmp = np.stack([tr.comp_jump[-1] / float(tr.times[-1]) for tr in trajs])
-    return MartingaleDiagnostics(brownian_over_t=brow, comp_jump_over_t=cjmp)
-
-
 @dataclass
 class SweepRow:
     p: float
@@ -321,7 +276,8 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
 
     Rows are ordered by p and evaluated independently; a failure in one row
     (recorded in row.error) does not stop the sweep.  n_paths=0 skips the
-    Monte Carlo part and produces threshold-only rows.
+    Monte Carlo part and produces threshold-only rows: crispify and classify
+    at each level, nothing else.
     """
     grid = sorted(float(p) for p in p_grid)
     if not grid:

@@ -6,12 +6,13 @@ concentrations with Euler-Maruyama drift/noise steps on a jump-adapted mesh
 multiplicative jump ln(1 + gamma_i) at each event.  Working in log space makes
 strict positivity structural: no step can produce a nonpositive concentration.
 A naive linear-space Euler scheme ("direct_euler") is kept purely as a
-diagnostic of why that guarantee matters.
+diagnostic of why that guarantee matters.  Both schemes and the RK4 solver
+of the noise-free system are kernels of one chunked engine.
 
 Each trajectory also accumulates, on the full fine mesh, the running time
 averages of S, x, y (trapezoid rule), the exponential-rate statistics
-ln x(t)/t and ln y(t)/t, and the Brownian and compensated-jump martingale
-terms used by the long-run diagnostics.
+ln x(t)/t and ln y(t)/t, and the terminal Brownian and compensated-jump
+martingale terms used by the long-run diagnostics.
 """
 
 import math
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import CrispModel, JumpSpec, State
+from .model import CrispModel, JumpSpec, State, drift
 
 LOG_EULER = "log_euler"
 DIRECT_EULER = "direct_euler"
@@ -31,10 +32,14 @@ FLOOR_LOG = -700.0
 _FLOOR_LIN = math.exp(FLOOR_LOG)
 _CEIL_LOG = 700.0
 
-# Mesh steps the log-Euler kernel advances per chunk.  Noise, step sizes and
-# the kernel's per-step lists exist for one chunk at a time, so beyond the
-# mesh arrays a path's memory does not grow with its horizon.
+# Mesh steps a kernel advances per chunk.  Noise, step sizes and the
+# kernel's per-step lists exist for one chunk at a time, so beyond the mesh
+# arrays a path's memory does not grow with its horizon.
 _CHUNK_STEPS = 4096
+
+# Largest mesh (uniform steps plus expected jump events) a path may ask for,
+# checked before anything is allocated: about 1.7 GB of mesh at 17 B a step.
+_MAX_MESH_STEPS = 10**8
 
 
 class SimulationError(RuntimeError):
@@ -82,8 +87,8 @@ class Trajectory:
     mean_y: np.ndarray
     lnx_over_t: np.ndarray
     lny_over_t: np.ndarray
-    brownian: np.ndarray      # shape (n, 3): M_i(t) = sigma_i * B_i(t)
-    comp_jump: np.ndarray     # shape (n, 3): jump martingale, compensated
+    brownian: np.ndarray      # shape (3,): terminal M_i(T) = sigma_i * B_i(T)
+    comp_jump: np.ndarray     # shape (3,): terminal compensated jump martingale
     jump_log: list
     floor_times: tuple = (None, None, None)
 
@@ -104,21 +109,26 @@ class Trajectory:
         return math.log(series[-1]) / t if series[-1] > 0.0 else float("-inf")
 
 
-def _check_config(config: SimConfig, positive_initial: bool) -> None:
+def _check_config(config: SimConfig, positive_initial: bool,
+                  jump_rate: float = 0.0) -> None:
     if not 0.0 < config.t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {config.t_end!r}")
     if not 0.0 < config.dt < config.t_end:
         raise ValueError(f"dt must lie in (0, t_end), got {config.dt!r}")
+    steps = config.t_end / config.dt + max(jump_rate, 0.0) * config.t_end
+    if not steps <= _MAX_MESH_STEPS:
+        raise ValueError(f"t_end/dt plus the expected jump count is {steps:.3g}, "
+                         f"above the cap of {_MAX_MESH_STEPS:.0e} mesh steps")
     if config.output_stride < 1:
         raise ValueError(f"output_stride must be >= 1, got {config.output_stride!r}")
     if config.scheme not in (LOG_EULER, DIRECT_EULER):
         raise ValueError(f"unknown scheme {config.scheme!r}")
     s = config.initial
     if positive_initial:
-        if not (s.S > 0.0 and s.x > 0.0 and s.y > 0.0):
-            raise ValueError(f"initial state must be strictly positive, got {s}")
-    elif s.S < 0.0 or s.x < 0.0 or s.y < 0.0:
-        raise ValueError(f"initial state must be nonnegative, got {s}")
+        if not (0.0 < s.S < math.inf and 0.0 < s.x < math.inf and 0.0 < s.y < math.inf):
+            raise ValueError(f"initial state must be strictly positive and finite, got {s}")
+    elif not (0.0 <= s.S < math.inf and 0.0 <= s.x < math.inf and 0.0 <= s.y < math.inf):
+        raise ValueError(f"initial state must be nonnegative and finite, got {s}")
 
 
 def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> list:
@@ -146,12 +156,6 @@ def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> lis
     return list(zip(times[order].tolist(), marks[order].tolist()))
 
 
-def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
-    # t_end is divided into whole steps of size ~dt (exact when divisible)
-    n = max(1, int(math.ceil(t_end / dt - 1e-9)))
-    return np.linspace(0.0, t_end, n + 1)
-
-
 def _build_mesh(t_end: float, dt: float, events: list, stride: int):
     """Weave jump events into the uniform dt-grid.
 
@@ -160,7 +164,9 @@ def _build_mesh(t_end: float, dt: float, events: list, stride: int):
     placed before it, so recorded states are right-continuous (post-jump).
     The origin is recorded up front by the caller, never as a step target.
     """
-    uniform = _uniform_grid(t_end, dt)
+    # t_end is divided into whole steps of size ~dt (exact when divisible)
+    n = max(1, int(math.ceil(t_end / dt - 1e-9)))
+    uniform = np.linspace(0.0, t_end, n + 1)
     n_last = len(uniform) - 1
     marks = np.full(len(uniform), -1, dtype=np.intp)
     rec = np.zeros(len(uniform), dtype=bool)
@@ -176,37 +182,21 @@ def _build_mesh(t_end: float, dt: float, events: list, stride: int):
             np.insert(rec, pos, False))
 
 
-def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
-    """Integrate one stochastic path.
+def _log_euler(model: CrispModel, initial: State, jump_log: list, floors: list):
+    """Log-space Euler-Maruyama kernel with exact multiplicative jumps.
 
-    The Gaussian stream and the jump schedule are drawn from a generator
-    seeded only by config.seed, so identical inputs give a bit-identical
-    trajectory.  The mesh is stepped in chunks of _CHUNK_STEPS; each chunk
-    draws its normals in stream order, so the chunk size never changes the
-    result.  Raises SimulationError if a log-coordinate overflows upward
-    (state above ~1e304) or turns NaN; downward excursions are pinned at
-    FLOOR_LOG and flagged instead of aborting.
+    Every kernel is a generator with this signature.  It first yields the
+    t=0 state; then each send() passes the steps of one chunk and gets back
+    that chunk's records (S, x, y, the three trapezoid integrals, ln x, ln y),
+    which the caller empties once packed.  A kernel appends its jumps to
+    jump_log and its first pin times to floors.
     """
-    _check_config(config, positive_initial=True)
-    if config.scheme == DIRECT_EULER:
-        return _simulate_direct(model, config)
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    events = sample_jumps(model.jumps, config.t_end, rng)
-    mesh_t, mesh_mark, mesh_rec = _build_mesh(
-        config.t_end, config.dt, events, config.output_stride)
-    n_steps = len(mesh_t) - 1
-    chunk = _CHUNK_STEPS
-    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
-
-    # per-mark log jump sizes; the table's extra last row (mark -1) is zero
+    # per-mark log jump sizes
     jl1 = [math.log1p(mk.gamma1) for mk in model.jumps.marks]
     jl2 = [math.log1p(mk.gamma2) for mk in model.jumps.marks]
     jl3 = [math.log1p(mk.gamma3) for mk in model.jumps.marks]
-    jump_table = np.array(list(zip(jl1, jl2, jl3)) + [(0.0, 0.0, 0.0)])
-    lcomp = np.array([model.jumps.log_gamma_intensity(i) for i in (1, 2, 3)])
 
-    # Ito-corrected log drifts: constants folded once
+    # Ito-corrected per-capita log drifts, not model.drift: constants folded once
     c1 = model.D + 0.5 * model.sigma1 ** 2 + model.jumps.gamma_intensity(1)
     c2 = model.D + 0.5 * model.sigma2 ** 2 + model.jumps.gamma_intensity(2)
     c3 = model.D + 0.5 * model.sigma3 ** 2 + model.jumps.gamma_intensity(3)
@@ -218,33 +208,15 @@ def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
 
     exp = math.exp
     ceil, floor, floor_lin = _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN
-    l1 = math.log(config.initial.S)
-    l2 = math.log(config.initial.x)
-    l3 = math.log(config.initial.y)
+    l1 = math.log(initial.S)
+    l2 = math.log(initial.x)
+    l3 = math.log(initial.y)
     e1, e2, e3 = exp(l1), exp(l2), exp(l3)
-    nan = float("nan")
-    # the t=0 record: a time average is the initial value, a rate is 0/0
-    head = [e1, e2, e3, e1, e2, e3, nan, nan]
-
     iS = ix = iy = 0.0            # running trapezoid integrals
-    floor1 = floor2 = floor3 = None
-    jump_log = []
-    # per record: states, trapezoid integrals, log-states of x and y; the
-    # last five become time averages and rates once divided by t
-    recs = []
-    rec_rows, rec_brown, rec_jumps = [], [], []
-    brown = jumps = np.zeros((1, 3))   # martingale sums carried across chunks
-
-    for a in range(0, n_steps, chunk):
-        b = min(a + chunk, n_steps)
-        seg_t = mesh_t[a + 1:b + 1]
-        seg_mark = mesh_mark[a + 1:b + 1]
-        seg_rec = mesh_rec[a + 1:b + 1]
-        dts = np.diff(mesh_t[a:b + 1])
-        g = np.sqrt(dts)[:, None] * sigmas * rng.standard_normal((b - a, 3))
-        for t, dt, g1, g2, g3, mk, rec in zip(
-                seg_t.tolist(), dts.tolist(), g[:, 0].tolist(), g[:, 1].tolist(),
-                g[:, 2].tolist(), seg_mark.tolist(), seg_rec.tolist()):
+    out = e1, e2, e3
+    while True:
+        recs = []
+        for t, dt, g1, g2, g3, mk, rec in (yield out):
             p1, p2, p3 = e1, e2, e3
             l1 += (dso / e1 - m1d1 * e2 - c1) * dt + g1
             l2 += (m1 * e1 - m2d2 * e3 - c2) * dt + g2
@@ -269,135 +241,169 @@ def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
             if l1 < floor or l2 < floor or l3 < floor:
                 if l1 < floor:
                     l1, e1 = floor, floor_lin
-                    if floor1 is None:
-                        floor1 = t
+                    if floors[0] is None:
+                        floors[0] = t
                 if l2 < floor:
                     l2, e2 = floor, floor_lin
-                    if floor2 is None:
-                        floor2 = t
+                    if floors[1] is None:
+                        floors[1] = t
                 if l3 < floor:
                     l3, e3 = floor, floor_lin
-                    if floor3 is None:
-                        floor3 = t
+                    if floors[2] is None:
+                        floors[2] = t
             if rec:
                 recs.append((e1, e2, e3, iS, ix, iy, l2, l3))
-        # martingale sums: cumsum adds in sequence, as a running += would
-        brown = np.cumsum(np.concatenate((brown[-1:], g)), axis=0)
-        jumps = np.cumsum(np.concatenate((jumps[-1:], jump_table[seg_mark])), axis=0)
-        rec_rows.append(np.array(recs).reshape(-1, 8))
+        out = recs
+
+
+def _direct_euler(model: CrispModel, initial: State, jump_log: list, floors: list):
+    """Linear-space Euler-Maruyama kernel; aborts on the first nonpositive state."""
+    comp1, comp2, comp3 = (model.jumps.gamma_intensity(i) for i in (1, 2, 3))
+    marks = model.jumps.marks
+    isfinite, log = math.isfinite, math.log
+    S, x, y = initial.S, initial.x, initial.y
+    iS = ix = iy = 0.0
+    out = S, x, y
+    while True:
+        recs = []
+        for t, dt, g1, g2, g3, mk, rec in (yield out):
+            pS, px, py = S, x, y
+            dS, dx, dy = drift(model, S, x, y)
+            S = S + (dS - comp1 * S) * dt + S * g1
+            x = x + (dx - comp2 * x) * dt + x * g2
+            y = y + (dy - comp3 * y) * dt + y * g3
+            if mk >= 0:
+                mark = marks[mk]
+                S *= 1.0 + mark.gamma1
+                x *= 1.0 + mark.gamma2
+                y *= 1.0 + mark.gamma3
+                jump_log.append((t, mk))
+            if S <= 0.0 or x <= 0.0 or y <= 0.0:
+                raise SimulationError(
+                    "direct Euler scheme produced a nonpositive state", t)
+            if not (isfinite(S) and isfinite(x) and isfinite(y)):
+                raise SimulationError("non-finite state", t)
+            h = 0.5 * dt
+            iS += (pS + S) * h
+            ix += (px + x) * h
+            iy += (py + y) * h
+            if rec:
+                recs.append((S, x, y, iS, ix, iy, log(x), log(y)))
+        out = recs
+
+
+def _rk4(model: CrispModel, initial: State, jump_log: list, floors: list):
+    """Classical fourth-order Runge-Kutta kernel for the noise-free system.
+
+    Its steps carry no noise or mark, only (t, dt, record); the log of a zero
+    coordinate is recorded as -inf.
+    """
+    isfinite, log = math.isfinite, math.log
+    ninf = float("-inf")
+    S, x, y = initial.S, initial.x, initial.y
+    iS = ix = iy = 0.0
+    out = S, x, y
+    while True:
+        recs = []
+        for t, dt, rec in (yield out):
+            pS, px, py = S, x, y
+            k1 = drift(model, S, x, y)
+            k2 = drift(model, S + 0.5 * dt * k1[0], x + 0.5 * dt * k1[1], y + 0.5 * dt * k1[2])
+            k3 = drift(model, S + 0.5 * dt * k2[0], x + 0.5 * dt * k2[1], y + 0.5 * dt * k2[2])
+            k4 = drift(model, S + dt * k3[0], x + dt * k3[1], y + dt * k3[2])
+            S += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            x += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            y += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            if not (isfinite(S) and isfinite(x) and isfinite(y)):
+                raise SimulationError("non-finite state", t)
+            h = 0.5 * dt
+            iS += (pS + S) * h
+            ix += (px + x) * h
+            iy += (py + y) * h
+            if rec:
+                recs.append((S, x, y, iS, ix, iy,
+                             log(x) if x > 0.0 else ninf, log(y) if y > 0.0 else ninf))
+        out = recs
+
+
+def _integrate(model: CrispModel, config: SimConfig, kernel, rng=None) -> Trajectory:
+    """Run one path through a kernel, chunk by chunk, and pack its records.
+
+    With an rng the jump schedule is its first draw and the mesh is
+    jump-adapted; each chunk then draws its normals in stream order, so the
+    chunk size never changes the result.  Without one (RK4) the mesh is the
+    uniform grid, nothing is drawn and both martingales are zero.
+    """
+    events = [] if rng is None else sample_jumps(model.jumps, config.t_end, rng)
+    mesh_t, mesh_mark, mesh_rec = _build_mesh(
+        config.t_end, config.dt, events, config.output_stride)
+    n_steps = len(mesh_t) - 1
+    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
+    jump_log, floors = [], [None, None, None]
+    path = kernel(model, config.initial, jump_log, floors)
+    s1, s2, s3 = next(path)
+    nan = float("nan")
+    # the t=0 record: a time average is the initial value, a rate is 0/0
+    head = [[s1, s2, s3, s1, s2, s3, nan, nan]]
+    chunks = []
+    brown = np.zeros((1, 3))      # Brownian martingale sum carried across chunks
+
+    for a in range(0, n_steps, _CHUNK_STEPS):
+        b = min(a + _CHUNK_STEPS, n_steps)
+        dts = np.diff(mesh_t[a:b + 1])
+        cols = [mesh_t[a + 1:b + 1].tolist(), dts.tolist()]
+        if rng is not None:
+            g = np.sqrt(dts)[:, None] * sigmas * rng.standard_normal((b - a, 3))
+            cols += g.T.tolist() + [mesh_mark[a + 1:b + 1].tolist()]
+        cols.append(mesh_rec[a + 1:b + 1].tolist())
+        recs = path.send(zip(*cols))
+        del cols                  # one chunk's step lists alive at a time
+        chunks.append(np.array(recs).reshape(-1, 8))
         recs.clear()
-        rec_brown.append(brown[1:][seg_rec])
-        rec_jumps.append(jumps[1:][seg_rec])
+        if rng is not None:
+            # cumsum adds in sequence, as a running += would
+            brown = np.cumsum(np.concatenate((brown, g)), axis=0)[-1:]
 
     t = mesh_t[mesh_rec]
     times = np.concatenate(([0.0], t))
-    rows = np.concatenate(rec_rows)
+    rows = np.concatenate(chunks)
     rows[:, 3:] /= t[:, None]
-    cols = np.concatenate(([head], rows)).T.copy()
-    zero = np.zeros((1, 3))
+    series = np.concatenate((head, rows)).T.copy()
+    if rng is None:
+        brownian, comp_jump = np.zeros(3), np.zeros(3)
+    else:
+        log_jumps = np.array([[math.log1p(mk.gamma(i)) for i in (1, 2, 3)]
+                              for mk in model.jumps.marks])
+        hits = log_jumps[[mk for _, mk in jump_log]].reshape(-1, 3)
+        # summed in event order, then compensated at the horizon
+        jump_sum = np.cumsum(np.concatenate((np.zeros((1, 3)), hits)), axis=0)[-1]
+        lcomp = np.array([model.jumps.log_gamma_intensity(i) for i in (1, 2, 3)])
+        brownian, comp_jump = brown[-1], jump_sum - times[-1] * lcomp
     return Trajectory(
         times=times,
-        S=cols[0], x=cols[1], y=cols[2],
-        mean_S=cols[3], mean_x=cols[4], mean_y=cols[5],
-        lnx_over_t=cols[6], lny_over_t=cols[7],
-        brownian=np.concatenate([zero] + rec_brown),
-        # jump sums compensated at record time
-        comp_jump=np.concatenate([zero] + rec_jumps) - times[:, None] * lcomp,
+        S=series[0], x=series[1], y=series[2],
+        mean_S=series[3], mean_x=series[4], mean_y=series[5],
+        lnx_over_t=series[6], lny_over_t=series[7],
+        brownian=brownian, comp_jump=comp_jump,
         jump_log=jump_log,
-        floor_times=(floor1, floor2, floor3),
+        floor_times=tuple(floors),
     )
 
 
-def _simulate_direct(model: CrispModel, config: SimConfig) -> Trajectory:
-    """Linear-space Euler-Maruyama; aborts on the first nonpositive state."""
+def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
+    """Integrate one stochastic path.
+
+    The Gaussian stream and the jump schedule are drawn from a generator
+    seeded only by config.seed, so identical inputs give a bit-identical
+    trajectory, whatever _CHUNK_STEPS is.  Raises SimulationError if a
+    log-coordinate overflows upward (state above ~1e304) or turns NaN;
+    downward excursions are pinned at FLOOR_LOG and flagged instead of
+    aborting.  The direct_euler scheme aborts on a nonpositive state.
+    """
+    _check_config(config, positive_initial=True, jump_rate=model.jumps.total_rate)
+    kernel = _direct_euler if config.scheme == DIRECT_EULER else _log_euler
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    events = sample_jumps(model.jumps, config.t_end, rng)
-    mesh = _build_mesh(config.t_end, config.dt, events, config.output_stride)
-    dts = np.diff(mesh[0])
-    mesh_t, mesh_mark, mesh_rec = (a.tolist() for a in mesh)
-    m = len(mesh_t)
-
-    sq = np.sqrt(dts)
-    z = rng.standard_normal((m - 1, 3))
-    g1l = (model.sigma1 * sq * z[:, 0]).tolist()
-    g2l = (model.sigma2 * sq * z[:, 1]).tolist()
-    g3l = (model.sigma3 * sq * z[:, 2]).tolist()
-    dtl = dts.tolist()
-
-    comp = (model.jumps.gamma_intensity(1),
-            model.jumps.gamma_intensity(2),
-            model.jumps.gamma_intensity(3))
-    lcomp = (model.jumps.log_gamma_intensity(1),
-             model.jumps.log_gamma_intensity(2),
-             model.jumps.log_gamma_intensity(3))
-
-    log = math.log
-    S, x, y = config.initial.S, config.initial.x, config.initial.y
-    iS = ix = iy = 0.0
-    mb = [0.0, 0.0, 0.0]
-    mj = [0.0, 0.0, 0.0]
-    jump_log = []
-
-    rt = [0.0]
-    rS, rx, ry = [S], [x], [y]
-    rmS, rmx, rmy = [S], [x], [y]
-    rlx, rly = [float("nan")], [float("nan")]
-    rb = [(0.0, 0.0, 0.0)]
-    rj = [(0.0, 0.0, 0.0)]
-
-    for k in range(m - 1):
-        dt = dtl[k]
-        pS, px, py = S, x, y
-        dS = model.D * (model.S0 - S) - model.m1 * S * x / model.delta1
-        dx = model.m1 * S * x - model.D * x - model.m2 * x * y / model.delta2
-        dy = model.m2 * x * y - model.D * y
-        S = S + (dS - comp[0] * S) * dt + S * g1l[k]
-        x = x + (dx - comp[1] * x) * dt + x * g2l[k]
-        y = y + (dy - comp[2] * y) * dt + y * g3l[k]
-        mk = mesh_mark[k + 1]
-        if mk >= 0:
-            mark = model.jumps.marks[mk]
-            S *= 1.0 + mark.gamma1
-            x *= 1.0 + mark.gamma2
-            y *= 1.0 + mark.gamma3
-            mj[0] += math.log1p(mark.gamma1)
-            mj[1] += math.log1p(mark.gamma2)
-            mj[2] += math.log1p(mark.gamma3)
-            jump_log.append((mesh_t[k + 1], mk))
-        if S <= 0.0 or x <= 0.0 or y <= 0.0:
-            raise SimulationError(
-                "direct Euler scheme produced a nonpositive state", mesh_t[k + 1])
-        if not (math.isfinite(S) and math.isfinite(x) and math.isfinite(y)):
-            raise SimulationError("non-finite state", mesh_t[k + 1])
-        h = 0.5 * dt
-        iS += (pS + S) * h
-        ix += (px + x) * h
-        iy += (py + y) * h
-        mb[0] += g1l[k]
-        mb[1] += g2l[k]
-        mb[2] += g3l[k]
-        if mesh_rec[k + 1]:
-            t = mesh_t[k + 1]
-            rt.append(t)
-            rS.append(S)
-            rx.append(x)
-            ry.append(y)
-            rmS.append(iS / t)
-            rmx.append(ix / t)
-            rmy.append(iy / t)
-            rlx.append(log(x) / t)
-            rly.append(log(y) / t)
-            rb.append(tuple(mb))
-            rj.append((mj[0] - t * lcomp[0], mj[1] - t * lcomp[1], mj[2] - t * lcomp[2]))
-
-    return Trajectory(
-        times=np.array(rt),
-        S=np.array(rS), x=np.array(rx), y=np.array(ry),
-        mean_S=np.array(rmS), mean_x=np.array(rmx), mean_y=np.array(rmy),
-        lnx_over_t=np.array(rlx), lny_over_t=np.array(rly),
-        brownian=np.array(rb), comp_jump=np.array(rj),
-        jump_log=jump_log,
-    )
+    return _integrate(model, config, kernel, rng)
 
 
 def simulate_ode(model: CrispModel, config: SimConfig) -> Trajectory:
@@ -408,71 +414,7 @@ def simulate_ode(model: CrispModel, config: SimConfig) -> Trajectory:
     contract matches ``simulate``.
     """
     _check_config(config, positive_initial=False)
-    uniform = _uniform_grid(config.t_end, config.dt)
-    n_last = len(uniform) - 1
-    tl = uniform.tolist()
-
-    D, S0 = model.D, model.S0
-    m1, d1 = model.m1, model.delta1
-    m2, d2 = model.m2, model.delta2
-
-    def f(S, x, y):
-        return (
-            D * (S0 - S) - m1 * S * x / d1,
-            m1 * S * x - D * x - m2 * x * y / d2,
-            m2 * x * y - D * y,
-        )
-
-    def safe_log(v):
-        return math.log(v) if v > 0.0 else float("-inf")
-
-    S, x, y = config.initial.S, config.initial.x, config.initial.y
-    iS = ix = iy = 0.0
-    stride = config.output_stride
-
-    rt = [0.0]
-    rS, rx, ry = [S], [x], [y]
-    rmS, rmx, rmy = [S], [x], [y]
-    rlx, rly = [float("nan")], [float("nan")]
-
-    for j in range(n_last):
-        dt = tl[j + 1] - tl[j]
-        pS, px, py = S, x, y
-        k1 = f(S, x, y)
-        k2 = f(S + 0.5 * dt * k1[0], x + 0.5 * dt * k1[1], y + 0.5 * dt * k1[2])
-        k3 = f(S + 0.5 * dt * k2[0], x + 0.5 * dt * k2[1], y + 0.5 * dt * k2[2])
-        k4 = f(S + dt * k3[0], x + dt * k3[1], y + dt * k3[2])
-        S += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        x += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        y += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if not (math.isfinite(S) and math.isfinite(x) and math.isfinite(y)):
-            raise SimulationError("non-finite state", tl[j + 1])
-        h = 0.5 * dt
-        iS += (pS + S) * h
-        ix += (px + x) * h
-        iy += (py + y) * h
-        if (j + 1) % stride == 0 or j + 1 == n_last:
-            t = tl[j + 1]
-            rt.append(t)
-            rS.append(S)
-            rx.append(x)
-            ry.append(y)
-            rmS.append(iS / t)
-            rmx.append(ix / t)
-            rmy.append(iy / t)
-            rlx.append(safe_log(x) / t)
-            rly.append(safe_log(y) / t)
-
-    n = len(rt)
-    zeros = np.zeros((n, 3))
-    return Trajectory(
-        times=np.array(rt),
-        S=np.array(rS), x=np.array(rx), y=np.array(ry),
-        mean_S=np.array(rmS), mean_x=np.array(rmx), mean_y=np.array(rmy),
-        lnx_over_t=np.array(rlx), lny_over_t=np.array(rly),
-        brownian=zeros, comp_jump=zeros.copy(),
-        jump_log=[],
-    )
+    return _integrate(model, config, _rk4)
 
 
 def conservation_residual(traj: Trajectory, model: CrispModel) -> np.ndarray:

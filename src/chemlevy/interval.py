@@ -30,10 +30,13 @@ class IntervalNumber:
         """Coerce a bare number (shorthand for [n, n]) or a 2-sequence."""
         if isinstance(value, IntervalNumber):
             return value
-        if isinstance(value, (int, float)):
-            return cls(float(value), float(value))
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return cls(float(value[0]), float(value[1]))
+        try:
+            if isinstance(value, (int, float)):
+                return cls(float(value), float(value))
+            if isinstance(value, (list, tuple)) and len(value) == 2:
+                return cls(float(value[0]), float(value[1]))
+        except (TypeError, OverflowError):  # a non-number, or an int past the float range
+            pass
         raise ValueError(f"cannot interpret {value!r} as an interval")
 
     @property

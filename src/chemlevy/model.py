@@ -119,9 +119,6 @@ class State:
     x: float
     y: float
 
-    def as_tuple(self) -> tuple:
-        return (self.S, self.x, self.y)
-
 
 def crispify(model: ImpreciseModel, p: float) -> CrispModel:
     """Replace every interval parameter by its geometric p-interpolant."""
@@ -220,10 +217,7 @@ def validate(model: ImpreciseModel) -> ValidationReport:
             max((abs(math.log1p(m.gamma(i))) for m in model.jumps.marks), default=0.0)
             for i in (1, 2, 3)
         )
-    lipschitz = tuple(
-        sum(m.weight * m.gamma(i) ** 2 for m in model.jumps.marks)
-        for i in (1, 2, 3)
-    )
+    lipschitz = tuple(_weighted_square_sum(model.jumps, i) for i in (1, 2, 3))
 
     return ValidationReport(
         checks=tuple(checks),
@@ -231,6 +225,13 @@ def validate(model: ImpreciseModel) -> ValidationReport:
         log_jump_bounds=k_bounds,
         jump_lipschitz=lipschitz,
     )
+
+
+def _weighted_square_sum(jumps: JumpSpec, i: int) -> float:
+    try:
+        return sum(m.weight * m.gamma(i) ** 2 for m in jumps.marks)
+    except OverflowError:  # a finite gamma beyond ~1e154 squares past the float range
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -266,17 +267,16 @@ def check_H3(model: CrispModel, theta: float) -> H3Report:
 # Deterministic coefficients
 # ---------------------------------------------------------------------------
 
-def drift(model: CrispModel, s: State) -> tuple:
-    """Drift vector (dS, dx, dy) of the crisp system at state s."""
-    dS = model.D * (model.S0 - s.S) - model.m1 * s.S * s.x / model.delta1
-    dx = model.m1 * s.S * s.x - model.D * s.x - model.m2 * s.x * s.y / model.delta2
-    dy = model.m2 * s.x * s.y - model.D * s.y
+def drift(model: CrispModel, S: float, x: float, y: float) -> tuple:
+    """Drift vector (dS, dx, dy) of the crisp system at state (S, x, y).
+
+    The right-hand side of the noise-free system, used by the RK4 and
+    direct-Euler kernels; takes floats because RK4 calls it four times a step.
+    """
+    dS = model.D * (model.S0 - S) - model.m1 * S * x / model.delta1
+    dx = model.m1 * S * x - model.D * x - model.m2 * x * y / model.delta2
+    dy = model.m2 * x * y - model.D * y
     return (dS, dx, dy)
-
-
-def ode_rhs(model: CrispModel, s: State) -> tuple:
-    """Right-hand side of the noise-free system; identical to ``drift``."""
-    return drift(model, s)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def model_from_dict(data: dict) -> ImpreciseModel:
 
     try:
         s0 = float(data["S0"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"field S0: expected a number, got {data['S0']!r}") from None
 
     params = {}
@@ -311,8 +311,11 @@ def model_from_dict(data: dict) -> ImpreciseModel:
         except ValueError as exc:
             raise ValueError(f"field {name}: {exc}") from None
 
+    records = data.get("jumps", []) or []
+    if not isinstance(records, (list, tuple)):
+        raise ValueError(f"jumps: expected a list of mappings, got {records!r}")
     marks = []
-    for k, rec in enumerate(data.get("jumps", []) or []):
+    for k, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ValueError(f"jumps[{k}]: expected a mapping, got {rec!r}")
         try:
@@ -324,7 +327,7 @@ def model_from_dict(data: dict) -> ImpreciseModel:
             ))
         except KeyError as exc:
             raise ValueError(f"jumps[{k}]: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"jumps[{k}]: fields must be numbers, got {rec!r}") from None
 
     return ImpreciseModel(S0=s0, jumps=JumpSpec(tuple(marks)), **params)

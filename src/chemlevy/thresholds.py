@@ -11,7 +11,7 @@ persistent (predator time-average bounded away from zero).
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .model import CrispModel, ImpreciseModel, crispify
+from .model import CrispModel
 
 
 class Regime(str, Enum):
@@ -127,12 +127,3 @@ def classify(model: CrispModel, boundary_tol: float = 1e-9) -> ThresholdReport:
         beta1=b1, beta2=b2, beta3=b3, R0s=R0, R1s=R1,
         regime=regime, predictions=preds,
     )
-
-
-def threshold_sweep(model: ImpreciseModel, p_grid, boundary_tol: float = 1e-9) -> list:
-    """Crispify and classify at each imprecision level; rows ordered by p."""
-    rows = []
-    for p in sorted(float(p) for p in p_grid):
-        crisp = crispify(model, p)
-        rows.append((p, crisp, classify(crisp, boundary_tol)))
-    return rows

@@ -208,6 +208,19 @@ def test_simulate_non_finite_horizon_is_usage_error(tmp_path, capsys, flag, valu
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--t-end", "1e300", "--dt", "1e-10"], "cap"),
+    (["simulate", "--t-end", "10", "--dt", "1e-320"], "cap"),
+    (["simulate", "--initial", "inf,1,1"], "finite"),
+    (["ode", "--initial", "nan,1,1"], "finite"),
+], ids=["huge-t-end", "subnormal-dt", "simulate-inf-initial", "ode-nan-initial"])
+def test_unbounded_mesh_or_non_finite_initial_is_usage_error(tmp_path, capsys, argv, message):
+    path = write_model(tmp_path, EXTINCTION)
+    assert main(argv + ["--model", path, "--p", "0", "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("flag", ["--tol-mean", "--tol-rate"])
 def test_verify_negative_tolerance_is_usage_error(tmp_path, capsys, flag):
     path = write_model(tmp_path, EXTINCTION)

@@ -17,12 +17,10 @@ from chemlevy import (
     classify,
     crispify,
     ensemble,
-    martingale_diagnostics,
     p_sweep,
     simulate,
     verify,
 )
-from chemlevy.integrator import derive_path_seed
 from conftest import INITIAL, TWO_MARKS, make_extinction, make_persistence
 
 I = IntervalNumber
@@ -88,8 +86,8 @@ def test_path_alone_equals_path_in_pooled_ensemble():
         assert term["mean_y"][i] == traj.mean_y[-1]
         assert term["rate_x"][i] == traj.rate_x
         assert term["rate_y"][i] == traj.rate_y
-        assert np.array_equal(term["brownian_over_t"][i], traj.brownian[-1] / 20.0)
-        assert np.array_equal(term["comp_jump_over_t"][i], traj.comp_jump[-1] / 20.0)
+        assert np.array_equal(term["brownian_over_t"][i], traj.brownian / 20.0)
+        assert np.array_equal(term["comp_jump_over_t"][i], traj.comp_jump / 20.0)
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (7, 40), (120, 301)])
@@ -225,25 +223,20 @@ def test_burn_in_monotone_extinction_rates(ens_extinction):
 
 def test_martingale_diagnostics_no_jumps_identically_zero():
     model = make_persistence()
-    trajs = [simulate(model, small_config(t_end=50.0, seed=derive_path_seed(8, i)))
-             for i in range(5)]
-    diag = martingale_diagnostics(trajs)
-    assert np.all(diag.comp_jump_over_t == 0.0)
-    assert np.all(np.abs(diag.brownian_mean) < 0.05)
+    term = ensemble(model, small_config(t_end=50.0, seed=8), 5).terminal
+    assert np.all(term["comp_jump_over_t"] == 0.0)
+    assert np.all(np.abs(term["brownian_over_t"].mean(axis=0)) < 0.05)
 
 
 def test_martingale_diagnostics_with_jumps():
     model = make_persistence(jumps=TWO_MARKS)
     t_end, n = 200.0, 40
-    trajs = [simulate(model, small_config(t_end=t_end, dt=0.01,
-                                          seed=derive_path_seed(17, i)))
-             for i in range(n)]
-    diag = martingale_diagnostics(trajs)
+    term = ensemble(model, small_config(t_end=t_end, dt=0.01, seed=17), n).terminal
     se_b = 0.1 / math.sqrt(t_end * n)
     lam_ln2 = 0.5 * math.log(0.7) ** 2 + 0.5 * math.log(1.5) ** 2
     se_j = math.sqrt(lam_ln2 / t_end / n)
-    assert np.all(np.abs(diag.brownian_mean) <= 3.0 * se_b)
-    assert np.all(np.abs(diag.comp_jump_mean) <= 3.0 * se_j)
+    assert np.all(np.abs(term["brownian_over_t"].mean(axis=0)) <= 3.0 * se_b)
+    assert np.all(np.abs(term["comp_jump_over_t"].mean(axis=0)) <= 3.0 * se_j)
 
 
 # ---------------------------------------------------------------------------

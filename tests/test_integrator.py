@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import chemlevy as cl
 from chemlevy import (
@@ -20,7 +22,7 @@ from chemlevy import (
     simulate,
     simulate_ode,
 )
-from chemlevy.integrator import derive_path_seed
+from chemlevy.integrator import _MAX_MESH_STEPS, _check_config, derive_path_seed
 from conftest import INITIAL, TWO_MARKS, make_extinction, make_persistence
 
 
@@ -194,24 +196,42 @@ def test_nan_log_state_aborts():
         simulate(model, short_config(t_end=1.0))
 
 
-@pytest.mark.parametrize("model, config", [
-    (make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=1)),
-    (make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=3)),
+@pytest.mark.parametrize("integrate, model, config", [
+    (simulate, make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=1)),
+    (simulate, make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=3)),
     # the extinction model pins y near t = 1400
-    (make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=1)),
-    (make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=3)),
-], ids=["jumps-stride1", "jumps-stride3", "pinned-stride1", "pinned-stride3"])
-def test_chunk_size_does_not_change_the_path(monkeypatch, model, config):
-    reference = simulate(model, config)
+    (simulate, make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=1)),
+    (simulate, make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=3)),
+    (simulate, make_persistence(jumps=TWO_MARKS),
+     short_config(t_end=20.0, output_stride=3, scheme=DIRECT_EULER)),
+    (simulate, make_extinction().with_sigmas(0.1, 2.0, 0.1),
+     short_config(t_end=50.0, dt=0.05, seed=14, scheme=DIRECT_EULER)),
+    # a zero axis makes RK4's rate column -inf
+    (simulate_ode, make_persistence(), short_config(t_end=20.0, initial=State(1.0, 0.5, 0.0))),
+], ids=["jumps-stride1", "jumps-stride3", "pinned-stride1", "pinned-stride3",
+        "direct-stride3", "direct-abort", "rk4-zero-axis"])
+def test_chunk_size_does_not_change_the_path(monkeypatch, integrate, model, config):
+    def run():
+        try:
+            return integrate(model, config)
+        except SimulationError as exc:
+            return exc.time
+
+    reference = run()
     for chunk in (1, 7):
         monkeypatch.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
-        traj = simulate(model, config)
+        traj = run()
+        if isinstance(reference, float):  # the abort time must not move either
+            assert traj == reference
+            continue
         for name in ("times", "S", "x", "y", "mean_S", "mean_x", "mean_y",
                      "lnx_over_t", "lny_over_t", "brownian", "comp_jump"):
             assert getattr(traj, name).tobytes() == getattr(reference, name).tobytes(), name
         assert traj.jump_log == reference.jump_log
         assert traj.floor_times == reference.floor_times
-    assert reference.floor_times[2] is not None or reference.jump_log
+    # every input exercises a pin, a jump, an abort or a -inf rate
+    assert (isinstance(reference, float) or reference.floor_times[2] is not None
+            or reference.jump_log or reference.lny_over_t[-1] == -math.inf)
 
 
 def test_direct_euler_breaks_positivity_where_log_scheme_survives():
@@ -250,6 +270,34 @@ def test_config_validation():
         simulate(model, short_config(scheme="heun"))
     with pytest.raises(ValueError):
         simulate(model, short_config(initial=State(1.0, 0.0, 0.1)))
+    for initial in (State(math.inf, 1.0, 1.0), State(1.0, math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            simulate(model, short_config(initial=initial))
+        with pytest.raises(ValueError, match="finite"):
+            simulate_ode(model, short_config(initial=initial))
+    # the step cap is checked before the mesh or the jump schedule is allocated:
+    # 1e310 uniform steps, and 1e12 expected jump events
+    with pytest.raises(ValueError, match="cap"):
+        simulate_ode(model, short_config(t_end=1e300, dt=1e-10))
+    heavy = make_persistence(jumps=JumpSpec((JumpMark(1e10, 0.1, 0.1, 0.1),)))
+    with pytest.raises(ValueError, match="cap"):
+        simulate(heavy, short_config(t_end=100.0))
+
+
+_float = st.floats() | st.sampled_from([1e300, 1e-320, 5e-324, -0.0, 1e-10])
+
+
+@given(t_end=_float, dt=_float, s=_float, x=_float, y=_float, jump_rate=_float,
+       positive=st.booleans())
+def test_config_check_raises_only_value_error(t_end, dt, s, x, y, jump_rate, positive):
+    config = SimConfig(initial=State(s, x, y), t_end=t_end, dt=dt)
+    try:
+        _check_config(config, positive, jump_rate)
+    except ValueError:
+        return
+    # an accepted config asks for a finite mesh under the cap
+    assert t_end / dt + max(jump_rate, 0.0) * t_end <= _MAX_MESH_STEPS
+    assert all(math.isfinite(v) for v in (s, x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chemlevy import (
     CrispModel,
@@ -18,9 +20,9 @@ from chemlevy import (
     drift,
     load_model,
     model_from_dict,
-    ode_rhs,
     validate,
 )
+from chemlevy.model import _PARAM_FIELDS
 
 I = IntervalNumber
 
@@ -161,13 +163,13 @@ def test_check_h3_requires_theta_above_two():
 
 def test_drift_washout_equilibrium():
     model = _crisp()
-    assert drift(model, State(model.S0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+    assert drift(model, model.S0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_drift_direct_value():
     model = CrispModel(S0=1.0, D=0.5, m1=1.0, delta1=1.0, sigma1=0.0,
                        m2=0.3, delta2=0.5, sigma2=0.0, sigma3=0.0)
-    dS, dx, dy = drift(model, State(0.5, 1.0, 0.0))
+    dS, dx, dy = drift(model, 0.5, 1.0, 0.0)
     assert dS == pytest.approx(-0.25, rel=1e-15)
     assert dx == 0.0
     assert dy == 0.0
@@ -178,17 +180,9 @@ def test_drift_axis_invariance():
     rng = np.random.default_rng(7)
     for _ in range(50):
         s = float(rng.uniform(0.0, 3.0))
-        dS, dx, dy = drift(model, State(s, 0.0, 0.0))
+        dS, dx, dy = drift(model, s, 0.0, 0.0)
         assert dS == model.D * (model.S0 - s)
         assert dx == 0.0 and dy == 0.0
-
-
-def test_ode_rhs_is_drift_bit_for_bit():
-    model = _crisp(sigmas=(0.1, 0.2, 0.3))
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        s = State(*rng.uniform(0.0, 5.0, size=3))
-        assert ode_rhs(model, s) == drift(model, s)
 
 
 def test_nutrient_budget_identity_random():
@@ -201,7 +195,7 @@ def test_nutrient_budget_identity_random():
             sigma1=0.1, m2=float(rng.uniform(0.05, 2.0)),
             delta2=float(rng.uniform(0.1, 2.0)), sigma2=0.1, sigma3=0.1)
         s = State(*rng.uniform(0.0, 5.0, size=3))
-        dS, dx, dy = drift(model, s)
+        dS, dx, dy = drift(model, s.S, s.x, s.y)
         lhs = dS + dx / model.delta1 + dy / (model.delta1 * model.delta2)
         rhs = model.D * (model.S0 - s.S - s.x / model.delta1
                          - s.y / (model.delta1 * model.delta2))
@@ -265,3 +259,29 @@ def test_jumpspec_penalty_guards_domain():
     spec = JumpSpec((JumpMark(1.0, -1.0, 0.0, 0.0),))
     with pytest.raises(ValueError):
         spec.penalty(1)
+
+
+# JSON-like values: what json.load can return, including non-finite floats
+# and integers too large for a float
+_number = st.integers() | st.integers(min_value=2 ** 1023) | st.floats()
+_json = st.recursive(
+    st.none() | st.booleans() | _number | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+_mark = st.fixed_dictionaries(
+    {k: _number for k in ("weight", "gamma1", "gamma2", "gamma3")}, optional={"x": _json})
+_value = _json | st.lists(_json, min_size=2, max_size=2) | st.lists(_mark, min_size=1, max_size=3)
+# a valid record with a few fields replaced, so every check gets reached
+_model_dict = st.builds(
+    lambda over: {**MODEL_DICT, **over},
+    st.dictionaries(st.sampled_from(("S0", "jumps", "extra") + _PARAM_FIELDS), _value, max_size=3))
+
+
+@given(st.one_of(_model_dict, _json))
+def test_model_from_dict_raises_only_value_error_and_validate_never_raises(data):
+    try:
+        model = model_from_dict(data)
+    except ValueError:
+        return
+    report = validate(model)
+    assert report.ok == all(c.passed for c in report.checks)

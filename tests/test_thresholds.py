@@ -14,9 +14,9 @@ from chemlevy import (
     Regime,
     beta,
     classify,
+    p_sweep,
     r0s,
     r1s,
-    threshold_sweep,
 )
 from conftest import make_extinction, make_persistence, make_prey_only, random_crisp_model
 
@@ -188,16 +188,16 @@ def imprecise_for_sweep():
 def test_threshold_continuity_in_p():
     model = imprecise_for_sweep()
     grid = np.linspace(0.0, 1.0, 101)
-    rows = threshold_sweep(model, grid)
-    r0_vals = np.array([row[2].R0s for row in rows])
-    r1_vals = np.array([row[2].R1s for row in rows])
+    rows = p_sweep(model, grid, None, 0)
+    r0_vals = np.array([row.report.R0s for row in rows])
+    r1_vals = np.array([row.report.R1s for row in rows])
     assert np.max(np.abs(np.diff(r0_vals))) < 0.05
     assert np.max(np.abs(np.diff(r1_vals))) < 0.05
 
 
 def test_threshold_sweep_ordering_and_endpoints():
     model = imprecise_for_sweep()
-    rows = threshold_sweep(model, [1.0, 0.0, 0.5])
-    assert [row[0] for row in rows] == [0.0, 0.5, 1.0]
+    rows = p_sweep(model, [1.0, 0.0, 0.5], None, 0)
+    assert [row.p for row in rows] == [0.0, 0.5, 1.0]
     crisp0 = cl.crispify(model, 0.0)
-    assert rows[0][2] == classify(crisp0)
+    assert rows[0].report == classify(crisp0)

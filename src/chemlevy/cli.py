@@ -12,6 +12,7 @@ failure, 2 on usage or validation errors.
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -37,21 +38,13 @@ _PARAM_ORDER = ("S0",) + _PARAM_FIELDS
 # CSV writers (shared by the CLI and the test suite)
 # ---------------------------------------------------------------------------
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
 def _write_rows(path, header, rows) -> None:
+    # csv writes None as an empty cell and anything else as str(v); a float's
+    # str is its shortest round-trip repr
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_trajectory_csv(traj, model, path) -> None:
@@ -273,6 +266,15 @@ def _out_dir(args, default_to_cwd: bool) -> Path | None:
     return out
 
 
+def _workers() -> int:
+    """Monte Carlo worker processes: every CPU this process may run on
+    (restrict with taskset).  Results do not depend on the count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _make_config(args, model, scheme=LOG_EULER, seed=0) -> SimConfig:
     initial = args.initial
     if initial is None:
@@ -375,7 +377,7 @@ def _cmd_ensemble(args) -> int:
     model = _require_valid(args)
     crisp = crispify(model, args.p)
     config = _make_config(args, crisp, seed=args.seed)
-    summary = ensemble(crisp, config, args.paths)
+    summary = ensemble(crisp, config, args.paths, workers=_workers())
     out = _out_dir(args, default_to_cwd=True)
     write_ensemble_csv(summary, out / "ensemble_summary.csv")
     write_terminal_csv(summary, out / "ensemble_terminal.csv")
@@ -397,7 +399,8 @@ def _cmd_verify(args) -> int:
     config = _make_config(args, crisp, seed=args.seed)
     report = classify(crisp)
     tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)
-    summary = ensemble(crisp, config, args.paths)
+    tol.check_horizon(args.t_end)  # refused before anything is simulated
+    summary = ensemble(crisp, config, args.paths, workers=_workers())
     verdict = verify(report, summary, tol)
     _print_verdict(verdict)
     out = _out_dir(args, default_to_cwd=True)
@@ -415,7 +418,7 @@ def _cmd_sweep(args) -> int:
     crisp0 = crispify(model, min(args.p_grid))
     config = _make_config(args, crisp0, seed=args.seed)
     tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)
-    rows = p_sweep(model, args.p_grid, config, args.paths, tol=tol)
+    rows = p_sweep(model, args.p_grid, config, args.paths, workers=_workers(), tol=tol)
     out = _out_dir(args, default_to_cwd=True)
     write_sweep_csv(rows, out / "sweep.csv")
     print(f"{'p':<10}{'R0s':>12}{'R1s':>12}  regime")

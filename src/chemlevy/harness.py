@@ -22,6 +22,7 @@ from .integrator import (
     SimulationError,
     conservation_residual,
     path_config,
+    record_times,
     simulate,
 )
 from .model import CrispModel, ImpreciseModel, crispify
@@ -62,6 +63,14 @@ class VerifyTolerances:
             if not 0.0 <= value < math.inf:
                 raise ValueError(
                     f"tolerance {name} must be finite and nonnegative, got {value!r}")
+
+    def check_horizon(self, horizon: float) -> None:
+        """Refuse a horizon below min_horizon: its terminal statistics would
+        not be meaningful."""
+        if horizon < self.min_horizon:
+            raise ValueError(
+                f"horizon {horizon} is below min_horizon {self.min_horizon}; "
+                "terminal statistics would not be meaningful")
 
 
 @dataclass(frozen=True)
@@ -106,14 +115,13 @@ class EnsembleSummary:
     aborted: tuple = field(default_factory=tuple)
 
 
-def _path_record(model: CrispModel, config: SimConfig, index: int,
-                 threshold: float) -> tuple:
-    """(index, error, times, series, extinct_x, extinct_y, terminal) of one path.
+def _path_record(model: CrispModel, config: SimConfig, index: int) -> tuple:
+    """(index, error, series, terminal) of one path.
 
-    series is the (9, n) block of _SERIES over the recorded times; the
-    extinction flags are sticky over time; terminal is the _TERMINAL row
-    followed by M(T)/T of the Brownian and the compensated jump martingales.
-    A failed path is (index, error message).
+    series is the (9, n) block of _SERIES over the recorded times; terminal
+    is the _TERMINAL row followed by M(T)/T of the Brownian and the
+    compensated jump martingales.  A failed path is (index, error message).
+    The record times are the same for every path and stay out of the record.
     """
     try:
         traj = simulate(model, path_config(config, index))
@@ -125,9 +133,7 @@ def _path_record(model: CrispModel, config: SimConfig, index: int,
                        traj.mean_y, traj.lnx_over_t, traj.lny_over_t, phi))
     terminal = np.concatenate((series[3:6, -1], (traj.rate_x, traj.rate_y, phi[-1]),
                                traj.brownian / t_end, traj.comp_jump / t_end))
-    return (index, None, traj.times, series,
-            np.logical_or.accumulate(traj.x < threshold),
-            np.logical_or.accumulate(traj.y < threshold), terminal)
+    return index, None, series, terminal
 
 
 def _path_record_star(args) -> tuple:
@@ -160,43 +166,58 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
     """Simulate n_paths independent paths and aggregate their statistics.
 
     Deterministic given (model, config, n_paths, extinction_threshold);
-    ``workers`` only controls process-level parallelism.  Individual path
-    failures are recorded; the run fails outright if 10% or more abort.
+    ``workers`` only controls process-level parallelism, and the pool never
+    has more workers than paths.  Individual path failures are recorded;
+    the run fails outright if 10% or more abort.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    tasks = [(model, config, i, extinction_threshold) for i in range(n_paths)]
-    if workers > 1 and n_paths > 1:
+    tasks = [(model, config, i) for i in range(n_paths)]
+    # The record times, shared by every path, are read off the whole fine
+    # grid.  They are built after the paths, whose simulate has checked the
+    # config, and by a worker when there is a pool, so the parent never
+    # holds a fine grid.
+    grid = (config.t_end, config.dt, config.output_stride)
+    workers = min(workers, n_paths)
+    if workers > 1:
         chunk = max(1, n_paths // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_path_record_star, tasks, chunksize=chunk))
+            times = pool.submit(record_times, *grid).result()
     else:
         records = [_path_record(*t) for t in tasks]
+        times = record_times(*grid)
 
     aborted = tuple(r for r in records if r[1])
     if len(aborted) >= 0.1 * n_paths:
         detail = "; ".join(f"path {i}: {msg}" for i, msg in aborted[:5])
         raise RuntimeError(
             f"{len(aborted)}/{n_paths} paths aborted (>= 10%): {detail}")
-    index, _, times, blocks, ext_x, ext_y, rows = zip(*(r for r in records if not r[1]))
+    index, _, blocks, rows = zip(*(r for r in records if not r[1]))
 
-    series = {name: _aggregate(np.stack([b[k] for b in blocks]))
-              for k, name in enumerate(_SERIES)}
+    # one (paths, times) stack alive at a time; the sticky extinction flags
+    # come from the x and y stacks while they are held
+    series, extinct = {}, {}
+    for k, name in enumerate(_SERIES):
+        stack = np.stack([b[k] for b in blocks])
+        series[name] = _aggregate(stack)
+        if name in ("x", "y"):
+            extinct[name] = np.logical_or.accumulate(stack < extinction_threshold, axis=1)
     rows = np.stack(rows).T.copy()
     terminal = {"path": np.array(index)}
     terminal.update(zip(_TERMINAL, rows))
     terminal["brownian_over_t"] = rows[6:9].T.copy()
     terminal["comp_jump_over_t"] = rows[9:12].T.copy()
-    terminal["extinct_x"] = np.array([e[-1] for e in ext_x])
-    terminal["extinct_y"] = np.array([e[-1] for e in ext_y])
+    terminal["extinct_x"] = extinct["x"][:, -1].copy()
+    terminal["extinct_y"] = extinct["y"][:, -1].copy()
 
     return EnsembleSummary(
         n_paths=n_paths,
-        horizon=float(times[0][-1]),
-        times=times[0],
+        horizon=float(times[-1]),
+        times=times,
         series=series,
-        extinct_x_frac=np.mean(np.stack(ext_x), axis=0),
-        extinct_y_frac=np.mean(np.stack(ext_y), axis=0),
+        extinct_x_frac=np.mean(extinct["x"], axis=0),
+        extinct_y_frac=np.mean(extinct["y"], axis=0),
         terminal=terminal,
         extinction_threshold=extinction_threshold,
         aborted=aborted,
@@ -214,10 +235,7 @@ def verify(report: ThresholdReport, summary: EnsembleSummary,
     one-sided against the 5th percentile.  Refuses horizons below
     tol.min_horizon outright.
     """
-    if summary.horizon < tol.min_horizon:
-        raise ValueError(
-            f"horizon {summary.horizon} is below min_horizon {tol.min_horizon}; "
-            "terminal statistics would not be meaningful")
+    tol.check_horizon(summary.horizon)
 
     preds = report.predictions
     term = summary.terminal

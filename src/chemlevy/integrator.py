@@ -182,6 +182,14 @@ def _build_mesh(t_end: float, dt: float, events: list, stride: int):
             np.insert(rec, pos, False))
 
 
+def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
+    """The times every path of a config records at: 0, then every stride-th
+    grid point and t_end.  Jump events are never record points, so this is
+    each path's ``Trajectory.times``."""
+    mesh_t, _, rec = _build_mesh(t_end, dt, [], stride)
+    return np.concatenate(([0.0], mesh_t[rec]))
+
+
 def _log_euler(model: CrispModel, initial: State, jump_log: list, floors: list):
     """Log-space Euler-Maruyama kernel with exact multiplicative jumps.
 

@@ -245,6 +245,15 @@ class H3Report:
     holds: bool
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where it passes the float range (a finite
+    parameter near 1e200 squares past it)."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def check_H3(model: CrispModel, theta: float) -> H3Report:
     """Check D - (theta-1)/2 * sigma^2 - zeta/theta > 0 for a moment order theta > 2.
 
@@ -253,12 +262,12 @@ def check_H3(model: CrispModel, theta: float) -> H3Report:
     """
     if not theta > 2.0:
         raise ValueError(f"moment order theta must exceed 2, got {theta!r}")
-    sigma_sq = max(model.sigma1 ** 2, model.sigma2 ** 2, model.sigma3 ** 2)
+    sigma_sq = max(_power(s, 2) for s in (model.sigma1, model.sigma2, model.sigma3))
     zeta = 0.0
     for m in model.jumps.marks:
         g_hi = max(m.gamma1, m.gamma2, m.gamma3)
         g_lo = min(m.gamma1, m.gamma2, m.gamma3)
-        zeta += m.weight * ((1.0 + g_hi) ** theta - 1.0 - g_lo)
+        zeta += m.weight * (_power(1.0 + g_hi, theta) - 1.0 - g_lo)
     lhs = model.D - 0.5 * (theta - 1.0) * sigma_sq - zeta / theta
     return H3Report(theta=theta, sigma_sq=sigma_sq, zeta=zeta, lhs=lhs, holds=lhs > 0.0)
 

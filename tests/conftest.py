@@ -12,6 +12,7 @@ suite and the harness tests, so they are built once per session.
 
 import os
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -26,6 +27,30 @@ TWO_MARKS = cl.JumpSpec((
     cl.JumpMark(weight=0.5, gamma1=-0.3, gamma2=-0.3, gamma3=-0.3),
     cl.JumpMark(weight=0.5, gamma1=0.5, gamma2=0.5, gamma3=0.5),
 ))
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for and
+    runs its tasks serially, so no process is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def make_extinction(jumps=cl.JumpSpec()) -> cl.CrispModel:

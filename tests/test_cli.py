@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: exit codes, printed output, and emitted CSV files."""
 
 import json
+import os
+import shutil
 
 import pytest
 
+from chemlevy import cli, harness
 from chemlevy.cli import main
+from conftest import RecordingPool
 
 EXTINCTION = {
     "S0": 1.0, "D": 0.5, "m1": 0.4, "delta1": 0.5, "sigma1": 0.1,
@@ -190,13 +194,63 @@ def test_verify_exit_one_on_claim_failure(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_refuses_short_horizon(tmp_path, capsys):
+def test_verify_refuses_short_horizon(tmp_path, capsys, monkeypatch):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("simulated before refusing the horizon")
+
+    monkeypatch.setattr(cli, "ensemble", no_ensemble)
     path = write_model(tmp_path, EXTINCTION)
     code = main(["verify", "--model", path, "--p", "0.5", "--t-end", "100",
                  "--dt", "0.02", "--seed", "1", "--paths", "4",
                  "--out", str(tmp_path / "x")])
     assert code == 2
-    assert "horizon" in capsys.readouterr().err
+    assert "horizon 100.0 is below min_horizon 500.0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+MONTE_CARLO = {
+    "ensemble": ["ensemble", "--p", "0.5", "--t-end", "50", "--dt", "0.02",
+                 "--seed", "6", "--paths", "5"],
+    "verify": ["verify", "--p", "1", "--t-end", "500", "--dt", "0.05",
+               "--seed", "31", "--paths", "4"],
+    "sweep": ["sweep", "--p-grid", "0,1", "--paths", "3", "--t-end", "500",
+              "--dt", "0.05", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MONTE_CARLO))
+def test_monte_carlo_output_does_not_depend_on_cpu_count(tmp_path, capsys, monkeypatch,
+                                                         command):
+    path = write_model(tmp_path, JUMPY if command == "ensemble" else INTERVAL_MODEL)
+    out = tmp_path / "out"
+
+    def run():
+        code = main(MONTE_CARLO[command] + ["--model", path, "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        shutil.rmtree(out)
+        return code, capsys.readouterr(), files
+
+    pooled = run()  # every CPU of the affinity mask
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._workers() == 1
+    assert run() == pooled
+
+
+@pytest.mark.parametrize("affinity, cpu_count, pools", [
+    ({0}, None, []), (set(range(64)), None, [3]), (None, 64, [3]), (None, None, [])],
+    ids=["one-cpu", "many-cpus", "no-affinity-call", "no-cpu-count"])
+def test_monte_carlo_pool_follows_affinity(tmp_path, monkeypatch, affinity, cpu_count, pools):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    path = write_model(tmp_path, EXTINCTION)
+    assert main(["ensemble", "--model", path, "--p", "0.5", "--t-end", "2", "--dt", "0.02",
+                 "--paths", "3", "--out", str(tmp_path)]) == 0
+    assert RecordingPool.sizes == pools
 
 
 @pytest.mark.parametrize("flag, value", [("--t-end", "inf"), ("--t-end", "nan"),

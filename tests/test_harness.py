@@ -21,7 +21,7 @@ from chemlevy import (
     simulate,
     verify,
 )
-from conftest import INITIAL, TWO_MARKS, make_extinction, make_persistence
+from conftest import INITIAL, TWO_MARKS, RecordingPool, make_extinction, make_persistence
 
 I = IntervalNumber
 
@@ -77,9 +77,17 @@ def test_ensemble_worker_count_does_not_change_results():
 def test_path_alone_equals_path_in_pooled_ensemble():
     model = make_extinction(jumps=TWO_MARKS)
     config = small_config(t_end=20.0, output_stride=10)
-    summary = ensemble(model, config, 6, workers=2)
-    for i in (0, 5):
+    # a threshold that some paths cross mid-run and others never do
+    threshold = 1e-4
+    summary = ensemble(model, config, 6, workers=2, extinction_threshold=threshold)
+    flags = {"x": [], "y": []}
+    for i in range(6):
         traj = simulate(model, cl.integrator.path_config(config, i))
+        assert np.array_equal(summary.times, traj.times)
+        for name in flags:
+            flags[name].append(np.logical_or.accumulate(getattr(traj, name) < threshold))
+        if i not in (0, 5):
+            continue
         term = summary.terminal
         assert term["path"][i] == i
         assert term["mean_S"][i] == traj.mean_S[-1]
@@ -88,6 +96,22 @@ def test_path_alone_equals_path_in_pooled_ensemble():
         assert term["rate_y"][i] == traj.rate_y
         assert np.array_equal(term["brownian_over_t"][i], traj.brownian / 20.0)
         assert np.array_equal(term["comp_jump_over_t"][i], traj.comp_jump / 20.0)
+    for name, frac in (("x", summary.extinct_x_frac), ("y", summary.extinct_y_frac)):
+        per_path = np.array(flags[name])
+        assert np.array_equal(summary.terminal[f"extinct_{name}"], per_path[:, -1])
+        assert np.array_equal(frac, np.mean(per_path, axis=0))
+    assert 0.0 < summary.extinct_x_frac[-1] < 1.0
+    assert summary.extinct_y_frac[0] < summary.extinct_y_frac[-1]
+
+
+@pytest.mark.parametrize("n_paths, workers, pools", [
+    (3, 64, [3]), (3, 2, [2]), (1, 64, []), (5, 1, [])])
+def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, pools):
+    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    summary = ensemble(make_extinction(), small_config(t_end=2.0), n_paths, workers=workers)
+    assert RecordingPool.sizes == pools
+    assert list(summary.terminal["path"]) == list(range(n_paths))
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (7, 40), (120, 301)])

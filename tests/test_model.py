@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chemlevy import (
@@ -277,11 +277,21 @@ _model_dict = st.builds(
     st.dictionaries(st.sampled_from(("S0", "jumps", "extra") + _PARAM_FIELDS), _value, max_size=3))
 
 
-@given(st.one_of(_model_dict, _json))
-def test_model_from_dict_raises_only_value_error_and_validate_never_raises(data):
+@given(st.one_of(_model_dict, _json), st.floats(0.0, 1.0),
+       st.floats(2.0, 10.0, exclude_min=True))
+# finite parameters whose square or theta-th power passes the float range
+@example({**MODEL_DICT, "jumps": [{"weight": 1.0, "gamma1": 1e200, "gamma2": 0.0,
+                                   "gamma3": 0.0}]}, 0.0, 3.0)
+@example({**MODEL_DICT, "sigma1": 1e200}, 0.0, 3.0)
+def test_model_from_dict_raises_only_value_error_and_validate_never_raises(data, p, theta):
+    """model_from_dict raises only ValueError; validate, and check_H3 on a
+    model that passes it, never raise."""
     try:
         model = model_from_dict(data)
     except ValueError:
         return
     report = validate(model)
     assert report.ok == all(c.passed for c in report.checks)
+    if report.ok:
+        h3 = check_H3(crispify(model, p), theta)
+        assert h3.holds == (h3.lhs > 0.0)

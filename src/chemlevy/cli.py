@@ -16,8 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .harness import _SERIES, VerifyTolerances, ensemble, p_sweep, verify
 from .integrator import (
     DIRECT_EULER,
@@ -338,9 +337,10 @@ def _cmd_thresholds(args) -> int:
     model = _require_valid(args)
     crisp = crispify(model, args.p)
     report = classify(crisp)
+    # a bad theta is refused before anything is printed
+    h3 = None if args.theta is None else check_H3(crisp, args.theta)
     _print_thresholds(crisp, report)
-    if args.theta is not None:
-        h3 = check_H3(crisp, args.theta)
+    if h3 is not None:
         status = "holds" if h3.holds else "FAILS"
         print(f"{'moment_condition':<22}{status} (theta={h3.theta:g}, "
               f"sigma_sq={h3.sigma_sq:.6g}, zeta={h3.zeta:.6g}, lhs={h3.lhs:.6g})")

@@ -10,13 +10,14 @@ deterministic fold in path-index order, so results are identical for any
 worker count.
 """
 
+from __future__ import annotations
+
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .integrator import (
     SimConfig,
     SimulationError,
@@ -180,6 +181,11 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
     grid = (config.t_end, config.dt, config.output_stride)
     workers = min(workers, n_paths)
     if workers > 1:
+        # Load numpy and numpy.random (which numpy imports on first access)
+        # before forking, so the workers inherit them instead of each
+        # importing them again; LazyLoader is also not thread-safe before
+        # Python 3.12, and the pool's result thread unpickles arrays.
+        np.random
         chunk = max(1, n_paths // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_path_record_star, tasks, chunksize=chunk))

@@ -15,11 +15,12 @@ ln x(t)/t and ln y(t)/t, and the terminal Brownian and compensated-jump
 martingale terms used by the long-run diagnostics.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._lazy import np
 from .model import CrispModel, JumpSpec, State, drift
 
 LOG_EULER = "log_euler"

@@ -255,13 +255,13 @@ def _power(base: float, exponent: float) -> float:
 
 
 def check_H3(model: CrispModel, theta: float) -> H3Report:
-    """Check D - (theta-1)/2 * sigma^2 - zeta/theta > 0 for a moment order theta > 2.
+    """Check D - (theta-1)/2 * sigma^2 - zeta/theta > 0 for a moment order 2 < theta < inf.
 
     sigma^2 is the largest squared volatility; zeta sums, over marks,
     weight * ((1 + max_i gamma_i)**theta - 1 - min_i gamma_i).
     """
-    if not theta > 2.0:
-        raise ValueError(f"moment order theta must exceed 2, got {theta!r}")
+    if not 2.0 < theta < math.inf:
+        raise ValueError(f"moment order theta must be finite and exceed 2, got {theta!r}")
     sigma_sq = max(_power(s, 2) for s in (model.sigma1, model.sigma2, model.sigma3))
     zeta = 0.0
     for m in model.jumps.marks:

@@ -11,8 +11,11 @@ suite and the harness tests, so they are built once per session.
 """
 
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,17 @@ class RecordingPool:
         future = Future()
         future.set_result(fn(*args))
         return future
+
+
+def run_fresh(code: str) -> str:
+    """Run Python code in a fresh interpreter that imports chemlevy from the
+    same place as this session; return its stdout."""
+    src = str(Path(cl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def make_extinction(jumps=cl.JumpSpec()) -> cl.CrispModel:

@@ -1,14 +1,20 @@
 """End-to-end CLI behavior: exit codes, printed output, and emitted CSV files."""
 
 import json
+import math
 import os
 import shutil
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chemlevy import cli, harness
 from chemlevy.cli import main
-from conftest import RecordingPool
+from conftest import RecordingPool, run_fresh
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 EXTINCTION = {
     "S0": 1.0, "D": 0.5, "m1": 0.4, "delta1": 0.5, "sigma1": 0.1,
@@ -96,11 +102,37 @@ def test_thresholds_with_theta_and_csv(tmp_path, capsys):
     text = (out_dir / "thresholds.csv").read_text()
     assert text.startswith("p,S0,D,")
     assert "Persistent" in text
+    # a bad order is refused before the report is printed or written
+    for theta in ("1", "nan", "inf"):
+        bad_dir = tmp_path / f"bad-{theta}"
+        assert main(["thresholds", "--model", path, "--p", "0.5",
+                     "--theta", theta, "--out", str(bad_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "theta" in captured.err
+        assert not bad_dir.exists()
 
 
 def test_thresholds_p_out_of_range(tmp_path, capsys):
     path = write_model(tmp_path, PERSISTENCE)
     assert main(["thresholds", "--model", path, "--p", "1.5"]) == 2
+
+
+def test_threshold_commands_never_load_numpy(tmp_path):
+    models = sorted(str(p) for p in MODELS.glob("*.json"))
+    thr, swp = str(tmp_path / "thr"), str(tmp_path / "swp")
+    code = f"""
+import sys
+from chemlevy.cli import main
+for path in {models!r}:
+    assert main(["validate", "--model", path]) == 0
+    assert main(["thresholds", "--model", path, "--p", "0.5", "--theta", "3",
+                 "--out", {thr!r}]) == 0
+    assert main(["sweep", "--model", path, "--p-grid", "0,0.5,1", "--out", {swp!r}]) == 0
+print(sorted(m for m in sys.modules if m.startswith("numpy.")))
+"""
+    assert models
+    assert run_fresh(code).splitlines()[-1] == "[]"
 
 
 def test_simulate_writes_trajectory(tmp_path, capsys):
@@ -336,3 +368,89 @@ def test_help_lists_subcommands(capsys):
     for name in ("validate", "thresholds", "simulate", "ode", "ensemble",
                  "verify", "sweep"):
         assert name in out
+
+
+def _finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+_TEXT = st.text(max_size=8)
+# text that is no finite number, so it cannot lengthen a run
+_JUNK = _TEXT.filter(lambda s: not _finite_number(s)) | st.sampled_from(["nan", "inf", "1e999"])
+_ANY = st.floats().map(repr) | st.integers().map(str) | _TEXT
+
+
+def _floats(*strategies):
+    return st.one_of(*strategies).map(repr)
+
+
+# flag -> (a value of the flag's type and range, any value).  t_end <= 2
+# with dt >= 0.01 (the default), at most 3 paths and at most 3 p values: a
+# run takes at most 1,800 path-steps.
+_FLAG_VALUES = {
+    "--model": (st.sampled_from(sorted(str(p) for p in MODELS.glob("*.json"))),
+                st.sampled_from(["missing.json", "."])),
+    "--out": (st.just("out"), st.sampled_from(["", str(MODELS / "extinction.json" / "out")])),
+    "--p": (_floats(st.floats(0.0, 1.0)), _ANY),
+    "--p-grid": (st.lists(_floats(st.floats(0.0, 1.0)), min_size=1, max_size=3).map(",".join),
+                 st.lists(_ANY, max_size=3).map(",".join)),
+    "--theta": (_floats(st.floats(2.0, exclude_min=True, allow_infinity=False)), _ANY),
+    "--t-end": (_floats(st.floats(0.5, 2.0)), _floats(st.floats(max_value=2.0)) | _JUNK),
+    "--dt": (_floats(st.floats(0.05, 0.5)),
+             _floats(st.floats(max_value=0.0), st.floats(min_value=0.05)) | _JUNK),
+    "--paths": (st.integers(1, 3).map(str), st.integers(max_value=3).map(str) | _JUNK),
+    "--initial": (st.lists(_floats(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+                           min_size=3, max_size=3).map(",".join),
+                  st.lists(_ANY, max_size=4).map(",".join)),
+    "--stride": (st.integers(1, 10**6).map(str), st.integers().map(str) | _TEXT),
+    "--seed": (st.integers(0, 2**128).map(str), st.integers().map(str) | _TEXT),
+    "--scheme": (st.sampled_from(["log_euler", "direct_euler"]), _TEXT),
+    "--tol-rate": (_floats(st.floats(0.0, 1.0)), _ANY),
+    "--tol-mean": (_floats(st.floats(0.0, 1.0)), _ANY),
+}
+_SIM = ("--out", "--dt", "--initial", "--stride")
+# command -> (flags always given, flags that may be given); --t-end and
+# --paths are always given because their defaults make long runs
+_COMMANDS = {
+    "validate": ((), ()),
+    "thresholds": (("--p",), ("--out", "--theta")),
+    "simulate": (("--p", "--t-end"), _SIM + ("--seed", "--scheme")),
+    "ode": (("--p", "--t-end"), _SIM),
+    "ensemble": (("--p", "--t-end", "--paths"), _SIM + ("--seed",)),
+    "verify": (("--p", "--t-end", "--paths"), _SIM + ("--seed", "--tol-rate", "--tol-mean")),
+    "sweep": (("--p-grid", "--t-end", "--paths"), _SIM + ("--seed", "--tol-rate", "--tol-mean")),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command with its flags: at most two of them take any value, the
+    rest a value of their type and range, so most argvs reach the command."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    given_flags, optional = _COMMANDS[command]
+    given_flags = ("--model",) + given_flags
+    flags = given_flags + tuple(f for f in optional if draw(st.booleans()))
+    wild = draw(st.sets(st.sampled_from(flags), max_size=2))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(_FLAG_VALUES[flag][flag in wild])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_any_argv_exits_0_1_or_2(tmp_path, monkeypatch, argv):
+    """cli.main returns 0, 1 or 2, or argparse exits 2: never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+        assert code == 2
+    assert code in (0, 1, 2)

@@ -21,7 +21,14 @@ from chemlevy import (
     simulate,
     verify,
 )
-from conftest import INITIAL, TWO_MARKS, RecordingPool, make_extinction, make_persistence
+from conftest import (
+    INITIAL,
+    TWO_MARKS,
+    RecordingPool,
+    make_extinction,
+    make_persistence,
+    run_fresh,
+)
 
 I = IntervalNumber
 
@@ -112,6 +119,35 @@ def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, p
     summary = ensemble(make_extinction(), small_config(t_end=2.0), n_paths, workers=workers)
     assert RecordingPool.sizes == pools
     assert list(summary.terminal["path"]) == list(range(n_paths))
+
+
+def test_pool_is_built_after_numpy_is_loaded():
+    """Forked workers inherit numpy and numpy.random instead of each
+    importing them."""
+    code = """
+import sys
+from chemlevy import CrispModel, SimConfig, State, harness
+
+def numpy_loaded():
+    return any(m.startswith("numpy.") for m in sys.modules)
+
+class PoolBuilt(Exception):
+    pass
+
+def pool(max_workers):
+    raise PoolBuilt("numpy.random" in sys.modules)
+
+harness.ProcessPoolExecutor = pool
+model = CrispModel(S0=1.0, D=0.5, m1=0.4, delta1=0.5, sigma1=0.1,
+                   m2=0.3, delta2=0.5, sigma2=0.1, sigma3=0.1)
+config = SimConfig(initial=State(1.0, 0.5, 0.2), t_end=1.0, dt=0.1)
+before = numpy_loaded()
+try:
+    harness.ensemble(model, config, n_paths=3, workers=2)
+except PoolBuilt as exc:
+    print(before, exc.args[0])
+"""
+    assert run_fresh(code).splitlines()[-1] == "False True"
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (7, 40), (120, 301)])

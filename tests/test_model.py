@@ -157,8 +157,9 @@ def test_check_h3_jump_dominated():
 
 
 def test_check_h3_requires_theta_above_two():
-    with pytest.raises(ValueError):
-        check_H3(_crisp(), theta=2.0)
+    for theta in (2.0, 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            check_H3(_crisp(), theta=theta)
 
 
 def test_drift_washout_equilibrium():

@@ -428,7 +428,8 @@ def _cmd_sweep(args) -> int:
             mark = "  ERROR: " + row.error
         elif row.verdict is not None and not row.verdict.all_passed:
             mark = "  CLAIMS FAILED"
-        print(f"{row.p:<10.4g}{row.report.R0s:>12.6g}{row.report.R1s:>12.6g}"
+        # a space before each number, even one that fills its 11 columns
+        print(f"{row.p:<10.4g} {row.report.R0s:>11.6g} {row.report.R1s:>11.6g}"
               f"  {row.report.regime.value}{mark}")
     print(f"wrote {out / 'sweep.csv'}")
     bad = any(row.error or (row.verdict is not None and not row.verdict.all_passed)

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import cache, partial
+from itertools import islice
 
 from ._lazy import np
 from .integrator import (
@@ -137,8 +140,43 @@ def _path_record(model: CrispModel, config: SimConfig, index: int) -> tuple:
     return index, None, series, terminal
 
 
-def _path_record_star(args) -> tuple:
-    return _path_record(*args)
+def _path_record_star(task):
+    """_path_record of one (model, config, index) task, or the exception it
+    raised.  A stream of many ensembles' tasks then loses no record to one
+    failing task, and the exception is raised by its own ensemble's summary.
+    The traceback is dropped: it would keep the failed path's arrays alive.
+    """
+    try:
+        return _path_record(*task)
+    except Exception as exc:
+        return exc.with_traceback(None)
+
+
+def _path_records(tasks, workers, grid):
+    """Yield the record of each (model, config, index) task, in task order,
+    then the record times of grid = (t_end, dt, stride) that every path
+    shares.
+
+    The paths run lazily in a pool of min(workers, len(tasks)) forked
+    processes, or serially when that is one.  The times are built only when
+    asked for, after the paths, whose simulate has checked the config, and
+    by a worker when there is a pool, so the parent never holds a fine grid.
+    """
+    workers = min(workers, len(tasks))
+    if workers > 1:
+        # Load numpy and numpy.random (which numpy imports on first access)
+        # before forking, so the workers inherit them instead of each
+        # importing them again; LazyLoader is also not thread-safe before
+        # Python 3.12, and the pool's result thread unpickles arrays.
+        np.random
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_path_record_star, tasks, chunksize=chunk)
+            times = pool.submit(record_times, *grid).result()
+    else:
+        yield from map(_path_record_star, tasks)
+        times = record_times(*grid)
+    yield times
 
 
 def _aggregate(stack: np.ndarray) -> dict:
@@ -161,44 +199,23 @@ def _aggregate(stack: np.ndarray) -> dict:
     return {"mean": mean, "p5": pcts[0], "p50": pcts[1], "p95": pcts[2]}
 
 
-def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
-             workers: int = 1,
-             extinction_threshold: float = EXTINCTION_THRESHOLD) -> EnsembleSummary:
-    """Simulate n_paths independent paths and aggregate their statistics.
+def _summarise(records, times, extinction_threshold) -> EnsembleSummary:
+    """Fold one ensemble's path records, in path order, into its summary.
 
-    Deterministic given (model, config, n_paths, extinction_threshold);
-    ``workers`` only controls process-level parallelism, and the pool never
-    has more workers than paths.  Individual path failures are recorded;
-    the run fails outright if 10% or more abort.
+    Raises the first exception a path raised, then RuntimeError if 10% or
+    more of the paths aborted.  times() gives the record times; it is called
+    only once those checks pass, so some path has accepted the config.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    tasks = [(model, config, i) for i in range(n_paths)]
-    # The record times, shared by every path, are read off the whole fine
-    # grid.  They are built after the paths, whose simulate has checked the
-    # config, and by a worker when there is a pool, so the parent never
-    # holds a fine grid.
-    grid = (config.t_end, config.dt, config.output_stride)
-    workers = min(workers, n_paths)
-    if workers > 1:
-        # Load numpy and numpy.random (which numpy imports on first access)
-        # before forking, so the workers inherit them instead of each
-        # importing them again; LazyLoader is also not thread-safe before
-        # Python 3.12, and the pool's result thread unpickles arrays.
-        np.random
-        chunk = max(1, n_paths // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_path_record_star, tasks, chunksize=chunk))
-            times = pool.submit(record_times, *grid).result()
-    else:
-        records = [_path_record(*t) for t in tasks]
-        times = record_times(*grid)
-
+    n_paths = len(records)
+    for r in records:
+        if isinstance(r, Exception):
+            raise r
     aborted = tuple(r for r in records if r[1])
     if len(aborted) >= 0.1 * n_paths:
         detail = "; ".join(f"path {i}: {msg}" for i, msg in aborted[:5])
         raise RuntimeError(
             f"{len(aborted)}/{n_paths} paths aborted (>= 10%): {detail}")
+    times = times()
     index, _, blocks, rows = zip(*(r for r in records if not r[1]))
 
     # one (paths, times) stack alive at a time; the sticky extinction flags
@@ -228,6 +245,25 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
         extinction_threshold=extinction_threshold,
         aborted=aborted,
     )
+
+
+def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
+             workers: int = 1,
+             extinction_threshold: float = EXTINCTION_THRESHOLD) -> EnsembleSummary:
+    """Simulate n_paths independent paths and aggregate their statistics.
+
+    Deterministic given (model, config, n_paths, extinction_threshold);
+    ``workers`` only controls process-level parallelism, and the pool never
+    has more workers than paths.  Individual path failures are recorded;
+    the run fails outright if 10% or more abort.
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
+    tasks = [(model, config, i) for i in range(n_paths)]
+    grid = (config.t_end, config.dt, config.output_stride)
+    with closing(_path_records(tasks, workers, grid)) as stream:
+        records = list(islice(stream, n_paths))
+        return _summarise(records, partial(next, stream), extinction_threshold)
 
 
 def verify(report: ThresholdReport, summary: EnsembleSummary,
@@ -299,9 +335,11 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     """Crispify, classify, simulate, and verify at each imprecision level.
 
     Rows are ordered by p and evaluated independently; a failure in one row
-    (recorded in row.error) does not stop the sweep.  n_paths=0 skips the
-    Monte Carlo part and produces threshold-only rows: crispify and classify
-    at each level, nothing else.
+    (recorded in row.error) does not reach another.  Every row's paths run
+    in one stream, row by row, on one pool, and a row is summarised and
+    verified as soon as its records are in.  n_paths=0 skips the Monte
+    Carlo part and produces threshold-only rows: crispify and classify at
+    each level, nothing else.
     """
     grid = sorted(float(p) for p in p_grid)
     if not grid:
@@ -309,12 +347,28 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     rows = []
     for p in grid:
         crisp = crispify(model, p)
-        report = classify(crisp, boundary_tol)
-        row = SweepRow(p=p, crisp=crisp, report=report)
-        if n_paths > 0:
+        rows.append(SweepRow(p=p, crisp=crisp, report=classify(crisp, boundary_tol)))
+    if n_paths < 1:
+        return rows
+
+    tasks = [(row.crisp, config, i) for row in rows for i in range(n_paths)]
+    record_grid = (config.t_end, config.dt, config.output_stride)
+    # The stream's own record times would come only after every row's paths.
+    # They are built here instead, once, for the first row whose paths
+    # accepted the config.
+    times = cache(partial(record_times, *record_grid))
+    broken = None  # a pool that lost a worker ends the stream of every later row
+    with closing(_path_records(tasks, workers, record_grid)) as stream:
+        for row in rows:
             try:
-                summary = ensemble(crisp, config, n_paths, workers=workers,
-                                   extinction_threshold=extinction_threshold)
+                if broken is not None:
+                    raise broken
+                try:
+                    records = list(islice(stream, n_paths))
+                except BrokenExecutor as exc:
+                    broken = exc
+                    raise
+                summary = _summarise(records, times, extinction_threshold)
                 row.stats = {
                     "mean_S": float(np.median(summary.terminal["mean_S"])),
                     "mean_x": float(np.median(summary.terminal["mean_x"])),
@@ -324,8 +378,7 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
                     "extinct_x_frac": float(summary.terminal["extinct_x"].mean()),
                     "extinct_y_frac": float(summary.terminal["extinct_y"].mean()),
                 }
-                row.verdict = verify(report, summary, tol)
+                row.verdict = verify(row.report, summary, tol)
             except (RuntimeError, ValueError) as exc:
                 row.error = str(exc)
-        rows.append(row)
     return rows

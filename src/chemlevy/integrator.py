@@ -177,8 +177,9 @@ def _build_mesh(t_end: float, dt: float, events: list, stride: int):
         return uniform, marks, rec
     ev_t = np.array([t for t, _ in events])
     ev_mark = np.array([mk for _, mk in events], dtype=np.intp)
-    # first grid point at or after each event; equal-position events keep order
-    pos = np.searchsorted(uniform, ev_t, side="left")
+    # first grid point at or after each event, but never before the origin,
+    # so an event at t=0 is still a step; equal-position events keep order
+    pos = np.maximum(np.searchsorted(uniform, ev_t, side="left"), 1)
     return (np.insert(uniform, pos, ev_t), np.insert(marks, pos, ev_mark),
             np.insert(rec, pos, False))
 
@@ -191,14 +192,14 @@ def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
     return np.concatenate(([0.0], mesh_t[rec]))
 
 
-def _log_euler(model: CrispModel, initial: State, jump_log: list, floors: list):
+def _log_euler(model: CrispModel, initial: State, floors: list):
     """Log-space Euler-Maruyama kernel with exact multiplicative jumps.
 
     Every kernel is a generator with this signature.  It first yields the
     t=0 state; then each send() passes the steps of one chunk and gets back
     that chunk's records (S, x, y, the three trapezoid integrals, ln x, ln y),
-    which the caller empties once packed.  A kernel appends its jumps to
-    jump_log and its first pin times to floors.
+    which the caller empties once packed.  A kernel stores its first pin
+    times in floors.
     """
     # per-mark log jump sizes
     jl1 = [math.log1p(mk.gamma1) for mk in model.jumps.marks]
@@ -246,7 +247,6 @@ def _log_euler(model: CrispModel, initial: State, jump_log: list, floors: list):
                 e1 = exp(l1)
                 e2 = exp(l2)
                 e3 = exp(l3)
-                jump_log.append((t, mk))
             if l1 < floor or l2 < floor or l3 < floor:
                 if l1 < floor:
                     l1, e1 = floor, floor_lin
@@ -265,7 +265,7 @@ def _log_euler(model: CrispModel, initial: State, jump_log: list, floors: list):
         out = recs
 
 
-def _direct_euler(model: CrispModel, initial: State, jump_log: list, floors: list):
+def _direct_euler(model: CrispModel, initial: State, floors: list):
     """Linear-space Euler-Maruyama kernel; aborts on the first nonpositive state."""
     comp1, comp2, comp3 = (model.jumps.gamma_intensity(i) for i in (1, 2, 3))
     marks = model.jumps.marks
@@ -286,7 +286,6 @@ def _direct_euler(model: CrispModel, initial: State, jump_log: list, floors: lis
                 S *= 1.0 + mark.gamma1
                 x *= 1.0 + mark.gamma2
                 y *= 1.0 + mark.gamma3
-                jump_log.append((t, mk))
             if S <= 0.0 or x <= 0.0 or y <= 0.0:
                 raise SimulationError(
                     "direct Euler scheme produced a nonpositive state", t)
@@ -301,7 +300,7 @@ def _direct_euler(model: CrispModel, initial: State, jump_log: list, floors: lis
         out = recs
 
 
-def _rk4(model: CrispModel, initial: State, jump_log: list, floors: list):
+def _rk4(model: CrispModel, initial: State, floors: list):
     """Classical fourth-order Runge-Kutta kernel for the noise-free system.
 
     Its steps carry no noise or mark, only (t, dt, record); the log of a zero
@@ -341,15 +340,17 @@ def _integrate(model: CrispModel, config: SimConfig, kernel, rng=None) -> Trajec
     With an rng the jump schedule is its first draw and the mesh is
     jump-adapted; each chunk then draws its normals in stream order, so the
     chunk size never changes the result.  Without one (RK4) the mesh is the
-    uniform grid, nothing is drawn and both martingales are zero.
+    uniform grid, nothing is drawn and both martingales are zero.  Every
+    sampled event is a mesh step, so a finished path's jump log is its
+    schedule.
     """
     events = [] if rng is None else sample_jumps(model.jumps, config.t_end, rng)
     mesh_t, mesh_mark, mesh_rec = _build_mesh(
         config.t_end, config.dt, events, config.output_stride)
     n_steps = len(mesh_t) - 1
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
-    jump_log, floors = [], [None, None, None]
-    path = kernel(model, config.initial, jump_log, floors)
+    floors = [None, None, None]
+    path = kernel(model, config.initial, floors)
     s1, s2, s3 = next(path)
     nan = float("nan")
     # the t=0 record: a time average is the initial value, a rate is 0/0
@@ -383,7 +384,7 @@ def _integrate(model: CrispModel, config: SimConfig, kernel, rng=None) -> Trajec
     else:
         log_jumps = np.array([[math.log1p(mk.gamma(i)) for i in (1, 2, 3)]
                               for mk in model.jumps.marks])
-        hits = log_jumps[[mk for _, mk in jump_log]].reshape(-1, 3)
+        hits = log_jumps[[mk for _, mk in events]].reshape(-1, 3)
         # summed in event order, then compensated at the horizon
         jump_sum = np.cumsum(np.concatenate((np.zeros((1, 3)), hits)), axis=0)[-1]
         lcomp = np.array([model.jumps.log_gamma_intensity(i) for i in (1, 2, 3)])
@@ -394,7 +395,7 @@ def _integrate(model: CrispModel, config: SimConfig, kernel, rng=None) -> Trajec
         mean_S=series[3], mean_x=series[4], mean_y=series[5],
         lnx_over_t=series[6], lny_over_t=series[7],
         brownian=brownian, comp_jump=comp_jump,
-        jump_log=jump_log,
+        jump_log=events,
         floor_times=tuple(floors),
     )
 

@@ -186,11 +186,14 @@ def validate(model: ImpreciseModel) -> ValidationReport:
     bad_weights = [
         k for k, m in enumerate(model.jumps.marks) if not 0.0 < m.weight < math.inf
     ]
+    # finite weights can still sum past the float range
+    rate = model.jumps.total_rate
     checks.append(CheckResult(
         "weights_positive",
-        not bad_weights,
-        f"total rate {model.jumps.total_rate!r}" if not bad_weights
-        else f"nonpositive or non-finite weight at marks {bad_weights}"))
+        not bad_weights and rate < math.inf,
+        f"nonpositive or non-finite weight at marks {bad_weights}" if bad_weights
+        else f"total rate {rate!r}" if rate < math.inf
+        else f"total rate {rate!r} is not finite"))
 
     bad_gammas = [
         (k, i) for k, m in enumerate(model.jumps.marks)
@@ -349,6 +352,8 @@ def load_model(path) -> ImpreciseModel:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     try:
         return model_from_dict(data)
     except ValueError as exc:

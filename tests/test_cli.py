@@ -79,6 +79,13 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_too_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
+
+
 def test_missing_model_file(tmp_path, capsys):
     assert main(["validate", "--model", str(tmp_path / "nope.json")]) == 2
 
@@ -327,6 +334,23 @@ def test_sweep_thresholds_only(tmp_path, capsys):
     assert lines[0].startswith("p,S0,D,m1,")
     out = capsys.readouterr().out
     assert "BothExtinct" in out
+
+
+def test_sweep_printout_keeps_a_gap_between_wide_numbers(tmp_path, capsys):
+    # S0 = 1e-300 gives R0s and R1s twelve characters wide, e.g. 2.44469e-301
+    path = write_model(tmp_path, dict(EXTINCTION, S0=1e-300))
+    assert main(["sweep", "--model", path, "--p-grid", "0", "--out", str(tmp_path)]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    p, r0s, r1s, regime = row.split()
+    assert len(r0s) == len(r1s) == 12
+    assert float(r0s) == pytest.approx(1e-300 * 0.4 / 0.505, rel=1e-5)
+    assert regime == "BothExtinct"
+    # a narrower value keeps its old place: right-aligned in 12 columns
+    path = write_model(tmp_path, INTERVAL_MODEL)
+    assert main(["sweep", "--model", path, "--p-grid", "0", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "p                  R0s         R1s  regime",
+        "0             0.594059     0.19802  BothExtinct"]
 
 
 def test_sweep_with_paths_and_exit_code(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -362,6 +363,78 @@ def test_p_sweep_row_error_recorded_not_raised():
         assert row.error is not None
         assert "horizon" in row.error
         assert row.verdict is None
+
+
+def _rows(rows):
+    return [(row.p, row.stats, row.verdict, row.error) for row in rows]
+
+
+def test_p_sweep_builds_one_pool_for_every_row(monkeypatch):
+    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    model = imprecise_extinction(m1=(0.3, 0.7))
+    pooled = p_sweep(model, [0.0, 0.5, 1.0], small_config(), n_paths=2, workers=2)
+    assert RecordingPool.sizes == [2]
+    assert _rows(pooled) == _rows(p_sweep(model, [0.0, 0.5, 1.0], small_config(), n_paths=2))
+
+
+def test_pooled_p_sweep_rows_equal_one_ensemble_each():
+    """Every row equals the ensemble of its crisp model, verified alone."""
+    model = cl.ImpreciseModel(
+        S0=4.0, D=I(0.2, 0.2), m1=I(0.6, 1.0), delta1=I(0.5, 0.5), sigma1=I(0.1, 0.1),
+        m2=I(0.05, 0.6), delta2=I(0.5, 0.5), sigma2=I(0.1, 0.1), sigma3=I(0.1, 0.1),
+        jumps=TWO_MARKS)
+    config = small_config(dt=0.05, seed=31, output_stride=7)
+    rows = p_sweep(model, [1.0, 0.0, 0.5], config, n_paths=3, workers=2)
+    assert [row.p for row in rows] == [0.0, 0.5, 1.0]
+    for row in rows:
+        summary = ensemble(crispify(model, row.p), config, 3, workers=1)
+        term = summary.terminal
+        assert row.error is None
+        assert row.stats == {
+            **{k: float(np.median(term[k]))
+               for k in ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y")},
+            "extinct_x_frac": float(term["extinct_x"].mean()),
+            "extinct_y_frac": float(term["extinct_y"].mean()),
+        }
+        assert row.verdict == verify(row.report, summary)
+
+
+def test_p_sweep_abort_stays_in_its_row():
+    # the direct scheme survives sigma1 = 0.1 and 0.55 but not 3 at dt=0.02
+    model = dataclasses.replace(imprecise_extinction(), sigma1=I(0.1, 3.0))
+    config = small_config(scheme=cl.DIRECT_EULER)
+    rows = p_sweep(model, [0.0, 0.5, 1.0], config, n_paths=5, workers=2)
+    assert [row.error is None for row in rows] == [True, True, False]
+    assert rows[2].error.startswith("5/5 paths aborted (>= 10%): path 0: direct Euler")
+    assert rows[2].stats is None and rows[2].verdict is None
+    assert all(row.verdict is not None for row in rows[:2])
+
+
+def test_p_sweep_refused_config_is_every_rows_error():
+    config = small_config(initial=State(-1.0, 0.5, 0.2))
+    rows = p_sweep(imprecise_extinction(), [0.0, 1.0], config, n_paths=2, workers=2)
+    for row in rows:
+        assert row.error.startswith("initial state must be strictly positive")
+        assert row.stats is None and row.verdict is None
+
+
+def test_p_sweep_broken_pool_fails_the_rows_it_did_not_finish(monkeypatch):
+    """A worker that dies takes the pool with it: its row and every later
+    row report the broken pool, and p_sweep still returns."""
+    record = cl.harness._path_record
+
+    def dies_at_p_half(model, config, index):
+        if model.p == 0.5:
+            os._exit(1)
+        return record(model, config, index)
+
+    monkeypatch.setattr(cl.harness, "_path_record", dies_at_p_half)
+    rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], small_config(t_end=2.0),
+                   n_paths=2, workers=2)
+    for row in rows[1:]:
+        assert "terminated abruptly" in row.error
+        assert row.stats is None
 
 
 def test_p_sweep_empty_grid_rejected():

@@ -114,6 +114,23 @@ def test_recorded_grid_unaffected_by_jumps():
     assert np.array_equal(plain.times, jumpy.times)
 
 
+@pytest.mark.parametrize("scheme", ["log_euler", DIRECT_EULER])
+def test_jump_log_is_the_sampled_schedule(scheme):
+    model = make_persistence(jumps=TWO_MARKS)
+    config = short_config(seed=9, scheme=scheme)
+    traj = simulate(model, config)
+    assert traj.jump_log == sample_jumps(model.jumps, config.t_end, rng_for(config.seed))
+    assert len(traj.jump_log) > 0
+
+
+def test_event_at_origin_is_a_step():
+    # an event drawn at exactly t=0 goes after the origin, never before it
+    mesh_t, mesh_mark, rec = cl.integrator._build_mesh(1.0, 0.5, [(0.0, 1), (0.25, 0)], 1)
+    assert mesh_t.tolist() == [0.0, 0.0, 0.25, 0.5, 1.0]
+    assert mesh_mark.tolist() == [-1, 1, 0, -1, -1]
+    assert rec.tolist() == [False, False, False, True, True]
+
+
 def test_driftless_log_brownian_mean():
     # with m2 = D = 0 and only sigma3 > 0, ln y(T) - ln y(0) + sigma3^2 T / 2
     # is exactly sigma3 * B(T); its mean over seeds must vanish

@@ -101,6 +101,14 @@ def test_validate_reports_bad_endpoints_and_weights():
                             if c.name == "interval_endpoints_positive").detail
 
 
+def test_validate_rejects_overflowing_total_rate():
+    huge = JumpMark(1e308, 0.1, 0.1, 0.1)
+    assert validate(make_imprecise(jumps=JumpSpec((huge,)))).ok
+    report = validate(make_imprecise(jumps=JumpSpec((huge, huge))))
+    assert [(c.name, c.detail) for c in report.failures()] \
+        == [("weights_positive", "total rate inf is not finite")]
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_validate_rejects_non_finite_parameters(value):
     # JSON admits Infinity and NaN; each must fail the check that owns the field
@@ -284,9 +292,13 @@ _model_dict = st.builds(
 @example({**MODEL_DICT, "jumps": [{"weight": 1.0, "gamma1": 1e200, "gamma2": 0.0,
                                    "gamma3": 0.0}]}, 0.0, 3.0)
 @example({**MODEL_DICT, "sigma1": 1e200}, 0.0, 3.0)
+# finite weights whose total rate overflows
+@example({**MODEL_DICT, "jumps": [{"weight": 1e308, "gamma1": 0.1, "gamma2": 0.1,
+                                   "gamma3": 0.1}] * 2}, 0.0, 3.0)
 def test_model_from_dict_raises_only_value_error_and_validate_never_raises(data, p, theta):
     """model_from_dict raises only ValueError; validate, and check_H3 on a
-    model that passes it, never raise."""
+    model that passes it, never raise; a model that passes has a finite
+    total jump rate."""
     try:
         model = model_from_dict(data)
     except ValueError:
@@ -294,5 +306,6 @@ def test_model_from_dict_raises_only_value_error_and_validate_never_raises(data,
     report = validate(model)
     assert report.ok == all(c.passed for c in report.checks)
     if report.ok:
+        assert model.jumps.total_rate < math.inf
         h3 = check_H3(crispify(model, p), theta)
         assert h3.holds == (h3.lhs > 0.0)

@@ -31,6 +31,9 @@ from .model import _PARAM_FIELDS, State, check_H3, crispify, load_model, validat
 from .thresholds import classify
 
 _PARAM_ORDER = ("S0",) + _PARAM_FIELDS
+_REPORT_FIELDS = ("beta1", "beta2", "beta3", "R0s", "R1s")
+# the leading columns of thresholds.csv and sweep.csv
+_THRESHOLD_HEADER = ["p", *_PARAM_ORDER, *_REPORT_FIELDS, "regime"]
 
 
 # ---------------------------------------------------------------------------
@@ -102,30 +105,28 @@ def write_verdict_csv(verdict, path) -> None:
     _write_rows(path, header, rows)
 
 
+def _threshold_cells(crisp, report) -> list:
+    """The _THRESHOLD_HEADER cells of one crisp model and its report."""
+    return ([crisp.p] + [getattr(crisp, f) for f in _PARAM_ORDER]
+            + [getattr(report, f) for f in _REPORT_FIELDS] + [report.regime.value])
+
+
 def write_thresholds_csv(crisp, report, path) -> None:
     preds = report.predictions
-    header = (["p"] + list(_PARAM_ORDER)
-              + ["beta1", "beta2", "beta3", "R0s", "R1s", "regime"]
-              + list(preds.__dataclass_fields__))
-    row = ([crisp.p] + [getattr(crisp, f) for f in _PARAM_ORDER]
-           + [report.beta1, report.beta2, report.beta3,
-              report.R0s, report.R1s, report.regime.value]
+    header = _THRESHOLD_HEADER + list(preds.__dataclass_fields__)
+    row = (_threshold_cells(crisp, report)
            + [getattr(preds, f) for f in preds.__dataclass_fields__])
     _write_rows(path, header, [row])
 
 
 def write_sweep_csv(rows, path) -> None:
-    header = (["p"] + list(_PARAM_ORDER)
-              + ["beta1", "beta2", "beta3", "R0s", "R1s", "regime",
-                 "median_mean_S", "median_mean_x", "median_mean_y",
-                 "median_rate_x", "median_rate_y",
-                 "extinct_x_frac", "extinct_y_frac",
-                 "claims_passed", "claims_total", "all_pass", "error"])
+    header = _THRESHOLD_HEADER + [
+        "median_mean_S", "median_mean_x", "median_mean_y",
+        "median_rate_x", "median_rate_y", "extinct_x_frac", "extinct_y_frac",
+        "claims_passed", "claims_total", "all_pass", "error"]
     out = []
     for row in rows:
-        cells = ([row.p] + [getattr(row.crisp, f) for f in _PARAM_ORDER]
-                 + [row.report.beta1, row.report.beta2, row.report.beta3,
-                    row.report.R0s, row.report.R1s, row.report.regime.value])
+        cells = _threshold_cells(row.crisp, row.report)
         if row.stats is not None:
             cells += [row.stats[k] for k in
                       ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y",
@@ -286,7 +287,7 @@ def _print_thresholds(crisp, report) -> None:
     print(f"{'p':<22}{crisp.p:.6g}")
     for name in _PARAM_ORDER:
         print(f"{name:<22}{getattr(crisp, name):.10g}")
-    for name in ("beta1", "beta2", "beta3", "R0s", "R1s"):
+    for name in _REPORT_FIELDS:
         print(f"{name:<22}{getattr(report, name):.10g}")
     print(f"{'regime':<22}{report.regime.value}")
     preds = report.predictions.present()
@@ -418,6 +419,8 @@ def _cmd_sweep(args) -> int:
     crisp0 = crispify(model, min(args.p_grid))
     config = _make_config(args, crisp0, seed=args.seed)
     tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)
+    if args.paths:
+        tol.check_horizon(args.t_end)  # refused before anything is simulated
     rows = p_sweep(model, args.p_grid, config, args.paths, workers=_workers(), tol=tol)
     out = _out_dir(args, default_to_cwd=True)
     write_sweep_csv(rows, out / "sweep.csv")

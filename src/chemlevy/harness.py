@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import cache, partial
 from itertools import islice
 
 from ._lazy import np
 from .integrator import (
     SimConfig,
     SimulationError,
+    check_path_config,
     conservation_residual,
     path_config,
     record_times,
@@ -140,29 +140,16 @@ def _path_record(model: CrispModel, config: SimConfig, index: int) -> tuple:
     return index, None, series, terminal
 
 
-def _path_record_star(task):
-    """_path_record of one (model, config, index) task, or the exception it
-    raised.  A stream of many ensembles' tasks then loses no record to one
-    failing task, and the exception is raised by its own ensemble's summary.
-    The traceback is dropped: it would keep the failed path's arrays alive.
-    """
-    try:
-        return _path_record(*task)
-    except Exception as exc:
-        return exc.with_traceback(None)
-
-
-def _path_records(tasks, workers, grid):
-    """Yield the record of each (model, config, index) task, in task order,
-    then the record times of grid = (t_end, dt, stride) that every path
-    shares.
+def _path_records(tasks, workers):
+    """Yield the record of each (model, config, index) task, in task order.
 
     The paths run lazily in a pool of min(workers, len(tasks)) forked
-    processes, or serially when that is one.  The times are built only when
-    asked for, after the paths, whose simulate has checked the config, and
-    by a worker when there is a pool, so the parent never holds a fine grid.
+    processes, or serially when that is one.  The caller has checked the
+    config: a path's SimulationError is its record's error, and anything
+    else a path raises, or a broken pool, ends the stream.
     """
     workers = min(workers, len(tasks))
+    columns = zip(*tasks)
     if workers > 1:
         # Load numpy and numpy.random (which numpy imports on first access)
         # before forking, so the workers inherit them instead of each
@@ -171,12 +158,9 @@ def _path_records(tasks, workers, grid):
         np.random
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_path_record_star, tasks, chunksize=chunk)
-            times = pool.submit(record_times, *grid).result()
+            yield from pool.map(_path_record, *columns, chunksize=chunk)
     else:
-        yield from map(_path_record_star, tasks)
-        times = record_times(*grid)
-    yield times
+        yield from map(_path_record, *columns)
 
 
 def _aggregate(stack: np.ndarray) -> dict:
@@ -202,20 +186,15 @@ def _aggregate(stack: np.ndarray) -> dict:
 def _summarise(records, times, extinction_threshold) -> EnsembleSummary:
     """Fold one ensemble's path records, in path order, into its summary.
 
-    Raises the first exception a path raised, then RuntimeError if 10% or
-    more of the paths aborted.  times() gives the record times; it is called
-    only once those checks pass, so some path has accepted the config.
+    Raises RuntimeError if 10% or more of the paths aborted.  times are the
+    record times every path shares.
     """
     n_paths = len(records)
-    for r in records:
-        if isinstance(r, Exception):
-            raise r
     aborted = tuple(r for r in records if r[1])
     if len(aborted) >= 0.1 * n_paths:
         detail = "; ".join(f"path {i}: {msg}" for i, msg in aborted[:5])
         raise RuntimeError(
             f"{len(aborted)}/{n_paths} paths aborted (>= 10%): {detail}")
-    times = times()
     index, _, blocks, rows = zip(*(r for r in records if not r[1]))
 
     # one (paths, times) stack alive at a time; the sticky extinction flags
@@ -254,16 +233,16 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
 
     Deterministic given (model, config, n_paths, extinction_threshold);
     ``workers`` only controls process-level parallelism, and the pool never
-    has more workers than paths.  Individual path failures are recorded;
+    has more workers than paths.  A config simulate would refuse raises
+    ValueError before any path runs.  Individual path failures are recorded;
     the run fails outright if 10% or more abort.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    tasks = [(model, config, i) for i in range(n_paths)]
-    grid = (config.t_end, config.dt, config.output_stride)
-    with closing(_path_records(tasks, workers, grid)) as stream:
-        records = list(islice(stream, n_paths))
-        return _summarise(records, partial(next, stream), extinction_threshold)
+    check_path_config(model, config)
+    records = list(_path_records([(model, config, i) for i in range(n_paths)], workers))
+    return _summarise(records, record_times(config.t_end, config.dt, config.output_stride),
+                      extinction_threshold)
 
 
 def verify(report: ThresholdReport, summary: EnsembleSummary,
@@ -335,11 +314,14 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     """Crispify, classify, simulate, and verify at each imprecision level.
 
     Rows are ordered by p and evaluated independently; a failure in one row
-    (recorded in row.error) does not reach another.  Every row's paths run
-    in one stream, row by row, on one pool, and a row is summarised and
-    verified as soon as its records are in.  n_paths=0 skips the Monte
-    Carlo part and produces threshold-only rows: crispify and classify at
-    each level, nothing else.
+    (recorded in row.error) does not reach another.  A config simulate would
+    refuse raises ValueError before any path runs: every row shares the
+    model's jumps, so one check covers them all.  Every row's paths run in
+    one stream, row by row, on one pool, and a row is summarised and
+    verified as soon as its records are in; an exception the stream raises
+    (a broken pool) is the error of its row and of every later row.
+    n_paths=0 skips the Monte Carlo part and produces threshold-only rows:
+    crispify and classify at each level, nothing else.
     """
     grid = sorted(float(p) for p in p_grid)
     if not grid:
@@ -351,21 +333,18 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     if n_paths < 1:
         return rows
 
+    check_path_config(model, config)
     tasks = [(row.crisp, config, i) for row in rows for i in range(n_paths)]
-    record_grid = (config.t_end, config.dt, config.output_stride)
-    # The stream's own record times would come only after every row's paths.
-    # They are built here instead, once, for the first row whose paths
-    # accepted the config.
-    times = cache(partial(record_times, *record_grid))
-    broken = None  # a pool that lost a worker ends the stream of every later row
-    with closing(_path_records(tasks, workers, record_grid)) as stream:
+    times = record_times(config.t_end, config.dt, config.output_stride)
+    broken = None  # a stream that raised has ended for every later row too
+    with closing(_path_records(tasks, workers)) as stream:
         for row in rows:
             try:
                 if broken is not None:
                     raise broken
                 try:
                     records = list(islice(stream, n_paths))
-                except BrokenExecutor as exc:
+                except Exception as exc:
                     broken = exc
                     raise
                 summary = _summarise(records, times, extinction_threshold)

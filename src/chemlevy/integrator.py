@@ -132,6 +132,13 @@ def _check_config(config: SimConfig, positive_initial: bool,
         raise ValueError(f"initial state must be nonnegative and finite, got {s}")
 
 
+def check_path_config(model, config: SimConfig) -> None:
+    """Raise ValueError if simulate refuses config for model.  Only the
+    model's jumps are read, so an imprecise model's check covers every crisp
+    model crispify makes of it."""
+    _check_config(config, positive_initial=True, jump_rate=model.jumps.total_rate)
+
+
 def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> list:
     """Draw the compound-Poisson event schedule on (0, t_end].
 
@@ -157,6 +164,11 @@ def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> lis
     return list(zip(times[order].tolist(), marks[order].tolist()))
 
 
+def _uniform_steps(t_end: float, dt: float) -> int:
+    # t_end is divided into whole steps of size ~dt (exact when divisible)
+    return max(1, int(math.ceil(t_end / dt - 1e-9)))
+
+
 def _build_mesh(t_end: float, dt: float, events: list, stride: int):
     """Weave jump events into the uniform dt-grid.
 
@@ -165,8 +177,7 @@ def _build_mesh(t_end: float, dt: float, events: list, stride: int):
     placed before it, so recorded states are right-continuous (post-jump).
     The origin is recorded up front by the caller, never as a step target.
     """
-    # t_end is divided into whole steps of size ~dt (exact when divisible)
-    n = max(1, int(math.ceil(t_end / dt - 1e-9)))
+    n = _uniform_steps(t_end, dt)
     uniform = np.linspace(0.0, t_end, n + 1)
     n_last = len(uniform) - 1
     marks = np.full(len(uniform), -1, dtype=np.intp)
@@ -187,9 +198,10 @@ def _build_mesh(t_end: float, dt: float, events: list, stride: int):
 def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
     """The times every path of a config records at: 0, then every stride-th
     grid point and t_end.  Jump events are never record points, so this is
-    each path's ``Trajectory.times``."""
-    mesh_t, _, rec = _build_mesh(t_end, dt, [], stride)
-    return np.concatenate(([0.0], mesh_t[rec]))
+    each path's ``Trajectory.times``.  Only those points are built, equal
+    bit for bit to _build_mesh's, whose grid is linspace's i * (t_end / n)."""
+    n = _uniform_steps(t_end, dt)
+    return np.append(np.arange(0, n, stride) * (t_end / n), t_end)
 
 
 def _log_euler(model: CrispModel, initial: State, floors: list):
@@ -410,7 +422,7 @@ def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
     downward excursions are pinned at FLOOR_LOG and flagged instead of
     aborting.  The direct_euler scheme aborts on a nonpositive state.
     """
-    _check_config(config, positive_initial=True, jump_rate=model.jumps.total_rate)
+    check_path_config(model, config)
     kernel = _direct_euler if config.scheme == DIRECT_EULER else _log_euler
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     return _integrate(model, config, kernel, rng)

@@ -39,10 +39,6 @@ class IntervalNumber:
             pass
         raise ValueError(f"cannot interpret {value!r} as an interval")
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lower == self.upper
-
     def __add__(self, other: "IntervalNumber") -> "IntervalNumber":
         return add(self, other)
 

@@ -14,7 +14,6 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +46,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
 
 def run_fresh(code: str) -> str:

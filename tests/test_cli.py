@@ -363,6 +363,24 @@ def test_sweep_with_paths_and_exit_code(tmp_path):
     assert "True" in text or "False" in text
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--t-end", "100"], "horizon 100.0 is below min_horizon 500.0"),
+    (["--dt", "0"], "dt must lie in (0, t_end)"),
+    (["--t-end", "1e300", "--dt", "1e-10"], "above the cap of 1e+08 mesh steps")],
+    ids=["short-horizon", "zero-dt", "huge-mesh"])
+def test_sweep_refuses_a_bad_run_before_simulating(tmp_path, capsys, monkeypatch,
+                                                   flags, message):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    path = write_model(tmp_path, INTERVAL_MODEL)
+    out_dir = tmp_path / "swp"
+    assert main(["sweep", "--model", path, "--p-grid", "0,1", "--paths", "3",
+                 "--out", str(out_dir)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert RecordingPool.sizes == []
+
+
 def test_unknown_flag_is_an_error(tmp_path):
     path = write_model(tmp_path, EXTINCTION)
     with pytest.raises(SystemExit) as info:

@@ -122,6 +122,15 @@ def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, p
     assert list(summary.terminal["path"]) == list(range(n_paths))
 
 
+def test_ensemble_refused_config_raises_before_any_pool(monkeypatch):
+    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    config = small_config(initial=State(-1.0, 0.5, 0.2))
+    with pytest.raises(ValueError, match="initial state must be strictly positive"):
+        ensemble(make_extinction(), config, 3, workers=2)
+    assert RecordingPool.sizes == []
+
+
 def test_pool_is_built_after_numpy_is_loaded():
     """Forked workers inherit numpy and numpy.random instead of each
     importing them."""
@@ -411,25 +420,26 @@ def test_p_sweep_abort_stays_in_its_row():
     assert all(row.verdict is not None for row in rows[:2])
 
 
-def test_p_sweep_refused_config_is_every_rows_error():
+def test_p_sweep_refused_config_raises_before_any_pool(monkeypatch):
+    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
     config = small_config(initial=State(-1.0, 0.5, 0.2))
-    rows = p_sweep(imprecise_extinction(), [0.0, 1.0], config, n_paths=2, workers=2)
-    for row in rows:
-        assert row.error.startswith("initial state must be strictly positive")
-        assert row.stats is None and row.verdict is None
+    with pytest.raises(ValueError, match="initial state must be strictly positive"):
+        p_sweep(imprecise_extinction(), [0.0, 1.0], config, n_paths=2, workers=2)
+    assert RecordingPool.sizes == []
 
 
 def test_p_sweep_broken_pool_fails_the_rows_it_did_not_finish(monkeypatch):
     """A worker that dies takes the pool with it: its row and every later
     row report the broken pool, and p_sweep still returns."""
-    record = cl.harness._path_record
+    real_simulate = cl.harness.simulate
 
-    def dies_at_p_half(model, config, index):
+    def dies_at_p_half(model, config):
         if model.p == 0.5:
             os._exit(1)
-        return record(model, config, index)
+        return real_simulate(model, config)
 
-    monkeypatch.setattr(cl.harness, "_path_record", dies_at_p_half)
+    monkeypatch.setattr(cl.harness, "simulate", dies_at_p_half)
     rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], small_config(t_end=2.0),
                    n_paths=2, workers=2)
     for row in rows[1:]:

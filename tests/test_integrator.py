@@ -131,6 +131,24 @@ def test_event_at_origin_is_a_step():
     assert rec.tolist() == [False, False, False, True, True]
 
 
+def test_record_times_are_the_meshs_record_points():
+    """record_times builds only the recorded points, bit for bit those of
+    the full mesh, including n % stride == 0 and stride > n."""
+    rng = np.random.default_rng(11)
+    grids = [(10.0, 1.0, 5), (10.0, 1.0, 3), (1.0, 0.5, 7), (500.0, 0.02, 100)]
+    for _ in range(2000):
+        t_end = float(rng.uniform(1e-3, 1e4))
+        # t_end / dt, whole (n = steps) or not (n = ceil(steps))
+        steps = float(rng.integers(1, 3000) if rng.random() < 0.5 else rng.uniform(1.0, 3000.0))
+        n = math.ceil(steps)
+        stride = int(rng.choice([rng.integers(1, 200), n, n + 5]))
+        grids.append((t_end, t_end / steps, stride))
+    for t_end, dt, stride in grids:
+        mesh_t, _, rec = cl.integrator._build_mesh(t_end, dt, [], stride)
+        expected = np.concatenate(([0.0], mesh_t[rec]))
+        assert cl.integrator.record_times(t_end, dt, stride).tobytes() == expected.tobytes()
+
+
 def test_driftless_log_brownian_mean():
     # with m2 = D = 0 and only sigma3 > 0, ln y(T) - ln y(0) + sigma3^2 T / 2
     # is exactly sigma3 * B(T); its mean over seeds must vanish

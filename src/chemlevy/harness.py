@@ -13,6 +13,8 @@ worker count.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -21,13 +23,16 @@ from itertools import islice
 
 from ._lazy import np
 from .integrator import (
+    LOG_EULER,
     SimConfig,
     SimulationError,
     check_path_config,
     conservation_residual,
+    derive_path_seed,
     path_config,
     record_times,
     simulate,
+    simulate_batch,
 )
 from .model import CrispModel, ImpreciseModel, crispify
 from .thresholds import Regime, ThresholdReport, classify
@@ -43,6 +48,12 @@ _SERIES = ("S", "x", "y", "mean_S", "mean_x", "mean_y",
 # per-path terminal scalars, in the order of a path record's terminal row
 _TERMINAL = ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y", "phi")
 _PERCENTILES = (5.0, 50.0, 95.0)
+
+# Fewest paths of one (model, config) that one worker steps together with
+# simulate_batch instead of one by one with simulate.  A batched step pays a
+# fixed numpy cost whatever its width, so narrower batches are slower than
+# the scalar kernel; 40 is the measured crossover (README, "Performance").
+_MIN_BATCH = 40
 
 
 @dataclass(frozen=True)
@@ -119,37 +130,89 @@ class EnsembleSummary:
     aborted: tuple = field(default_factory=tuple)
 
 
+def _terminal(traj, series: np.ndarray) -> np.ndarray:
+    """The _TERMINAL row of a path, then M(T)/T of its Brownian and its
+    compensated jump martingales."""
+    t_end = float(traj.times[-1])
+    return np.concatenate((series[3:6, -1], (traj.rate_x, traj.rate_y, series[8, -1]),
+                           traj.brownian / t_end, traj.comp_jump / t_end))
+
+
 def _path_record(model: CrispModel, config: SimConfig, index: int) -> tuple:
     """(index, error, series, terminal) of one path.
 
     series is the (9, n) block of _SERIES over the recorded times; terminal
-    is the _TERMINAL row followed by M(T)/T of the Brownian and the
-    compensated jump martingales.  A failed path is (index, error message).
-    The record times are the same for every path and stay out of the record.
+    is _terminal's row.  A failed path is (index, error message).  The
+    record times are the same for every path and stay out of the record.
     """
     try:
         traj = simulate(model, path_config(config, index))
     except SimulationError as exc:
         return index, str(exc)
     phi = conservation_residual(traj, model)
-    t_end = float(traj.times[-1])
     series = np.stack((traj.S, traj.x, traj.y, traj.mean_S, traj.mean_x,
                        traj.mean_y, traj.lnx_over_t, traj.lny_over_t, phi))
-    terminal = np.concatenate((series[3:6, -1], (traj.rate_x, traj.rate_y, phi[-1]),
-                               traj.brownian / t_end, traj.comp_jump / t_end))
-    return index, None, series, terminal
+    return index, None, series, _terminal(traj, series)
 
 
-def _path_records(tasks, workers):
-    """Yield the record of each (model, config, index) task, in task order.
+def _group_records(batched: bool, model: CrispModel, config: SimConfig, indices,
+                   spill: str | None = None) -> tuple:
+    """(series, records) of one task's paths, in index order.
 
-    The paths run lazily in a pool of min(workers, len(tasks)) forked
-    processes, or serially when that is one.  The caller has checked the
-    config: a path's SimulationError is its record's error, and anything
-    else a path raises, or a broken pool, ends the stream.
+    Stepped alone, each path's record holds its own series block and series
+    is None.  Stepped as one simulate_batch, a path's record holds its
+    column k in series, the batch's (9, paths, n) block.  A pool worker
+    saves that block to the .npy file spill and returns the file's name:
+    a block pickled back whole would cost the parent about three times its
+    size in receive buffers.  Both give the same records bit for bit.
     """
+    if not batched:
+        return None, [_path_record(model, config, i) for i in indices]
+    series, paths = simulate_batch(model, config,
+                                   [derive_path_seed(config.seed, i) for i in indices])
+    records = [(i, str(traj)) if isinstance(traj, SimulationError)
+               else (i, None, k, _terminal(traj, series[:, k]))
+               for k, (i, traj) in enumerate(zip(indices, paths))]
+    if spill is not None:
+        np.save(spill, series)
+        series = spill
+    return series, records
+
+
+def _unpack(results):
+    """Yield each record of a stream of _group_records results; a batch's
+    records get views of its block, mapped from its spill file if it has one."""
+    for series, records in results:
+        if isinstance(series, str):
+            spill, series = series, np.load(series, mmap_mode="r")
+            os.unlink(spill)  # the mapping outlives the name
+        for r in records:
+            yield r if series is None or r[1] else (r[0], None, series[:, r[2]], r[3])
+
+
+def _path_records(runs, n_paths: int, workers: int):
+    """Yield the record of every path of each (model, config) run, run by
+    run, in path order.
+
+    This is where a path's kernel is chosen.  Each run's paths are split
+    into min(workers, n_paths) contiguous groups, one per worker.  A group
+    of at least _MIN_BATCH log-Euler paths is one task, stepped as a batch;
+    a smaller group is one task per path, as simulate steps it.  The tasks
+    run lazily in a pool of min(workers, tasks) forked processes, or
+    serially when that is one.  The caller has checked the config: a path's
+    SimulationError is its record's error, and anything else a path raises,
+    or a broken pool, ends the stream.
+    """
+    split = min(workers, n_paths)
+    tasks = []
+    for model, config in runs:
+        bounds = [n_paths * k // split for k in range(split + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo >= _MIN_BATCH and config.scheme == LOG_EULER:
+                tasks.append((True, model, config, range(lo, hi)))
+            else:
+                tasks += [(False, model, config, range(i, i + 1)) for i in range(lo, hi)]
     workers = min(workers, len(tasks))
-    columns = zip(*tasks)
     if workers > 1:
         # Load numpy and numpy.random (which numpy imports on first access)
         # before forking, so the workers inherit them instead of each
@@ -157,10 +220,14 @@ def _path_records(tasks, workers):
         # Python 3.12, and the pool's result thread unpickles arrays.
         np.random
         chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_path_record, *columns, chunksize=chunk)
+        with (tempfile.TemporaryDirectory(prefix="chemlevy-") as spill_dir,
+              ProcessPoolExecutor(max_workers=workers) as pool):
+            spills = [os.path.join(spill_dir, f"{k}.npy") if task[0] else None
+                      for k, task in enumerate(tasks)]
+            yield from _unpack(pool.map(_group_records, *zip(*tasks), spills,
+                                        chunksize=chunk))
     else:
-        yield from map(_path_record, *columns)
+        yield from _unpack(map(_group_records, *zip(*tasks)))
 
 
 def _aggregate(stack: np.ndarray) -> dict:
@@ -240,7 +307,7 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
     check_path_config(model, config)
-    records = list(_path_records([(model, config, i) for i in range(n_paths)], workers))
+    records = list(_path_records([(model, config)], n_paths, workers))
     return _summarise(records, record_times(config.t_end, config.dt, config.output_stride),
                       extinction_threshold)
 
@@ -315,8 +382,8 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
 
     Rows are ordered by p and evaluated independently; a failure in one row
     (recorded in row.error) does not reach another.  A config simulate would
-    refuse raises ValueError before any path runs: every row shares the
-    model's jumps, so one check covers them all.  Every row's paths run in
+    refuse, or a horizon tol refuses, raises ValueError before any path
+    runs: every row shares the model's jumps, so one check covers them all.  Every row's paths run in
     one stream, row by row, on one pool, and a row is summarised and
     verified as soon as its records are in; an exception the stream raises
     (a broken pool) is the error of its row and of every later row.
@@ -334,10 +401,11 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
         return rows
 
     check_path_config(model, config)
-    tasks = [(row.crisp, config, i) for row in rows for i in range(n_paths)]
+    tol.check_horizon(config.t_end)
     times = record_times(config.t_end, config.dt, config.output_stride)
     broken = None  # a stream that raised has ended for every later row too
-    with closing(_path_records(tasks, workers)) as stream:
+    with closing(_path_records([(row.crisp, config) for row in rows], n_paths,
+                               workers)) as stream:
         for row in rows:
             try:
                 if broken is not None:

@@ -7,7 +7,8 @@ multiplicative jump ln(1 + gamma_i) at each event.  Working in log space makes
 strict positivity structural: no step can produce a nonpositive concentration.
 A naive linear-space Euler scheme ("direct_euler") is kept purely as a
 diagnostic of why that guarantee matters.  Both schemes and the RK4 solver
-of the noise-free system are kernels of one chunked engine.
+of the noise-free system are kernels of one chunked engine; simulate_batch
+steps many log-space paths at once, bit for bit as simulate steps each.
 
 Each trajectory also accumulates, on the full fine mesh, the running time
 averages of S, x, y (trapezoid rule), the exponential-rate statistics
@@ -120,8 +121,9 @@ def _check_config(config: SimConfig, positive_initial: bool,
     if not steps <= _MAX_MESH_STEPS:
         raise ValueError(f"t_end/dt plus the expected jump count is {steps:.3g}, "
                          f"above the cap of {_MAX_MESH_STEPS:.0e} mesh steps")
-    if config.output_stride < 1:
-        raise ValueError(f"output_stride must be >= 1, got {config.output_stride!r}")
+    stride = config.output_stride
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"output_stride must be an integer >= 1, got {stride!r}")
     if config.scheme not in (LOG_EULER, DIRECT_EULER):
         raise ValueError(f"unknown scheme {config.scheme!r}")
     s = config.initial
@@ -169,37 +171,54 @@ def _uniform_steps(t_end: float, dt: float) -> int:
     return max(1, int(math.ceil(t_end / dt - 1e-9)))
 
 
-def _build_mesh(t_end: float, dt: float, events: list, stride: int):
-    """Weave jump events into the uniform dt-grid.
+class _Mesh:
+    """One path's jump-adapted mesh: the uniform dt-grid with its jump events
+    woven in, built a piece at a time.  Beyond the grid, which the paths of
+    a batch share, a path's mesh memory does not grow with its horizon.
 
-    Returns parallel arrays over the mesh: times, mark index (-1 on grid
-    points), and record flag.  An event falling exactly on a grid point is
-    placed before it, so recorded states are right-continuous (post-jump).
-    The origin is recorded up front by the caller, never as a step target.
+    An event falling exactly on a grid point is placed before it, so
+    recorded states are right-continuous (post-jump).  The origin is
+    recorded up front by the caller, never as a step target.
     """
-    n = _uniform_steps(t_end, dt)
-    uniform = np.linspace(0.0, t_end, n + 1)
-    n_last = len(uniform) - 1
-    marks = np.full(len(uniform), -1, dtype=np.intp)
-    rec = np.zeros(len(uniform), dtype=bool)
-    rec[stride::stride] = True
-    rec[n_last] = True
-    if not events:
-        return uniform, marks, rec
-    ev_t = np.array([t for t, _ in events])
-    ev_mark = np.array([mk for _, mk in events], dtype=np.intp)
-    # first grid point at or after each event, but never before the origin,
-    # so an event at t=0 is still a step; equal-position events keep order
-    pos = np.maximum(np.searchsorted(uniform, ev_t, side="left"), 1)
-    return (np.insert(uniform, pos, ev_t), np.insert(marks, pos, ev_mark),
-            np.insert(rec, pos, False))
+
+    def __init__(self, grid: np.ndarray, stride: int, events: list):
+        self.grid, self.stride, self.n = grid, stride, len(grid) - 1
+        self.ev_t = np.array([t for t, _ in events], dtype=float)
+        self.ev_mark = np.array([mk for _, mk in events], dtype=np.intp)
+        # first grid point at or after each event, but never before the
+        # origin, so an event at t=0 is still a step; equal-position events
+        # keep their order
+        self.pos = np.maximum(np.searchsorted(grid, self.ev_t, side="left"), 1)
+        self.at = self.pos + np.arange(len(events))   # each event's mesh index
+        self.steps = self.n + len(events)
+
+    def piece(self, a: int, b: int):
+        """Times, mark index (-1 on grid points) and record flag of mesh
+        points a..b: exactly that slice of np.insert(grid, pos, events)."""
+        lo = int(np.searchsorted(self.at, a, side="left"))
+        hi = int(np.searchsorted(self.at, b, side="right"))
+        u0, u1 = a - lo, b + 1 - hi          # the grid points among them
+        u = np.arange(u0, u1)
+        times = self.grid[u0:u1]
+        marks = np.full(len(u), -1, dtype=np.intp)
+        rec = ((u % self.stride == 0) & (u > 0)) | (u == self.n)
+        if hi > lo:
+            rel = self.pos[lo:hi] - u0
+            times = np.insert(times, rel, self.ev_t[lo:hi])
+            marks = np.insert(marks, rel, self.ev_mark[lo:hi])
+            rec = np.insert(rec, rel, False)
+        return times, marks, rec
+
+
+def _grid(t_end: float, dt: float) -> np.ndarray:
+    return np.linspace(0.0, t_end, _uniform_steps(t_end, dt) + 1)
 
 
 def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
     """The times every path of a config records at: 0, then every stride-th
     grid point and t_end.  Jump events are never record points, so this is
     each path's ``Trajectory.times``.  Only those points are built, equal
-    bit for bit to _build_mesh's, whose grid is linspace's i * (t_end / n)."""
+    bit for bit to the mesh's, whose grid is linspace's i * (t_end / n)."""
     n = _uniform_steps(t_end, dt)
     return np.append(np.arange(0, n, stride) * (t_end / n), t_end)
 
@@ -346,6 +365,32 @@ def _rk4(model: CrispModel, initial: State, floors: list):
         out = recs
 
 
+def _noise(rng, dts: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """One chunk's Brownian increments sigma_i dB_i, drawn in stream order."""
+    return np.sqrt(dts)[:, None] * sigmas * rng.standard_normal((len(dts), 3))
+
+
+def _carry(brown: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Brownian martingale sum (shape (1, 3)) carried past a chunk."""
+    # cumsum adds in sequence, as a running += would
+    return np.cumsum(np.concatenate((brown, g)), axis=0)[-1:]
+
+
+def _log_jumps(model: CrispModel) -> np.ndarray:
+    """(marks, 3) array of each mark's log jump sizes ln(1 + gamma_i)."""
+    return np.array([[math.log1p(mk.gamma(i)) for i in (1, 2, 3)]
+                     for mk in model.jumps.marks]).reshape(-1, 3)
+
+
+def _comp_jump(model: CrispModel, events: list, t_end: float) -> np.ndarray:
+    """Terminal compensated jump martingale of a schedule: the log jumps
+    summed in event order, then compensated at the horizon."""
+    hits = _log_jumps(model)[[mk for _, mk in events]]
+    jump_sum = np.cumsum(np.concatenate((np.zeros((1, 3)), hits)), axis=0)[-1]
+    lcomp = np.array([model.jumps.log_gamma_intensity(i) for i in (1, 2, 3)])
+    return jump_sum - t_end * lcomp
+
+
 def _integrate(model: CrispModel, config: SimConfig, kernel, rng=None) -> Trajectory:
     """Run one path through a kernel, chunk by chunk, and pack its records.
 
@@ -357,9 +402,7 @@ def _integrate(model: CrispModel, config: SimConfig, kernel, rng=None) -> Trajec
     schedule.
     """
     events = [] if rng is None else sample_jumps(model.jumps, config.t_end, rng)
-    mesh_t, mesh_mark, mesh_rec = _build_mesh(
-        config.t_end, config.dt, events, config.output_stride)
-    n_steps = len(mesh_t) - 1
+    mesh = _Mesh(_grid(config.t_end, config.dt), config.output_stride, events)
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
     floors = [None, None, None]
     path = kernel(model, config.initial, floors)
@@ -370,37 +413,29 @@ def _integrate(model: CrispModel, config: SimConfig, kernel, rng=None) -> Trajec
     chunks = []
     brown = np.zeros((1, 3))      # Brownian martingale sum carried across chunks
 
-    for a in range(0, n_steps, _CHUNK_STEPS):
-        b = min(a + _CHUNK_STEPS, n_steps)
-        dts = np.diff(mesh_t[a:b + 1])
-        cols = [mesh_t[a + 1:b + 1].tolist(), dts.tolist()]
+    for a in range(0, mesh.steps, _CHUNK_STEPS):
+        t, marks, rec = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
+        dts = np.diff(t)
+        cols = [t[1:].tolist(), dts.tolist()]
         if rng is not None:
-            g = np.sqrt(dts)[:, None] * sigmas * rng.standard_normal((b - a, 3))
-            cols += g.T.tolist() + [mesh_mark[a + 1:b + 1].tolist()]
-        cols.append(mesh_rec[a + 1:b + 1].tolist())
+            g = _noise(rng, dts, sigmas)
+            cols += g.T.tolist() + [marks[1:].tolist()]
+        cols.append(rec[1:].tolist())
         recs = path.send(zip(*cols))
         del cols                  # one chunk's step lists alive at a time
         chunks.append(np.array(recs).reshape(-1, 8))
         recs.clear()
         if rng is not None:
-            # cumsum adds in sequence, as a running += would
-            brown = np.cumsum(np.concatenate((brown, g)), axis=0)[-1:]
+            brown = _carry(brown, g)
 
-    t = mesh_t[mesh_rec]
-    times = np.concatenate(([0.0], t))
+    times = record_times(config.t_end, config.dt, config.output_stride)
     rows = np.concatenate(chunks)
-    rows[:, 3:] /= t[:, None]
+    rows[:, 3:] /= times[1:, None]
     series = np.concatenate((head, rows)).T.copy()
     if rng is None:
         brownian, comp_jump = np.zeros(3), np.zeros(3)
     else:
-        log_jumps = np.array([[math.log1p(mk.gamma(i)) for i in (1, 2, 3)]
-                              for mk in model.jumps.marks])
-        hits = log_jumps[[mk for _, mk in events]].reshape(-1, 3)
-        # summed in event order, then compensated at the horizon
-        jump_sum = np.cumsum(np.concatenate((np.zeros((1, 3)), hits)), axis=0)[-1]
-        lcomp = np.array([model.jumps.log_gamma_intensity(i) for i in (1, 2, 3)])
-        brownian, comp_jump = brown[-1], jump_sum - times[-1] * lcomp
+        brownian, comp_jump = brown[-1], _comp_jump(model, events, config.t_end)
     return Trajectory(
         times=times,
         S=series[0], x=series[1], y=series[2],
@@ -410,6 +445,184 @@ def _integrate(model: CrispModel, config: SimConfig, kernel, rng=None) -> Trajec
         jump_log=events,
         floor_times=tuple(floors),
     )
+
+
+def _exact_exp(a: np.ndarray) -> np.ndarray:
+    # math.exp element by element: the scalar kernel's bits on every CPU
+    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
+    """Integrate one log-Euler path per seed, stepping them all at once.
+
+    Path i is bit for bit ``simulate(model, replace(config, seed=seeds[i]))``:
+    it draws its jump schedule and then each chunk's normals from its own
+    stream, steps its own jump-adapted mesh with the scalar kernel's
+    arithmetic in the same order, and takes exp with math.exp element by
+    element (np.exp's SIMD loops round some arguments differently, and
+    which ones depends on the CPU).  Each chunk advances every path one mesh
+    step at a time along a numpy axis; a path whose mesh is shorter is padded
+    at its end with identity steps (dt=0, no noise, no mark, no record).  A
+    path aborts alone, with simulate's SimulationError.
+
+    Returns (series, paths).  series is one (9, len(seeds), n_records) array
+    of S, x, y, mean_S, mean_x, mean_y, lnx_over_t, lny_over_t and the
+    conservation residual phi over the record times; the kernel writes its
+    records into it in place.  paths[i] is path i's Trajectory, whose series
+    are views of series[:, i], or the SimulationError that aborted it.
+    """
+    check_path_config(model, config)
+    if config.scheme != LOG_EULER:
+        raise ValueError(f"simulate_batch steps {LOG_EULER} paths only, got {config.scheme!r}")
+    n_paths = len(seeds)
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
+    schedules = [sample_jumps(model.jumps, config.t_end, rng) for rng in rngs]
+    grid = _grid(config.t_end, config.dt)
+    meshes = [_Mesh(grid, config.output_stride, ev) for ev in schedules]
+    times = record_times(config.t_end, config.dt, config.output_stride)
+    # one record of every path is a contiguous row; the extra path column
+    # n_paths takes the writes of the paths that do not record at a step
+    width = n_paths + 1
+    series = np.empty((9, len(times), width))
+    cells = series.reshape(9, -1)
+    dump = n_paths
+
+    # the scalar kernel's constants, as (3, 1) columns over (S, x, y)
+    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
+    log_jumps = _log_jumps(model)
+    c = np.array([[model.D + 0.5 * model.sigma1 ** 2 + model.jumps.gamma_intensity(1)],
+                  [model.D + 0.5 * model.sigma2 ** 2 + model.jumps.gamma_intensity(2)],
+                  [model.D + 0.5 * model.sigma3 ** 2 + model.jumps.gamma_intensity(3)]])
+    dso = model.D * model.S0
+    gain = np.array([[model.m1], [model.m2]])                                 # m1 e1, m2 e2
+    loss = np.array([[model.m1 / model.delta1], [model.m2 / model.delta2]])   # of e2, e3
+
+    ceil, floor, floor_lin = _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN
+    state = np.empty((9, n_paths))
+    lg, e, integ = state[0:3], state[3:6], state[6:9]
+    recorded = [3, 4, 5, 6, 7, 8, 1, 2]   # state rows of e1 e2 e3 iS ix iy l2 l3
+    s = config.initial
+    l0 = [math.log(s.S), math.log(s.x), math.log(s.y)]
+    e0 = [math.exp(v) for v in l0]
+    lg[:] = np.array(l0)[:, None]
+    e[:] = np.array(e0)[:, None]
+    integ[:] = 0.0
+    # the t=0 record: a time average is the initial value, a rate is 0/0
+    series[:8, 0] = np.array(e0 + e0 + [math.nan, math.nan])[:, None]
+    pinned = np.full((3, n_paths), math.nan)      # first pin time per coordinate
+    brown = [np.zeros((1, 3))] * n_paths
+    errors = [None] * n_paths
+    filled = [1] * n_paths                        # records written per path
+    drift = np.empty((3, n_paths))
+    lost = np.zeros((3, n_paths))                 # its y row stays 0: m2 e2 - 0 - c3
+    e1, e12, e23, d1, d23, lost12 = e[0], e[0:2], e[1:3], drift[0], drift[1:3], lost[0:2]
+
+    n_max = max(mesh.steps for mesh in meshes)
+    column = np.arange(n_paths)
+    for a in range(0, n_max, _CHUNK_STEPS):
+        if None not in errors:
+            break                   # every path has aborted
+        size = min(_CHUNK_STEPS, n_max - a)
+        dt = np.zeros((size, n_paths))
+        g = np.zeros((size, 3, n_paths))
+        cell = np.full((size, n_paths), dump)
+        steps, at, hits = [], [], []
+        for i, mesh in enumerate(meshes):
+            b = min(a + _CHUNK_STEPS, mesh.steps)
+            if b <= a or errors[i] is not None:     # ended or aborted: padding
+                steps.append(0)
+                at.append(None)
+                continue
+            t, marks, rec = mesh.piece(a, b)
+            dts = np.diff(t)
+            dt[:b - a, i] = dts
+            g[:b - a, :, i] = gi = _noise(rngs[i], dts, sigmas)
+            brown[i] = _carry(brown[i], gi)
+            r = np.flatnonzero(rec[1:])
+            cell[r, i] = (filled[i] + np.arange(len(r))) * width + i
+            filled[i] += len(r)
+            j = np.flatnonzero(marks[1:] >= 0)
+            hits.append(np.stack((j, np.full(len(j), i), marks[1:][j])))
+            steps.append(b - a)
+            at.append(t)
+        h = 0.5 * dt
+        # per step: no record (None), one record index shared by every path,
+        # or each path's own cell (after a jump some paths lag behind)
+        shared = (cell[:, 0] != dump) & (cell - column == cell[:, :1]).all(axis=1)
+        writes = [r if every else c_j if some else None
+                  for r, c_j, some, every in zip((cell[:, 0] // width).tolist(), cell,
+                                                 (cell != dump).any(axis=1).tolist(),
+                                                 shared.tolist())]
+        # per step: the paths that jump there, and their log jump sizes
+        jumps = {}
+        hits = np.concatenate(hits, axis=1) if hits else np.empty((3, 0), dtype=np.intp)
+        if hits.shape[1]:
+            hits = hits[:, np.lexsort(hits[::-1])]
+            where, first = np.unique(hits[0], return_index=True)
+            for j, idx, mk in zip(where.tolist(), np.split(hits[1], first[1:]),
+                                  np.split(hits[2], first[1:])):
+                jumps[j] = idx, log_jumps[mk].T
+
+        for j, (dt_j, h_j, g_j, w) in enumerate(zip(dt, h, g, writes)):
+            np.divide(dso, e1, out=d1)
+            np.multiply(gain, e12, out=d23)
+            np.multiply(loss, e23, out=lost12)
+            np.subtract(drift, lost, out=drift)
+            drift -= c
+            drift *= dt_j
+            drift += g_j
+            lg += drift
+            if not lg.max() <= ceil:
+                bad = np.flatnonzero(~(lg <= ceil).all(axis=0))
+                for i in bad.tolist():
+                    if errors[i] is None and j < steps[i]:
+                        errors[i] = SimulationError("log-state overflow", float(at[i][j + 1]))
+                # an aborted path, or a padded one whose drift is inf * 0,
+                # carries on from a harmless state; its records are dropped
+                lg[:, bad] = 0.0
+            new = _exact_exp(lg)
+            np.add(e, new, out=drift)
+            drift *= h_j
+            integ += drift
+            e[:] = new
+            if j in jumps:
+                idx, dl = jumps[j]
+                lg[:, idx] += dl
+                e[:, idx] = _exact_exp(lg[:, idx])
+            if lg.min() < floor:
+                low = lg < floor
+                lg[low] = floor
+                e[low] = floor_lin
+                for k, i in zip(*np.nonzero(low & np.isnan(pinned))):
+                    pinned[k, i] = at[i][j + 1]
+            if w is None:
+                continue
+            if type(w) is int:
+                series[0:6, w, :n_paths] = state[3:9]
+                series[6:8, w, :n_paths] = state[1:3]
+            else:
+                cells[:8, w] = state[recorded]
+
+    series[3:8, 1:] /= times[1:, None]
+    series = series[:, :, :n_paths].transpose(0, 2, 1)
+    paths = []
+    for i, events in enumerate(schedules):
+        if errors[i] is not None:
+            paths.append(errors[i])
+            continue
+        rows = series[:, i]
+        traj = Trajectory(
+            times=times,
+            S=rows[0], x=rows[1], y=rows[2],
+            mean_S=rows[3], mean_x=rows[4], mean_y=rows[5],
+            lnx_over_t=rows[6], lny_over_t=rows[7],
+            brownian=brown[i][-1], comp_jump=_comp_jump(model, events, config.t_end),
+            jump_log=events,
+            floor_times=tuple(None if math.isnan(v) else v for v in pinned[:, i].tolist()),
+        )
+        rows[8] = conservation_residual(traj, model)
+        paths.append(traj)
+    return series, paths
 
 
 def simulate(model: CrispModel, config: SimConfig) -> Trajectory:

@@ -22,6 +22,7 @@ from chemlevy import (
     simulate,
     verify,
 )
+from chemlevy.harness import _MIN_BATCH
 from conftest import (
     INITIAL,
     TWO_MARKS,
@@ -82,19 +83,21 @@ def test_ensemble_worker_count_does_not_change_results():
     assert np.array_equal(a.extinct_x_frac, b.extinct_x_frac)
 
 
-def test_path_alone_equals_path_in_pooled_ensemble():
+# 6 paths step one by one; 2 * _MIN_BATCH paths step as one batch per worker
+@pytest.mark.parametrize("n_paths", [6, 2 * _MIN_BATCH])
+def test_path_alone_equals_path_in_pooled_ensemble(n_paths):
     model = make_extinction(jumps=TWO_MARKS)
     config = small_config(t_end=20.0, output_stride=10)
     # a threshold that some paths cross mid-run and others never do
     threshold = 1e-4
-    summary = ensemble(model, config, 6, workers=2, extinction_threshold=threshold)
+    summary = ensemble(model, config, n_paths, workers=2, extinction_threshold=threshold)
     flags = {"x": [], "y": []}
-    for i in range(6):
+    for i in range(n_paths):
         traj = simulate(model, cl.integrator.path_config(config, i))
         assert np.array_equal(summary.times, traj.times)
         for name in flags:
             flags[name].append(np.logical_or.accumulate(getattr(traj, name) < threshold))
-        if i not in (0, 5):
+        if i not in (0, 5, n_paths - 1):
             continue
         term = summary.terminal
         assert term["path"][i] == i
@@ -120,6 +123,39 @@ def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, p
     summary = ensemble(make_extinction(), small_config(t_end=2.0), n_paths, workers=workers)
     assert RecordingPool.sizes == pools
     assert list(summary.terminal["path"]) == list(range(n_paths))
+
+
+@pytest.mark.parametrize("n_paths, workers, scheme, alone, batches", [
+    (_MIN_BATCH - 1, 1, cl.LOG_EULER, _MIN_BATCH - 1, []),
+    (_MIN_BATCH, 1, cl.LOG_EULER, 0, [_MIN_BATCH]),
+    # one worker's group is one path short of a batch, the other's is not
+    (2 * _MIN_BATCH - 1, 2, cl.LOG_EULER, _MIN_BATCH - 1, [_MIN_BATCH]),
+    (_MIN_BATCH, 1, cl.DIRECT_EULER, _MIN_BATCH, []),
+])
+def test_groups_below_min_batch_step_path_by_path(monkeypatch, n_paths, workers, scheme,
+                                                   alone, batches):
+    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    calls = {"alone": 0, "batches": []}
+    real_simulate, real_batch = cl.harness.simulate, cl.harness.simulate_batch
+
+    def counted_simulate(model, config):
+        calls["alone"] += 1
+        return real_simulate(model, config)
+
+    def counted_batch(model, config, seeds):
+        calls["batches"].append(len(seeds))
+        return real_batch(model, config, seeds)
+
+    monkeypatch.setattr(cl.harness, "simulate", counted_simulate)
+    monkeypatch.setattr(cl.harness, "simulate_batch", counted_batch)
+    config = small_config(t_end=2.0, scheme=scheme)
+    summary = ensemble(make_extinction(), config, n_paths, workers=workers)
+    assert calls == {"alone": alone, "batches": batches}
+    assert list(summary.terminal["path"]) == list(range(n_paths))
+    assert np.array_equal(summary.terminal["mean_S"], [
+        simulate(make_extinction(), cl.integrator.path_config(config, i)).mean_S[-1]
+        for i in range(n_paths)])
 
 
 def test_ensemble_refused_config_raises_before_any_pool(monkeypatch):
@@ -365,13 +401,25 @@ def test_p_sweep_with_simulation_populates_stats_and_verdicts():
 
 
 def test_p_sweep_row_error_recorded_not_raised():
-    model = imprecise_extinction()
-    config = small_config(t_end=100.0)  # below min_horizon: verify refuses per row
+    # the direct scheme aborts every path at sigma1 = 3 and dt=0.02
+    model = dataclasses.replace(imprecise_extinction(), sigma1=I(3.0, 3.0))
+    config = small_config(scheme=cl.DIRECT_EULER)
     rows = p_sweep(model, [0.0, 1.0], config, n_paths=2)
     for row in rows:
         assert row.error is not None
-        assert "horizon" in row.error
+        assert "paths aborted" in row.error
         assert row.verdict is None
+
+
+def test_p_sweep_short_horizon_raises_before_any_pool(monkeypatch):
+    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    config = small_config(t_end=100.0)  # below min_horizon
+    with pytest.raises(ValueError, match="horizon 100.0 is below min_horizon 500.0"):
+        p_sweep(imprecise_extinction(), [0.0, 1.0], config, n_paths=2, workers=2)
+    assert RecordingPool.sizes == []
+    # a threshold-only sweep never simulates, so its horizon does not matter
+    assert len(p_sweep(imprecise_extinction(), [0.0, 1.0], config, n_paths=0)) == 2
 
 
 def _rows(rows):
@@ -441,7 +489,7 @@ def test_p_sweep_broken_pool_fails_the_rows_it_did_not_finish(monkeypatch):
 
     monkeypatch.setattr(cl.harness, "simulate", dies_at_p_half)
     rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], small_config(t_end=2.0),
-                   n_paths=2, workers=2)
+                   n_paths=2, workers=2, tol=VerifyTolerances(min_horizon=1.0))
     for row in rows[1:]:
         assert "terminated abruptly" in row.error
         assert row.stats is None

@@ -1,10 +1,11 @@
 """Path integration: jump sampling, the log-space scheme, RK4, and statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chemlevy as cl
@@ -22,8 +23,20 @@ from chemlevy import (
     simulate,
     simulate_ode,
 )
-from chemlevy.integrator import _MAX_MESH_STEPS, _check_config, derive_path_seed
-from conftest import INITIAL, TWO_MARKS, make_extinction, make_persistence
+from chemlevy.harness import _MIN_BATCH
+from chemlevy.integrator import (
+    _MAX_MESH_STEPS,
+    _check_config,
+    derive_path_seed,
+    simulate_batch,
+)
+from conftest import (
+    INITIAL,
+    TWO_MARKS,
+    make_extinction,
+    make_persistence,
+    random_crisp_model,
+)
 
 
 def rng_for(seed):
@@ -123,9 +136,14 @@ def test_jump_log_is_the_sampled_schedule(scheme):
     assert len(traj.jump_log) > 0
 
 
+def full_mesh(t_end, dt, events, stride):
+    mesh = cl.integrator._Mesh(cl.integrator._grid(t_end, dt), stride, events)
+    return mesh.piece(0, mesh.steps)
+
+
 def test_event_at_origin_is_a_step():
     # an event drawn at exactly t=0 goes after the origin, never before it
-    mesh_t, mesh_mark, rec = cl.integrator._build_mesh(1.0, 0.5, [(0.0, 1), (0.25, 0)], 1)
+    mesh_t, mesh_mark, rec = full_mesh(1.0, 0.5, [(0.0, 1), (0.25, 0)], 1)
     assert mesh_t.tolist() == [0.0, 0.0, 0.25, 0.5, 1.0]
     assert mesh_mark.tolist() == [-1, 1, 0, -1, -1]
     assert rec.tolist() == [False, False, False, True, True]
@@ -144,9 +162,38 @@ def test_record_times_are_the_meshs_record_points():
         stride = int(rng.choice([rng.integers(1, 200), n, n + 5]))
         grids.append((t_end, t_end / steps, stride))
     for t_end, dt, stride in grids:
-        mesh_t, _, rec = cl.integrator._build_mesh(t_end, dt, [], stride)
+        mesh_t, _, rec = full_mesh(t_end, dt, [], stride)
         expected = np.concatenate(([0.0], mesh_t[rec]))
         assert cl.integrator.record_times(t_end, dt, stride).tobytes() == expected.tobytes()
+
+
+def test_mesh_pieces_are_slices_of_the_woven_mesh():
+    """A piece a..b of a mesh is that slice of the whole mesh, the grid with
+    every event inserted before the first grid point at or after it, for
+    any cut, with events on grid points, at the origin and at the end."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        grid = np.linspace(0.0, 1.0, n + 1)
+        k = int(rng.integers(0, 12))
+        ev_t = np.sort(np.concatenate((rng.uniform(0.0, 1.0, k),
+                                       rng.choice(grid, int(rng.integers(0, 3))))))
+        events = [(t, int(rng.integers(0, 3))) for t in ev_t.tolist()]
+        stride = int(rng.integers(1, n + 3))
+        pos = np.maximum(np.searchsorted(grid, ev_t, side="left"), 1)
+        rec = np.zeros(n + 1, dtype=bool)
+        rec[stride::stride] = True
+        rec[n] = True
+        whole = (np.insert(grid, pos, ev_t),
+                 np.insert(np.full(n + 1, -1), pos, [mk for _, mk in events]),
+                 np.insert(rec, pos, False))
+        mesh = cl.integrator._Mesh(grid, stride, events)
+        assert mesh.steps == n + len(events)
+        for _ in range(5):
+            a = int(rng.integers(0, mesh.steps))
+            b = int(rng.integers(a + 1, mesh.steps + 1))
+            for got, want in zip(mesh.piece(a, b), whole):
+                assert got.tolist() == want[a:b + 1].tolist()
 
 
 def test_driftless_log_brownian_mean():
@@ -231,6 +278,26 @@ def test_nan_log_state_aborts():
         simulate(model, short_config(t_end=1.0))
 
 
+_SERIES_FIELDS = ("times", "S", "x", "y", "mean_S", "mean_x", "mean_y",
+                  "lnx_over_t", "lny_over_t", "brownian", "comp_jump")
+
+
+def batched(model, config):
+    """The last of _MIN_BATCH paths (seeds config.seed + k) stepped together
+    by simulate_batch; its error is raised, as simulate raises it."""
+    _, paths = simulate_batch(model, config, [config.seed + k for k in range(_MIN_BATCH)])
+    if isinstance(paths[-1], SimulationError):
+        raise paths[-1]
+    return paths[-1]
+
+
+# inflated dilution drives both populations to the pin within t ~ 160
+PINNING = CrispModel(S0=1.0, D=5.0, m1=0.4, delta1=0.5, sigma1=0.05,
+                     m2=0.3, delta2=0.5, sigma2=0.05, sigma3=0.05)
+# a noisy nutrient overflows some paths of a batch, not all
+OVERFLOWING = make_extinction(jumps=TWO_MARKS).with_sigmas(8.0, 0.1, 0.1)
+
+
 @pytest.mark.parametrize("integrate, model, config", [
     (simulate, make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=1)),
     (simulate, make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=3)),
@@ -243,8 +310,13 @@ def test_nan_log_state_aborts():
      short_config(t_end=50.0, dt=0.05, seed=14, scheme=DIRECT_EULER)),
     # a zero axis makes RK4's rate column -inf
     (simulate_ode, make_persistence(), short_config(t_end=20.0, initial=State(1.0, 0.5, 0.0))),
+    (batched, make_persistence(jumps=TWO_MARKS), short_config(t_end=5.0, output_stride=1)),
+    (batched, make_persistence(jumps=TWO_MARKS), short_config(t_end=5.0, output_stride=3)),
+    (batched, PINNING, short_config(t_end=300.0, dt=0.5, output_stride=3)),
+    (batched, OVERFLOWING, short_config(t_end=4.0, dt=0.02, seed=1, output_stride=3)),
 ], ids=["jumps-stride1", "jumps-stride3", "pinned-stride1", "pinned-stride3",
-        "direct-stride3", "direct-abort", "rk4-zero-axis"])
+        "direct-stride3", "direct-abort", "rk4-zero-axis", "batch-jumps-stride1",
+        "batch-jumps-stride3", "batch-pinned", "batch-abort"])
 def test_chunk_size_does_not_change_the_path(monkeypatch, integrate, model, config):
     def run():
         try:
@@ -259,14 +331,70 @@ def test_chunk_size_does_not_change_the_path(monkeypatch, integrate, model, conf
         if isinstance(reference, float):  # the abort time must not move either
             assert traj == reference
             continue
-        for name in ("times", "S", "x", "y", "mean_S", "mean_x", "mean_y",
-                     "lnx_over_t", "lny_over_t", "brownian", "comp_jump"):
+        for name in _SERIES_FIELDS:
             assert getattr(traj, name).tobytes() == getattr(reference, name).tobytes(), name
         assert traj.jump_log == reference.jump_log
         assert traj.floor_times == reference.floor_times
     # every input exercises a pin, a jump, an abort or a -inf rate
     assert (isinstance(reference, float) or reference.floor_times[2] is not None
             or reference.jump_log or reference.lny_over_t[-1] == -math.inf)
+
+
+def assert_batch_is_each_path_alone(model, config, n_paths):
+    """simulate_batch equals simulate of each path alone, bit for bit: every
+    record, the budget residual, both martingales, the jump log, the floor
+    times, and the abort message and time.  Returns the per-path outcomes."""
+    seeds = [derive_path_seed(config.seed, i) for i in range(n_paths)]
+    series, paths = simulate_batch(model, config, seeds)
+    assert series.shape == (9, n_paths, len(cl.integrator.record_times(
+        config.t_end, config.dt, config.output_stride)))
+    alone = []
+    for i, seed in enumerate(seeds):
+        try:
+            want = simulate(model, dataclasses.replace(config, seed=seed))
+        except SimulationError as exc:
+            assert isinstance(paths[i], SimulationError)
+            assert (str(paths[i]), paths[i].time) == (str(exc), exc.time)
+            alone.append(exc)
+            continue
+        got = paths[i]
+        assert isinstance(got, cl.Trajectory), got
+        for name in _SERIES_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (i, name)
+        assert series[8, i].tobytes() == conservation_residual(want, model).tobytes()
+        assert got.jump_log == want.jump_log
+        assert got.floor_times == want.floor_times
+        alone.append(want)
+    return alone
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stride=st.sampled_from([1, 3, 100]))
+def test_batch_equals_each_path_alone(seed, stride):
+    model = random_crisp_model(np.random.default_rng(seed))
+    config = SimConfig(initial=INITIAL, t_end=4.0, dt=0.02, seed=seed, output_stride=stride)
+    assert_batch_is_each_path_alone(model, config, _MIN_BATCH)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 100])
+def test_batch_equals_each_path_alone_through_pins_and_aborts(stride):
+    pinned = assert_batch_is_each_path_alone(
+        PINNING, short_config(t_end=300.0, dt=0.5, output_stride=stride), _MIN_BATCH)
+    assert all(path.floor_times[1] is not None for path in pinned)
+    aborted = assert_batch_is_each_path_alone(
+        OVERFLOWING, short_config(t_end=4.0, dt=0.02, output_stride=stride), _MIN_BATCH + 3)
+    errors = [isinstance(path, SimulationError) for path in aborted]
+    assert any(errors) and not all(errors)
+    # a microscopic S(0) overflows every path within its first steps
+    doomed = assert_batch_is_each_path_alone(
+        make_extinction(), short_config(initial=State(1e-12, 0.5, 0.2), output_stride=stride),
+        _MIN_BATCH)
+    assert all(isinstance(path, SimulationError) for path in doomed)
+
+
+def test_batch_steps_only_the_log_scheme():
+    with pytest.raises(ValueError, match="log_euler"):
+        simulate_batch(make_persistence(), short_config(scheme=DIRECT_EULER), [1, 2])
 
 
 def test_direct_euler_breaks_positivity_where_log_scheme_survives():
@@ -299,8 +427,11 @@ def test_config_validation():
             simulate_ode(model, short_config(dt=bad))
     with pytest.raises(ValueError):
         simulate(model, short_config(dt=100.0))
-    with pytest.raises(ValueError):
-        simulate(model, short_config(output_stride=0))
+    for stride in (0, 2.5, 1e20, math.nan):
+        with pytest.raises(ValueError, match="output_stride"):
+            simulate(model, short_config(output_stride=stride))
+        with pytest.raises(ValueError, match="output_stride"):
+            cl.ensemble(model, short_config(output_stride=stride), 2)
     with pytest.raises(ValueError):
         simulate(model, short_config(scheme="heun"))
     with pytest.raises(ValueError):

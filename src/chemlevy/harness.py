@@ -5,9 +5,10 @@ from (seed, path index), aggregates cross-path mean and 5/50/95 percentiles
 of the recorded quantities over time, and keeps each path's terminal
 statistics.  ``verify`` compares those statistics against the regime
 predictions of a ThresholdReport and returns one pass/fail claim per
-applicable prediction.  Paths are embarrassingly parallel; aggregation is a
-deterministic fold in path-index order, so results are identical for any
-worker count.
+applicable prediction.  Paths are embarrassingly parallel: each worker's
+contiguous group of them is one integrator.simulate_batch task, and
+aggregation is a deterministic fold in path-index order, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,15 +24,11 @@ from itertools import islice
 
 from ._lazy import np
 from .integrator import (
-    LOG_EULER,
     SimConfig,
     SimulationError,
     check_path_config,
-    conservation_residual,
     derive_path_seed,
-    path_config,
     record_times,
-    simulate,
     simulate_batch,
 )
 from .model import CrispModel, ImpreciseModel, crispify
@@ -48,12 +45,6 @@ _SERIES = ("S", "x", "y", "mean_S", "mean_x", "mean_y",
 # per-path terminal scalars, in the order of a path record's terminal row
 _TERMINAL = ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y", "phi")
 _PERCENTILES = (5.0, 50.0, 95.0)
-
-# Fewest paths of one (model, config) that one worker steps together with
-# simulate_batch instead of one by one with simulate.  A batched step pays a
-# fixed numpy cost whatever its width, so narrower batches are slower than
-# the scalar kernel; 40 is the measured crossover (README, "Performance").
-_MIN_BATCH = 40
 
 
 @dataclass(frozen=True)
@@ -138,36 +129,18 @@ def _terminal(traj, series: np.ndarray) -> np.ndarray:
                            traj.brownian / t_end, traj.comp_jump / t_end))
 
 
-def _path_record(model: CrispModel, config: SimConfig, index: int) -> tuple:
-    """(index, error, series, terminal) of one path.
-
-    series is the (9, n) block of _SERIES over the recorded times; terminal
-    is _terminal's row.  A failed path is (index, error message).  The
-    record times are the same for every path and stay out of the record.
-    """
-    try:
-        traj = simulate(model, path_config(config, index))
-    except SimulationError as exc:
-        return index, str(exc)
-    phi = conservation_residual(traj, model)
-    series = np.stack((traj.S, traj.x, traj.y, traj.mean_S, traj.mean_x,
-                       traj.mean_y, traj.lnx_over_t, traj.lny_over_t, phi))
-    return index, None, series, _terminal(traj, series)
-
-
-def _group_records(batched: bool, model: CrispModel, config: SimConfig, indices,
+def _group_records(model: CrispModel, config: SimConfig, indices,
                    spill: str | None = None) -> tuple:
-    """(series, records) of one task's paths, in index order.
+    """(series, records) of one task's paths, stepped as one simulate_batch,
+    in index order.
 
-    Stepped alone, each path's record holds its own series block and series
-    is None.  Stepped as one simulate_batch, a path's record holds its
-    column k in series, the batch's (9, paths, n) block.  A pool worker
-    saves that block to the .npy file spill and returns the file's name:
-    a block pickled back whole would cost the parent about three times its
-    size in receive buffers.  Both give the same records bit for bit.
+    A path's record is (index, None, k, terminal), k its column in series,
+    the batch's (9, paths, n) block of _SERIES over the record times, and
+    terminal _terminal's row; a failed path's is (index, error message).  A
+    pool worker saves the block to the .npy file spill and returns the
+    file's name: a block pickled back whole would cost the parent about
+    three times its size in receive buffers.
     """
-    if not batched:
-        return None, [_path_record(model, config, i) for i in indices]
     series, paths = simulate_batch(model, config,
                                    [derive_path_seed(config.seed, i) for i in indices])
     records = [(i, str(traj)) if isinstance(traj, SimulationError)
@@ -180,38 +153,32 @@ def _group_records(batched: bool, model: CrispModel, config: SimConfig, indices,
 
 
 def _unpack(results):
-    """Yield each record of a stream of _group_records results; a batch's
-    records get views of its block, mapped from its spill file if it has one."""
+    """Yield each record of a stream of _group_records results, with a view
+    of its block, mapped from the spill file if it has one."""
     for series, records in results:
         if isinstance(series, str):
             spill, series = series, np.load(series, mmap_mode="r")
             os.unlink(spill)  # the mapping outlives the name
         for r in records:
-            yield r if series is None or r[1] else (r[0], None, series[:, r[2]], r[3])
+            yield r if r[1] else (r[0], None, series[:, r[2]], r[3])
 
 
 def _path_records(runs, n_paths: int, workers: int):
     """Yield the record of every path of each (model, config) run, run by
     run, in path order.
 
-    This is where a path's kernel is chosen.  Each run's paths are split
-    into min(workers, n_paths) contiguous groups, one per worker.  A group
-    of at least _MIN_BATCH log-Euler paths is one task, stepped as a batch;
-    a smaller group is one task per path, as simulate steps it.  The tasks
-    run lazily in a pool of min(workers, tasks) forked processes, or
-    serially when that is one.  The caller has checked the config: a path's
-    SimulationError is its record's error, and anything else a path raises,
-    or a broken pool, ends the stream.
+    Each run's paths are split into min(workers, n_paths) contiguous
+    groups, one task each, which simulate_batch steps (it picks the
+    kernel).  The tasks run lazily in a pool of min(workers, tasks) forked
+    processes, or serially when that is one.  The caller has checked the
+    config: a path's SimulationError is its record's error, and anything
+    else a path raises, or a broken pool, ends the stream.
     """
     split = min(workers, n_paths)
     tasks = []
     for model, config in runs:
         bounds = [n_paths * k // split for k in range(split + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            if hi - lo >= _MIN_BATCH and config.scheme == LOG_EULER:
-                tasks.append((True, model, config, range(lo, hi)))
-            else:
-                tasks += [(False, model, config, range(i, i + 1)) for i in range(lo, hi)]
+        tasks += [(model, config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     workers = min(workers, len(tasks))
     if workers > 1:
         # Load numpy and numpy.random (which numpy imports on first access)
@@ -222,12 +189,20 @@ def _path_records(runs, n_paths: int, workers: int):
         chunk = max(1, len(tasks) // (4 * workers))
         with (tempfile.TemporaryDirectory(prefix="chemlevy-") as spill_dir,
               ProcessPoolExecutor(max_workers=workers) as pool):
-            spills = [os.path.join(spill_dir, f"{k}.npy") if task[0] else None
-                      for k, task in enumerate(tasks)]
+            spills = [os.path.join(spill_dir, f"{k}.npy") for k in range(len(tasks))]
             yield from _unpack(pool.map(_group_records, *zip(*tasks), spills,
                                         chunksize=chunk))
     else:
         yield from _unpack(map(_group_records, *zip(*tasks)))
+
+
+def _check_counts(n_paths, least: int, workers) -> None:
+    """Refuse an n_paths that is not an integer >= least, or a workers that
+    is not an integer >= 1."""
+    for name, value, low in (("n_paths", n_paths, least), ("workers", workers, 1)):
+        # an int or a numpy integer, checked without importing numpy
+        if not hasattr(value, "__index__") or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _aggregate(stack: np.ndarray) -> dict:
@@ -300,12 +275,12 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
 
     Deterministic given (model, config, n_paths, extinction_threshold);
     ``workers`` only controls process-level parallelism, and the pool never
-    has more workers than paths.  A config simulate would refuse raises
-    ValueError before any path runs.  Individual path failures are recorded;
-    the run fails outright if 10% or more abort.
+    has more workers than paths.  A config simulate would refuse, or an
+    n_paths or workers that is not an integer >= 1, raises ValueError before
+    any path runs.  Individual path failures are recorded; the run fails
+    outright if 10% or more abort.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
+    _check_counts(n_paths, 1, workers)
     check_path_config(model, config)
     records = list(_path_records([(model, config)], n_paths, workers))
     return _summarise(records, record_times(config.t_end, config.dt, config.output_stride),
@@ -382,14 +357,17 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
 
     Rows are ordered by p and evaluated independently; a failure in one row
     (recorded in row.error) does not reach another.  A config simulate would
-    refuse, or a horizon tol refuses, raises ValueError before any path
-    runs: every row shares the model's jumps, so one check covers them all.  Every row's paths run in
-    one stream, row by row, on one pool, and a row is summarised and
+    refuse, a horizon tol refuses, an n_paths that is not an integer >= 0 or
+    a workers that is not an integer >= 1 raises ValueError before any path
+    runs: every row shares the model's jumps, so one check covers them all.
+    Every row's paths run in one stream, row by row, on one pool, and a row
+    is summarised and
     verified as soon as its records are in; an exception the stream raises
     (a broken pool) is the error of its row and of every later row.
     n_paths=0 skips the Monte Carlo part and produces threshold-only rows:
     crispify and classify at each level, nothing else.
     """
+    _check_counts(n_paths, 0, workers)
     grid = sorted(float(p) for p in p_grid)
     if not grid:
         raise ValueError("p_grid must be nonempty")

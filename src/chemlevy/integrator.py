@@ -7,8 +7,9 @@ multiplicative jump ln(1 + gamma_i) at each event.  Working in log space makes
 strict positivity structural: no step can produce a nonpositive concentration.
 A naive linear-space Euler scheme ("direct_euler") is kept purely as a
 diagnostic of why that guarantee matters.  Both schemes and the RK4 solver
-of the noise-free system are kernels of one chunked engine; simulate_batch
-steps many log-space paths at once, bit for bit as simulate steps each.
+of the noise-free system are kernels of one chunk engine, which also picks
+the kernel: a wide run of log-space paths steps them all at once, bit for
+bit as each steps alone, and every kernel records into one block.
 
 Each trajectory also accumulates, on the full fine mesh, the running time
 averages of S, x, y (trapezoid rule), the exponential-rate statistics
@@ -38,6 +39,12 @@ _CEIL_LOG = 700.0
 # kernel's per-step lists exist for one chunk at a time, so beyond the mesh
 # arrays a path's memory does not grow with its horizon.
 _CHUNK_STEPS = 4096
+
+# Fewest paths of one run that step together in the batched log-Euler
+# kernel instead of one by one.  A batched step pays a fixed numpy cost
+# whatever its width, so narrower batches are slower than the scalar kernel;
+# 40 is the measured crossover (README, "Performance and memory").
+_MIN_BATCH = 40
 
 # Largest mesh (uniform steps plus expected jump events) a path may ask for,
 # checked before anything is allocated: about 1.7 GB of mesh at 17 B a step.
@@ -223,29 +230,34 @@ def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
     return np.append(np.arange(0, n, stride) * (t_end / n), t_end)
 
 
+def _log_drift(model: CrispModel) -> tuple:
+    """The Ito-corrected per-capita log drift both log-Euler kernels step
+    (not model.drift), its constants folded once:
+
+        d ln S = D S0 / S - (m1/delta1) x - c1
+        d ln x = m1 S - (m2/delta2) y - c2
+        d ln y = m2 x - c3,   c_i = D + sigma_i^2 / 2 + sum_k w_k gamma_ik
+
+    Returns ((c1, c2, c3), D S0, (m1, m2), (m1/delta1, m2/delta2), the
+    (marks, 3) log jump sizes).
+    """
+    c = tuple(model.D + 0.5 * sigma ** 2 + model.jumps.gamma_intensity(i)
+              for i, sigma in enumerate((model.sigma1, model.sigma2, model.sigma3), 1))
+    return (c, model.D * model.S0, (model.m1, model.m2),
+            (model.m1 / model.delta1, model.m2 / model.delta2), _log_jumps(model))
+
+
 def _log_euler(model: CrispModel, initial: State, floors: list):
     """Log-space Euler-Maruyama kernel with exact multiplicative jumps.
 
-    Every kernel is a generator with this signature.  It first yields the
-    t=0 state; then each send() passes the steps of one chunk and gets back
-    that chunk's records (S, x, y, the three trapezoid integrals, ln x, ln y),
-    which the caller empties once packed.  A kernel stores its first pin
-    times in floors.
+    Every per-path kernel is a generator with this signature.  It first
+    yields the t=0 state; then each send() passes the steps of one chunk and
+    gets back that chunk's records (S, x, y, the three trapezoid integrals,
+    ln x, ln y), which the caller empties once copied.  A kernel stores its
+    first pin times in floors.
     """
-    # per-mark log jump sizes
-    jl1 = [math.log1p(mk.gamma1) for mk in model.jumps.marks]
-    jl2 = [math.log1p(mk.gamma2) for mk in model.jumps.marks]
-    jl3 = [math.log1p(mk.gamma3) for mk in model.jumps.marks]
-
-    # Ito-corrected per-capita log drifts, not model.drift: constants folded once
-    c1 = model.D + 0.5 * model.sigma1 ** 2 + model.jumps.gamma_intensity(1)
-    c2 = model.D + 0.5 * model.sigma2 ** 2 + model.jumps.gamma_intensity(2)
-    c3 = model.D + 0.5 * model.sigma3 ** 2 + model.jumps.gamma_intensity(3)
-    dso = model.D * model.S0
-    m1d1 = model.m1 / model.delta1
-    m2d2 = model.m2 / model.delta2
-    m1 = model.m1
-    m2 = model.m2
+    (c1, c2, c3), dso, (m1, m2), (m1d1, m2d2), log_jumps = _log_drift(model)
+    jl1, jl2, jl3 = log_jumps.T.tolist()
 
     exp = math.exp
     ceil, floor, floor_lin = _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN
@@ -372,8 +384,10 @@ def _noise(rng, dts: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 
 def _carry(brown: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The Brownian martingale sum (shape (1, 3)) carried past a chunk."""
-    # cumsum adds in sequence, as a running += would
-    return np.cumsum(np.concatenate((brown, g)), axis=0)[-1:]
+    # cumsum adds in sequence, as a running += would.  Only a path that
+    # aborts in this chunk can sum to inf or NaN, and its sum is discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(np.concatenate((brown, g)), axis=0)[-1:]
 
 
 def _log_jumps(model: CrispModel) -> np.ndarray:
@@ -391,60 +405,28 @@ def _comp_jump(model: CrispModel, events: list, t_end: float) -> np.ndarray:
     return jump_sum - t_end * lcomp
 
 
-def _integrate(model: CrispModel, config: SimConfig, kernel, rng=None) -> Trajectory:
-    """Run one path through a kernel, chunk by chunk, and pack its records.
-
-    With an rng the jump schedule is its first draw and the mesh is
-    jump-adapted; each chunk then draws its normals in stream order, so the
-    chunk size never changes the result.  Without one (RK4) the mesh is the
-    uniform grid, nothing is drawn and both martingales are zero.  Every
-    sampled event is a mesh step, so a finished path's jump log is its
-    schedule.
-    """
-    events = [] if rng is None else sample_jumps(model.jumps, config.t_end, rng)
-    mesh = _Mesh(_grid(config.t_end, config.dt), config.output_stride, events)
-    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
-    floors = [None, None, None]
-    path = kernel(model, config.initial, floors)
-    s1, s2, s3 = next(path)
-    nan = float("nan")
-    # the t=0 record: a time average is the initial value, a rate is 0/0
-    head = [[s1, s2, s3, s1, s2, s3, nan, nan]]
-    chunks = []
-    brown = np.zeros((1, 3))      # Brownian martingale sum carried across chunks
-
-    for a in range(0, mesh.steps, _CHUNK_STEPS):
-        t, marks, rec = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
-        dts = np.diff(t)
-        cols = [t[1:].tolist(), dts.tolist()]
-        if rng is not None:
-            g = _noise(rng, dts, sigmas)
-            cols += g.T.tolist() + [marks[1:].tolist()]
-        cols.append(rec[1:].tolist())
-        recs = path.send(zip(*cols))
-        del cols                  # one chunk's step lists alive at a time
-        chunks.append(np.array(recs).reshape(-1, 8))
-        recs.clear()
-        if rng is not None:
-            brown = _carry(brown, g)
-
-    times = record_times(config.t_end, config.dt, config.output_stride)
-    rows = np.concatenate(chunks)
-    rows[:, 3:] /= times[1:, None]
-    series = np.concatenate((head, rows)).T.copy()
-    if rng is None:
-        brownian, comp_jump = np.zeros(3), np.zeros(3)
-    else:
-        brownian, comp_jump = brown[-1], _comp_jump(model, events, config.t_end)
-    return Trajectory(
-        times=times,
-        S=series[0], x=series[1], y=series[2],
-        mean_S=series[3], mean_x=series[4], mean_y=series[5],
-        lnx_over_t=series[6], lny_over_t=series[7],
-        brownian=brownian, comp_jump=comp_jump,
-        jump_log=events,
-        floor_times=tuple(floors),
-    )
+def _each_path(scalar, model: CrispModel, initial: State, block: np.ndarray,
+               floors: list, errors: list):
+    """A per-path kernel under the chunk protocol: one generator per path,
+    each fed its own chunk, with each chunk's records copied into that
+    path's column of the block.  A path's SimulationError ends it alone."""
+    paths = [scalar(model, initial, f) for f in floors]
+    out = [next(path) for path in paths][0]
+    while True:
+        _, chunk = yield out
+        for i, t, dts, g, marks, rec, r0 in chunk:
+            cols = [t[1:].tolist(), dts.tolist()]
+            if g is not None:
+                cols += g.T.tolist() + [marks[1:].tolist()]
+            cols.append(rec[1:].tolist())
+            try:
+                recs = paths[i].send(zip(*cols))
+            except SimulationError as exc:
+                errors[i] = exc
+                continue
+            del cols                  # one path's step lists alive at a time
+            block[:8, r0:r0 + len(recs), i] = np.array(recs).reshape(-1, 8).T
+            recs.clear()
 
 
 def _exact_exp(a: np.ndarray) -> np.ndarray:
@@ -452,99 +434,58 @@ def _exact_exp(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
-    """Integrate one log-Euler path per seed, stepping them all at once.
+def _log_euler_batch(model: CrispModel, initial: State, block: np.ndarray,
+                     floors: list, errors: list):
+    """The log-Euler kernel of every path at once, bit for bit _log_euler of
+    each path alone.
 
-    Path i is bit for bit ``simulate(model, replace(config, seed=seeds[i]))``:
-    it draws its jump schedule and then each chunk's normals from its own
-    stream, steps its own jump-adapted mesh with the scalar kernel's
-    arithmetic in the same order, and takes exp with math.exp element by
-    element (np.exp's SIMD loops round some arguments differently, and
-    which ones depends on the CPU).  Each chunk advances every path one mesh
-    step at a time along a numpy axis; a path whose mesh is shorter is padded
-    at its end with identity steps (dt=0, no noise, no mark, no record).  A
-    path aborts alone, with simulate's SimulationError.
-
-    Returns (series, paths).  series is one (9, len(seeds), n_records) array
-    of S, x, y, mean_S, mean_x, mean_y, lnx_over_t, lny_over_t and the
-    conservation residual phi over the record times; the kernel writes its
-    records into it in place.  paths[i] is path i's Trajectory, whose series
-    are views of series[:, i], or the SimulationError that aborted it.
+    Like _each_path, it first yields the t=0 state; each send() passes
+    (size, chunk), chunk holding (path, mesh times, steps, noise, marks,
+    record flags, first record index) of every running path, at most size
+    steps each.  Every path advances one mesh step at a time along a numpy
+    axis, a shorter piece padded at its end with identity steps (dt=0, no
+    noise, no mark, no record), with the scalar kernel's arithmetic in the
+    same order and exp as math.exp element by element (np.exp's SIMD loops
+    round some arguments differently, and which ones depends on the CPU).
+    Records go in place into block, whose last column takes the writes of
+    the paths that do not record at a step.
     """
-    check_path_config(model, config)
-    if config.scheme != LOG_EULER:
-        raise ValueError(f"simulate_batch steps {LOG_EULER} paths only, got {config.scheme!r}")
-    n_paths = len(seeds)
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
-    schedules = [sample_jumps(model.jumps, config.t_end, rng) for rng in rngs]
-    grid = _grid(config.t_end, config.dt)
-    meshes = [_Mesh(grid, config.output_stride, ev) for ev in schedules]
-    times = record_times(config.t_end, config.dt, config.output_stride)
-    # one record of every path is a contiguous row; the extra path column
-    # n_paths takes the writes of the paths that do not record at a step
-    width = n_paths + 1
-    series = np.empty((9, len(times), width))
-    cells = series.reshape(9, -1)
-    dump = n_paths
-
-    # the scalar kernel's constants, as (3, 1) columns over (S, x, y)
-    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
-    log_jumps = _log_jumps(model)
-    c = np.array([[model.D + 0.5 * model.sigma1 ** 2 + model.jumps.gamma_intensity(1)],
-                  [model.D + 0.5 * model.sigma2 ** 2 + model.jumps.gamma_intensity(2)],
-                  [model.D + 0.5 * model.sigma3 ** 2 + model.jumps.gamma_intensity(3)]])
-    dso = model.D * model.S0
-    gain = np.array([[model.m1], [model.m2]])                                 # m1 e1, m2 e2
-    loss = np.array([[model.m1 / model.delta1], [model.m2 / model.delta2]])   # of e2, e3
+    n_paths = len(errors)
+    dump, width = n_paths, n_paths + 1
+    cells = block.reshape(9, -1)
+    # the scalar kernel's constants, as (3, 1) or (2, 1) columns
+    c, dso, gain, loss, log_jumps = _log_drift(model)
+    c, gain, loss = (np.array(v)[:, None] for v in (c, gain, loss))   # gain: m1 e1, m2 e2
 
     ceil, floor, floor_lin = _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN
-    state = np.empty((9, n_paths))
+    state = np.zeros((9, n_paths))
     lg, e, integ = state[0:3], state[3:6], state[6:9]
     recorded = [3, 4, 5, 6, 7, 8, 1, 2]   # state rows of e1 e2 e3 iS ix iy l2 l3
-    s = config.initial
-    l0 = [math.log(s.S), math.log(s.x), math.log(s.y)]
+    l0 = [math.log(initial.S), math.log(initial.x), math.log(initial.y)]
     e0 = [math.exp(v) for v in l0]
     lg[:] = np.array(l0)[:, None]
     e[:] = np.array(e0)[:, None]
-    integ[:] = 0.0
-    # the t=0 record: a time average is the initial value, a rate is 0/0
-    series[:8, 0] = np.array(e0 + e0 + [math.nan, math.nan])[:, None]
     pinned = np.full((3, n_paths), math.nan)      # first pin time per coordinate
-    brown = [np.zeros((1, 3))] * n_paths
-    errors = [None] * n_paths
-    filled = [1] * n_paths                        # records written per path
     drift = np.empty((3, n_paths))
     lost = np.zeros((3, n_paths))                 # its y row stays 0: m2 e2 - 0 - c3
     e1, e12, e23, d1, d23, lost12 = e[0], e[0:2], e[1:3], drift[0], drift[1:3], lost[0:2]
-
-    n_max = max(mesh.steps for mesh in meshes)
     column = np.arange(n_paths)
-    for a in range(0, n_max, _CHUNK_STEPS):
-        if None not in errors:
-            break                   # every path has aborted
-        size = min(_CHUNK_STEPS, n_max - a)
+    out = tuple(e0)
+    while True:
+        size, chunk = yield out
         dt = np.zeros((size, n_paths))
         g = np.zeros((size, 3, n_paths))
         cell = np.full((size, n_paths), dump)
-        steps, at, hits = [], [], []
-        for i, mesh in enumerate(meshes):
-            b = min(a + _CHUNK_STEPS, mesh.steps)
-            if b <= a or errors[i] is not None:     # ended or aborted: padding
-                steps.append(0)
-                at.append(None)
-                continue
-            t, marks, rec = mesh.piece(a, b)
-            dts = np.diff(t)
-            dt[:b - a, i] = dts
-            g[:b - a, :, i] = gi = _noise(rngs[i], dts, sigmas)
-            brown[i] = _carry(brown[i], gi)
+        steps, at, hits = [0] * n_paths, [None] * n_paths, []
+        for i, t, dts, gi, marks, rec, r0 in chunk:
+            k = len(dts)
+            dt[:k, i] = dts
+            g[:k, :, i] = gi
             r = np.flatnonzero(rec[1:])
-            cell[r, i] = (filled[i] + np.arange(len(r))) * width + i
-            filled[i] += len(r)
+            cell[r, i] = (r0 + np.arange(len(r))) * width + i
             j = np.flatnonzero(marks[1:] >= 0)
             hits.append(np.stack((j, np.full(len(j), i), marks[1:][j])))
-            steps.append(b - a)
-            at.append(t)
+            steps[i], at[i] = k, t
         h = 0.5 * dt
         # per step: no record (None), one record index shared by every path,
         # or each path's own cell (after a jump some paths lag behind)
@@ -555,7 +496,7 @@ def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
                                                  shared.tolist())]
         # per step: the paths that jump there, and their log jump sizes
         jumps = {}
-        hits = np.concatenate(hits, axis=1) if hits else np.empty((3, 0), dtype=np.intp)
+        hits = np.concatenate(hits, axis=1)
         if hits.shape[1]:
             hits = hits[:, np.lexsort(hits[::-1])]
             where, first = np.unique(hits[0], return_index=True)
@@ -594,39 +535,121 @@ def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
                 lg[low] = floor
                 e[low] = floor_lin
                 for k, i in zip(*np.nonzero(low & np.isnan(pinned))):
-                    pinned[k, i] = at[i][j + 1]
+                    pinned[k, i] = floors[i][k] = float(at[i][j + 1])
             if w is None:
                 continue
             if type(w) is int:
-                series[0:6, w, :n_paths] = state[3:9]
-                series[6:8, w, :n_paths] = state[1:3]
+                block[0:6, w, :n_paths] = state[3:9]
+                block[6:8, w, :n_paths] = state[1:3]
             else:
                 cells[:8, w] = state[recorded]
 
-    series[3:8, 1:] /= times[1:, None]
-    series = series[:, :, :n_paths].transpose(0, 2, 1)
+
+def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
+    """The chunk engine: run one path per seed, or without seeds one
+    noise-free RK4 path, and return (series, paths) as simulate_batch does.
+
+    This is where the kernel is chosen: _MIN_BATCH or more log-Euler paths
+    step together in _log_euler_batch, any other run path by path.  Each
+    path draws its jump schedule from its own seed's stream, then each
+    chunk's normals in stream order, so neither the chunk size nor the
+    paths beside it change the result; without seeds the mesh is the
+    uniform grid, nothing is drawn and both martingales are zero.  Every
+    sampled event is a mesh step, so a finished path's jump log is its
+    schedule.  Every kernel records into one block, returned as a
+    (9, paths, records) view.
+    """
+    stochastic = seeds is not None
+    rngs = ([np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
+            if stochastic else [None])
+    n_paths = len(rngs)
+    batched = stochastic and config.scheme == LOG_EULER and n_paths >= _MIN_BATCH
+    scalar = (_rk4 if not stochastic else
+              _direct_euler if config.scheme == DIRECT_EULER else _log_euler)
+    schedules = [sample_jumps(model.jumps, config.t_end, rng) if stochastic else []
+                 for rng in rngs]
+    grid = _grid(config.t_end, config.dt)
+    meshes = [_Mesh(grid, config.output_stride, events) for events in schedules]
+    times = record_times(config.t_end, config.dt, config.output_stride)
+    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
+    # one record of every path is a contiguous row; the batched kernel's
+    # extra column takes the writes of the paths that do not record at a step
+    block = np.empty((9, len(times), n_paths + batched))
+    floors = [[None, None, None] for _ in rngs]
+    errors = [None] * n_paths
+    brown = [np.zeros((1, 3))] * n_paths    # Brownian martingale sums carried across chunks
+    filled = [1] * n_paths                  # records written per path
+    kernel = (_log_euler_batch(model, config.initial, block, floors, errors) if batched
+              else _each_path(scalar, model, config.initial, block, floors, errors))
+    s1, s2, s3 = next(kernel)
+    # the t=0 record: a time average is the initial value, a rate is 0/0
+    block[:8, 0] = np.array([s1, s2, s3, s1, s2, s3, math.nan, math.nan])[:, None]
+
+    def piece(i, a):
+        mesh = meshes[i]
+        t, marks, rec = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
+        dts = np.diff(t)
+        g = None
+        if stochastic:
+            g = _noise(rngs[i], dts, sigmas)
+            brown[i] = _carry(brown[i], g)
+        r0 = filled[i]
+        filled[i] += int(np.count_nonzero(rec[1:]))
+        return i, t, dts, g, marks, rec, r0
+
+    for a in range(0, max(mesh.steps for mesh in meshes), _CHUNK_STEPS):
+        live = [i for i, mesh in enumerate(meshes) if errors[i] is None and mesh.steps > a]
+        if not live:
+            break                   # every path has ended or aborted
+        size = min(_CHUNK_STEPS, max(meshes[i].steps for i in live) - a)
+        kernel.send((size, (piece(i, a) for i in live)))
+
+    series = block[:, :, :n_paths].transpose(0, 2, 1)
     paths = []
     for i, events in enumerate(schedules):
         if errors[i] is not None:
             paths.append(errors[i])
             continue
-        rows = series[:, i]
-        traj = Trajectory(
-            times=times,
-            S=rows[0], x=rows[1], y=rows[2],
-            mean_S=rows[3], mean_x=rows[4], mean_y=rows[5],
-            lnx_over_t=rows[6], lny_over_t=rows[7],
-            brownian=brown[i][-1], comp_jump=_comp_jump(model, events, config.t_end),
-            jump_log=events,
-            floor_times=tuple(None if math.isnan(v) else v for v in pinned[:, i].tolist()),
-        )
+        rows = series[:, i]     # S .. lny_over_t, in Trajectory's field order, then phi
+        rows[3:8, 1:] /= times[1:]
+        comp_jump = _comp_jump(model, events, config.t_end) if stochastic else np.zeros(3)
+        traj = Trajectory(times, *rows[:8], brown[i][-1], comp_jump, events, tuple(floors[i]))
         rows[8] = conservation_residual(traj, model)
         paths.append(traj)
     return series, paths
 
 
+def _alone(run: tuple) -> Trajectory:
+    """The one path of an _integrate run, or its error raised."""
+    (path,) = run[1]
+    if isinstance(path, SimulationError):
+        raise path
+    return path
+
+
+def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
+    """Integrate one path per seed of the config's stochastic scheme.
+
+    Path i is bit for bit ``simulate(model, replace(config, seed=seeds[i]))``,
+    whichever kernel runs it: _MIN_BATCH or more log-Euler paths step
+    together along a numpy axis, fewer (and direct-Euler paths) one by one.
+    A path aborts alone, with simulate's SimulationError.
+
+    Returns (series, paths).  series is one (9, len(seeds), n_records) array
+    of S, x, y, mean_S, mean_x, mean_y, lnx_over_t, lny_over_t and the
+    conservation residual phi over the record times; the kernels write
+    their records into it.  paths[i] is path i's Trajectory, whose series
+    are views of series[:, i], or the SimulationError that aborted it.
+    """
+    check_path_config(model, config)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
+    return _integrate(model, config, seeds)
+
+
 def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
-    """Integrate one stochastic path.
+    """Integrate one stochastic path: simulate_batch of config.seed alone.
 
     The Gaussian stream and the jump schedule are drawn from a generator
     seeded only by config.seed, so identical inputs give a bit-identical
@@ -635,10 +658,7 @@ def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
     downward excursions are pinned at FLOOR_LOG and flagged instead of
     aborting.  The direct_euler scheme aborts on a nonpositive state.
     """
-    check_path_config(model, config)
-    kernel = _direct_euler if config.scheme == DIRECT_EULER else _log_euler
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    return _integrate(model, config, kernel, rng)
+    return _alone(simulate_batch(model, config, [config.seed]))
 
 
 def simulate_ode(model: CrispModel, config: SimConfig) -> Trajectory:
@@ -649,7 +669,7 @@ def simulate_ode(model: CrispModel, config: SimConfig) -> Trajectory:
     contract matches ``simulate``.
     """
     _check_config(config, positive_initial=False)
-    return _integrate(model, config, _rk4)
+    return _alone(_integrate(model, config))
 
 
 def conservation_residual(traj: Trajectory, model: CrispModel) -> np.ndarray:

@@ -17,6 +17,7 @@ import chemlevy as cl
 from chemlevy import (
     IntervalNumber,
     SimConfig,
+    SimulationError,
     State,
     add,
     beta,
@@ -33,7 +34,7 @@ from chemlevy import (
     subtract,
 )
 from chemlevy.cli import write_ensemble_csv, write_terminal_csv, write_trajectory_csv
-from chemlevy.integrator import path_config
+from chemlevy.integrator import derive_path_seed, path_config, simulate_batch
 from conftest import (
     INITIAL,
     TWO_MARKS,
@@ -164,11 +165,19 @@ def test_criterion_03_zero_noise_reduction():
 # 4. positivity with jumps
 # ---------------------------------------------------------------------------
 
-def _positivity_record(args):
-    model, config, index = args
-    traj = simulate(model, path_config(config, index))
-    return (float(traj.S.min()), float(traj.x.min()), float(traj.y.min()),
-            traj.floor_times)
+def _positivity_records(args):
+    """(min S, min x, min y, floor times) of each path of a group, stepped
+    together by simulate_batch; an abort is raised."""
+    model, config, indices = args
+    _, paths = simulate_batch(model, config,
+                              [derive_path_seed(config.seed, i) for i in indices])
+    records = []
+    for traj in paths:
+        if isinstance(traj, SimulationError):
+            raise traj
+        records.append((float(traj.S.min()), float(traj.x.min()), float(traj.y.min()),
+                        traj.floor_times))
+    return records
 
 
 def test_criterion_04_positivity():
@@ -177,9 +186,11 @@ def test_criterion_04_positivity():
               make_persistence(jumps=TWO_MARKS)]
     config = SimConfig(initial=INITIAL, t_end=500.0, dt=0.01, seed=404,
                        output_stride=100)
-    tasks = [(model, config, idx) for model in models for idx in range(200)]
+    # each model's 200 paths in one group per worker, wide enough to batch
+    tasks = [(model, config, range(200 * k // WORKERS, 200 * (k + 1) // WORKERS))
+             for model in models for k in range(WORKERS)]
     with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        records = list(pool.map(_positivity_record, tasks, chunksize=25))
+        records = [r for group in pool.map(_positivity_records, tasks) for r in group]
     min_state = min(min(r[0], r[1], r[2]) for r in records)
     no_pins = all(all(ft is None for ft in r[3]) for r in records)
     elapsed = time.perf_counter() - start

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from chemlevy import (
     simulate,
     verify,
 )
-from chemlevy.harness import _MIN_BATCH
+from chemlevy.integrator import _MIN_BATCH
 from conftest import (
     INITIAL,
     TWO_MARKS,
@@ -134,21 +135,27 @@ def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, p
 ])
 def test_groups_below_min_batch_step_path_by_path(monkeypatch, n_paths, workers, scheme,
                                                    alone, batches):
+    """Each worker's group is one simulate_batch, which steps it in the
+    batched kernel from _MIN_BATCH log-Euler paths on, else path by path."""
     monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     calls = {"alone": 0, "batches": []}
-    real_simulate, real_batch = cl.harness.simulate, cl.harness.simulate_batch
 
-    def counted_simulate(model, config):
-        calls["alone"] += 1
-        return real_simulate(model, config)
+    def counted_scalar(kernel):
+        def counted(model, initial, floors):
+            calls["alone"] += 1
+            return kernel(model, initial, floors)
+        return counted
 
-    def counted_batch(model, config, seeds):
-        calls["batches"].append(len(seeds))
-        return real_batch(model, config, seeds)
+    real_batch = cl.integrator._log_euler_batch
 
-    monkeypatch.setattr(cl.harness, "simulate", counted_simulate)
-    monkeypatch.setattr(cl.harness, "simulate_batch", counted_batch)
+    def counted_batch(model, initial, block, floors, errors):
+        calls["batches"].append(len(errors))
+        return real_batch(model, initial, block, floors, errors)
+
+    for name in ("_log_euler", "_direct_euler"):
+        monkeypatch.setattr(cl.integrator, name, counted_scalar(getattr(cl.integrator, name)))
+    monkeypatch.setattr(cl.integrator, "_log_euler_batch", counted_batch)
     config = small_config(t_end=2.0, scheme=scheme)
     summary = ensemble(make_extinction(), config, n_paths, workers=workers)
     assert calls == {"alone": alone, "batches": batches}
@@ -165,6 +172,36 @@ def test_ensemble_refused_config_raises_before_any_pool(monkeypatch):
     with pytest.raises(ValueError, match="initial state must be strictly positive"):
         ensemble(make_extinction(), config, 3, workers=2)
     assert RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("command, n_paths, workers, message", [
+    ("ensemble", 3, 0, "workers must be an integer >= 1, got 0"),
+    ("ensemble", 3, -1, "workers must be an integer >= 1, got -1"),
+    ("ensemble", 3, 2.0, "workers must be an integer >= 1, got 2.0"),
+    ("ensemble", 2.5, 2, "n_paths must be an integer >= 1, got 2.5"),
+    ("ensemble", 0, 2, "n_paths must be an integer >= 1, got 0"),
+    ("p_sweep", 2, 0, "workers must be an integer >= 1, got 0"),
+    ("p_sweep", 2, -1, "workers must be an integer >= 1, got -1"),
+    ("p_sweep", 2.5, 2, "n_paths must be an integer >= 0, got 2.5"),
+    ("p_sweep", -1, 2, "n_paths must be an integer >= 0, got -1"),
+])
+def test_bad_path_or_worker_count_raises_before_any_pool(monkeypatch, command, n_paths,
+                                                          workers, message):
+    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if command == "ensemble":
+            ensemble(make_extinction(), small_config(), n_paths, workers=workers)
+        else:
+            p_sweep(imprecise_extinction(), [0.0, 1.0], small_config(), n_paths,
+                    workers=workers)
+    assert RecordingPool.sizes == []
+
+
+def test_numpy_integer_counts_are_accepted():
+    summary = ensemble(make_extinction(), small_config(t_end=2.0), np.int64(3),
+                       workers=np.int64(1))
+    assert list(summary.terminal["path"]) == [0, 1, 2]
 
 
 def test_pool_is_built_after_numpy_is_loaded():
@@ -480,14 +517,14 @@ def test_p_sweep_refused_config_raises_before_any_pool(monkeypatch):
 def test_p_sweep_broken_pool_fails_the_rows_it_did_not_finish(monkeypatch):
     """A worker that dies takes the pool with it: its row and every later
     row report the broken pool, and p_sweep still returns."""
-    real_simulate = cl.harness.simulate
+    real_batch = cl.harness.simulate_batch
 
-    def dies_at_p_half(model, config):
+    def dies_at_p_half(model, config, seeds):
         if model.p == 0.5:
             os._exit(1)
-        return real_simulate(model, config)
+        return real_batch(model, config, seeds)
 
-    monkeypatch.setattr(cl.harness, "simulate", dies_at_p_half)
+    monkeypatch.setattr(cl.harness, "simulate_batch", dies_at_p_half)
     rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], small_config(t_end=2.0),
                    n_paths=2, workers=2, tol=VerifyTolerances(min_horizon=1.0))
     for row in rows[1:]:

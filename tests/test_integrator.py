@@ -23,9 +23,9 @@ from chemlevy import (
     simulate,
     simulate_ode,
 )
-from chemlevy.harness import _MIN_BATCH
 from chemlevy.integrator import (
     _MAX_MESH_STEPS,
+    _MIN_BATCH,
     _check_config,
     derive_path_seed,
     simulate_batch,
@@ -392,9 +392,24 @@ def test_batch_equals_each_path_alone_through_pins_and_aborts(stride):
     assert all(isinstance(path, SimulationError) for path in doomed)
 
 
-def test_batch_steps_only_the_log_scheme():
-    with pytest.raises(ValueError, match="log_euler"):
-        simulate_batch(make_persistence(), short_config(scheme=DIRECT_EULER), [1, 2])
+def test_batch_of_direct_euler_paths_is_each_path_alone():
+    """simulate_batch steps direct-Euler seeds path by path, each as
+    simulate steps it alone, aborts included."""
+    assert_batch_is_each_path_alone(
+        make_persistence(jumps=TWO_MARKS),
+        short_config(t_end=20.0, output_stride=3, scheme=DIRECT_EULER), _MIN_BATCH)
+    # at sigma2 = 2 (the direct-abort input of
+    # test_chunk_size_does_not_change_the_path) every path aborts, at 1.2 some
+    config = short_config(t_end=50.0, dt=0.05, seed=14, scheme=DIRECT_EULER)
+    for sigma2, check in ((2.0, all), (1.2, lambda errors: any(errors) and not all(errors))):
+        aborted = assert_batch_is_each_path_alone(
+            make_extinction().with_sigmas(0.1, sigma2, 0.1), config, _MIN_BATCH)
+        assert check([isinstance(path, SimulationError) for path in aborted])
+
+
+def test_batch_needs_a_seed():
+    with pytest.raises(ValueError, match="seeds must be nonempty"):
+        simulate_batch(make_persistence(), short_config(), [])
 
 
 def test_direct_euler_breaks_positivity_where_log_scheme_survives():

@@ -14,10 +14,11 @@ import argparse
 import csv
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from ._lazy import np
-from .harness import _SERIES, VerifyTolerances, ensemble, p_sweep, verify
+from .harness import VerifyTolerances, ensemble, p_sweep, verify
 from .integrator import (
     DIRECT_EULER,
     LOG_EULER,
@@ -68,10 +69,10 @@ def write_jumps_csv(traj, path) -> None:
 def write_ensemble_csv(summary, path) -> None:
     header = ["t"]
     columns = [summary.times.tolist()]
-    for name in _SERIES:
-        for stat in ("mean", "p5", "p50", "p95"):
+    for name, stats in summary.series.items():
+        for stat, values in stats.items():
             header.append(f"{name}_{stat}")
-            columns.append(summary.series[name][stat].tolist())
+            columns.append(values.tolist())
     header += ["extinct_x_frac", "extinct_y_frac"]
     columns += [summary.extinct_x_frac.tolist(), summary.extinct_y_frac.tolist()]
     _write_rows(path, header, zip(*columns))
@@ -83,17 +84,11 @@ def write_terminal_csv(summary, path) -> None:
               "M1_over_t", "M2_over_t", "M3_over_t",
               "Mj1_over_t", "Mj2_over_t", "Mj3_over_t",
               "extinct_x", "extinct_y"]
-    rows = []
-    for i in range(len(term["path"])):
-        rows.append(
-            [int(term["path"][i])]
-            + [float(term[k][i]) for k in ("mean_S", "mean_x", "mean_y",
+    columns = ([term[k].tolist() for k in ("path", "mean_S", "mean_x", "mean_y",
                                            "rate_x", "rate_y", "phi")]
-            + [float(v) for v in term["brownian_over_t"][i]]
-            + [float(v) for v in term["comp_jump_over_t"][i]]
-            + [bool(term["extinct_x"][i]), bool(term["extinct_y"][i])]
-        )
-    _write_rows(path, header, rows)
+               + term["brownian_over_t"].T.tolist() + term["comp_jump_over_t"].T.tolist()
+               + [term["extinct_x"].tolist(), term["extinct_y"].tolist()])
+    _write_rows(path, header, zip(*columns))
 
 
 def write_verdict_csv(verdict, path) -> None:
@@ -205,30 +200,37 @@ def build_parser() -> argparse.ArgumentParser:
                            help="relative slack for time-average limits")
 
     p_val = sub.add_parser("validate", help="run structural model checks")
+    p_val.set_defaults(run=_cmd_validate)
     p_val.add_argument("--model", required=True)
 
     p_thr = sub.add_parser("thresholds", help="noise-corrected thresholds and regime")
+    p_thr.set_defaults(run=_cmd_thresholds)
     common(p_thr)
     p_thr.add_argument("--p", type=float, required=True)
     p_thr.add_argument("--theta", type=float, default=None,
                        help="also check the order-theta moment condition (theta > 2)")
 
     p_sim = sub.add_parser("simulate", help="integrate one stochastic path")
+    p_sim.set_defaults(run=partial(_cmd_simulate, deterministic=False))
     common(p_sim, sim=True)
     p_sim.add_argument("--seed", type=_uint, default=1)
     p_sim.add_argument("--scheme", choices=[LOG_EULER, DIRECT_EULER],
                        default=LOG_EULER)
 
     p_ode = sub.add_parser("ode", help="integrate the noise-free system (RK4)")
+    p_ode.set_defaults(run=partial(_cmd_simulate, deterministic=True))
     common(p_ode, sim=True)
 
     p_ens = sub.add_parser("ensemble", help="Monte Carlo ensemble summary")
+    p_ens.set_defaults(run=_cmd_ensemble)
     common(p_ens, sim=True, mc=True)
 
     p_ver = sub.add_parser("verify", help="check regime predictions by Monte Carlo")
+    p_ver.set_defaults(run=_cmd_verify)
     common(p_ver, sim=True, mc=True, tols=True)
 
     p_swp = sub.add_parser("sweep", help="sweep the imprecision level p")
+    p_swp.set_defaults(run=_cmd_sweep)
     common(p_swp, tols=True)
     p_swp.add_argument("--p-grid", type=_float_list, required=True,
                        help="comma-separated p values in [0,1]")
@@ -414,13 +416,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _require_valid(args)
-    if not args.p_grid:
-        raise ValueError("--p-grid must contain at least one value")
-    crisp0 = crispify(model, min(args.p_grid))
-    config = _make_config(args, crisp0, seed=args.seed)
+    config = _make_config(args, model, seed=args.seed)
     tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)
-    if args.paths:
-        tol.check_horizon(args.t_end)  # refused before anything is simulated
     rows = p_sweep(model, args.p_grid, config, args.paths, workers=_workers(), tol=tol)
     out = _out_dir(args, default_to_cwd=True)
     write_sweep_csv(rows, out / "sweep.csv")
@@ -444,20 +441,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "thresholds":
-            return _cmd_thresholds(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, deterministic=False)
-        if args.command == "ode":
-            return _cmd_simulate(args, deterministic=True)
-        if args.command == "ensemble":
-            return _cmd_ensemble(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     except SimulationError as exc:
@@ -466,7 +450,6 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def entrypoint() -> None:

@@ -54,17 +54,14 @@ class VerifyTolerances:
     rate: absolute slack on exponential-rate (ln c(t)/t) bounds.
     mean: relative slack on time-average limits and lower bounds.
     min_horizon: shortest horizon verify will accept at all.
-    burn_in_frac: fraction of the horizon regarded as transient; terminal
-        statistics are trusted only because t_end lies well past it.
     """
 
     rate: float = 0.02
     mean: float = 0.05
     min_horizon: float = 500.0
-    burn_in_frac: float = 0.5
 
     def __post_init__(self):
-        for name in ("rate", "mean"):
+        for name in ("rate", "mean", "min_horizon"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(
@@ -186,23 +183,25 @@ def _path_records(runs, n_paths: int, workers: int):
         # importing them again; LazyLoader is also not thread-safe before
         # Python 3.12, and the pool's result thread unpickles arrays.
         np.random
-        chunk = max(1, len(tasks) // (4 * workers))
         with (tempfile.TemporaryDirectory(prefix="chemlevy-") as spill_dir,
               ProcessPoolExecutor(max_workers=workers) as pool):
             spills = [os.path.join(spill_dir, f"{k}.npy") for k in range(len(tasks))]
-            yield from _unpack(pool.map(_group_records, *zip(*tasks), spills,
-                                        chunksize=chunk))
+            yield from _unpack(pool.map(_group_records, *zip(*tasks), spills))
     else:
         yield from _unpack(map(_group_records, *zip(*tasks)))
 
 
-def _check_counts(n_paths, least: int, workers) -> None:
-    """Refuse an n_paths that is not an integer >= least, or a workers that
-    is not an integer >= 1."""
+def _check_args(n_paths, least: int, workers, extinction_threshold) -> None:
+    """Refuse an n_paths that is not an integer >= least, a workers that is
+    not an integer >= 1, or an extinction_threshold that is not a finite
+    positive number."""
     for name, value, low in (("n_paths", n_paths, least), ("workers", workers, 1)):
         # an int or a numpy integer, checked without importing numpy
         if not hasattr(value, "__index__") or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not 0.0 < extinction_threshold < math.inf:
+        raise ValueError("extinction_threshold must be finite and positive, "
+                         f"got {extinction_threshold!r}")
 
 
 def _aggregate(stack: np.ndarray) -> dict:
@@ -276,11 +275,11 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
     Deterministic given (model, config, n_paths, extinction_threshold);
     ``workers`` only controls process-level parallelism, and the pool never
     has more workers than paths.  A config simulate would refuse, or an
-    n_paths or workers that is not an integer >= 1, raises ValueError before
-    any path runs.  Individual path failures are recorded; the run fails
-    outright if 10% or more abort.
+    argument _check_args refuses, raises ValueError before any path runs.
+    Individual path failures are recorded; the run fails outright if 10% or
+    more abort.
     """
-    _check_counts(n_paths, 1, workers)
+    _check_args(n_paths, 1, workers, extinction_threshold)
     check_path_config(model, config)
     records = list(_path_records([(model, config)], n_paths, workers))
     return _summarise(records, record_times(config.t_end, config.dt, config.output_stride),
@@ -351,30 +350,28 @@ class SweepRow:
 
 def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
             workers: int = 1, tol: VerifyTolerances = VerifyTolerances(),
-            boundary_tol: float = 1e-9,
             extinction_threshold: float = EXTINCTION_THRESHOLD) -> list:
     """Crispify, classify, simulate, and verify at each imprecision level.
 
     Rows are ordered by p and evaluated independently; a failure in one row
-    (recorded in row.error) does not reach another.  A config simulate would
-    refuse, a horizon tol refuses, an n_paths that is not an integer >= 0 or
-    a workers that is not an integer >= 1 raises ValueError before any path
-    runs: every row shares the model's jumps, so one check covers them all.
-    Every row's paths run in one stream, row by row, on one pool, and a row
-    is summarised and
+    (recorded in row.error) does not reach another.  An argument _check_args
+    refuses, an empty p_grid, a config simulate would refuse or a horizon
+    tol refuses raises ValueError before any path runs: every row shares
+    the model's jumps, so one check covers them all.  Every row's paths run
+    in one stream, row by row, on one pool, and a row is summarised and
     verified as soon as its records are in; an exception the stream raises
     (a broken pool) is the error of its row and of every later row.
     n_paths=0 skips the Monte Carlo part and produces threshold-only rows:
     crispify and classify at each level, nothing else.
     """
-    _check_counts(n_paths, 0, workers)
+    _check_args(n_paths, 0, workers, extinction_threshold)
     grid = sorted(float(p) for p in p_grid)
     if not grid:
         raise ValueError("p_grid must be nonempty")
     rows = []
     for p in grid:
         crisp = crispify(model, p)
-        rows.append(SweepRow(p=p, crisp=crisp, report=classify(crisp, boundary_tol)))
+        rows.append(SweepRow(p=p, crisp=crisp, report=classify(crisp)))
     if n_paths < 1:
         return rows
 

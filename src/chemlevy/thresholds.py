@@ -13,6 +13,8 @@ from enum import Enum
 
 from .model import CrispModel
 
+_BOUNDARY_TOL = 1e-9  # a threshold this close to 1 is the Boundary regime
+
 
 class Regime(str, Enum):
     BOTH_EXTINCT = "BothExtinct"
@@ -81,11 +83,11 @@ def r1s(model: CrispModel) -> float:
     return model.S0 * model.m1 * model.m2 * model.delta1 / denom
 
 
-def classify(model: CrispModel, boundary_tol: float = 1e-9) -> ThresholdReport:
+def classify(model: CrispModel) -> ThresholdReport:
     """Compute both thresholds, pick the regime, and attach its predictions.
 
-    boundary_tol guards against floating-point coincidence at threshold value
-    exactly 1, where the asymptotic theory is silent.
+    A threshold within _BOUNDARY_TOL of 1, where floating-point coincidence
+    could pick either side and the asymptotic theory is silent, is Boundary.
     """
     b1 = beta(model, 1)
     b2 = beta(model, 2)
@@ -97,14 +99,14 @@ def classify(model: CrispModel, boundary_tol: float = 1e-9) -> ThresholdReport:
     d3 = model.D + b3
     y_rate_coeff = model.m2 * model.delta1 * d2 / model.m1 + d3
 
-    if R0 < 1.0 - boundary_tol:
+    if R0 < 1.0 - _BOUNDARY_TOL:
         regime = Regime.BOTH_EXTINCT
         preds = PredictedAsymptotics(
             x_lyapunov_bound=d2 * (R0 - 1.0),
             y_lyapunov_bound=-d3,
             S_mean_limit=model.S0,
         )
-    elif R1 > 1.0 + boundary_tol:
+    elif R1 > 1.0 + _BOUNDARY_TOL:
         regime = Regime.PERSISTENT
         lower = (
             model.m1 * model.delta2
@@ -112,7 +114,7 @@ def classify(model: CrispModel, boundary_tol: float = 1e-9) -> ThresholdReport:
             * y_rate_coeff * (R1 - 1.0)
         )
         preds = PredictedAsymptotics(y_mean_lower_bound=lower)
-    elif R1 < 1.0 - boundary_tol and R0 > 1.0 + boundary_tol:
+    elif R1 < 1.0 - _BOUNDARY_TOL and R0 > 1.0 + _BOUNDARY_TOL:
         regime = Regime.PREY_ONLY
         preds = PredictedAsymptotics(
             y_lyapunov_bound=y_rate_coeff * (R1 - 1.0),

@@ -46,7 +46,7 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables, chunksize=1):
+    def map(self, fn, *iterables):
         return map(fn, *iterables)
 
 

@@ -125,6 +125,69 @@ def test_thresholds_p_out_of_range(tmp_path, capsys):
     assert main(["thresholds", "--model", path, "--p", "1.5"]) == 2
 
 
+README_VALIDATE = """\
+s0_positive                   pass  S0=1.0
+interval_endpoints_positive   pass  all interval endpoints > 0
+weights_positive              pass  total rate 0
+gamma_gt_neg1                 pass  all jump sizes > -1
+jump_moment_bound             0.0
+log_jump_bound_1              0.0
+jump_lipschitz_1              0
+log_jump_bound_2              0.0
+jump_lipschitz_2              0
+log_jump_bound_3              0.0
+jump_lipschitz_3              0
+"""
+
+README_THRESHOLDS = """\
+p                     0.5
+S0                    4
+D                     0.2
+m1                    1
+delta1                0.5
+sigma1                0.1
+m2                    0.6
+delta2                0.5
+sigma2                0.1
+sigma3                0.1
+beta1                 0.005
+beta2                 0.005
+beta3                 0.005
+R0s                   19.51219512
+R1s                   4.502814259
+regime                Persistent
+predictions:
+  y_mean_lower_bound  0.5983974359
+moment_condition      holds (theta=3, sigma_sq=0.01, zeta=0, lhs=0.19)
+"""
+
+README_SWEEP = """\
+p                  R0s         R1s  regime
+0             0.520061    0.172606  BothExtinct
+0.25          0.641742    0.184197  BothExtinct
+0.5           0.790979    0.194744  BothExtinct
+0.75          0.972985    0.204146  BothExtinct
+1               1.1928    0.212356  PreyOnlyPersists
+wrote {out}/sweep.csv
+"""
+
+
+def test_readme_threshold_commands_print_what_they_always_printed(tmp_path, capsys):
+    """The README's numpy-free commands, their stdout pinned verbatim."""
+    out = tmp_path / "sweep"
+    runs = [
+        (["validate", "--model", str(MODELS / "extinction.json")], README_VALIDATE),
+        (["thresholds", "--model", str(MODELS / "persistence.json"), "--p", "0.5",
+          "--theta", "3"], README_THRESHOLDS),
+        (["sweep", "--model", str(MODELS / "imprecise_jumps.json"),
+          "--p-grid", "0,0.25,0.5,0.75,1", "--out", str(out)], README_SWEEP.format(out=out)),
+    ]
+    for argv, expected in runs:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
+
+
 def test_threshold_commands_never_load_numpy(tmp_path):
     models = sorted(str(p) for p in MODELS.glob("*.json"))
     thr, swp = str(tmp_path / "thr"), str(tmp_path / "swp")
@@ -366,8 +429,9 @@ def test_sweep_with_paths_and_exit_code(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--t-end", "100"], "horizon 100.0 is below min_horizon 500.0"),
     (["--dt", "0"], "dt must lie in (0, t_end)"),
-    (["--t-end", "1e300", "--dt", "1e-10"], "above the cap of 1e+08 mesh steps")],
-    ids=["short-horizon", "zero-dt", "huge-mesh"])
+    (["--t-end", "1e300", "--dt", "1e-10"], "above the cap of 1e+08 mesh steps"),
+    (["--p-grid", ","], "p_grid must be nonempty")],
+    ids=["short-horizon", "zero-dt", "huge-mesh", "empty-grid"])
 def test_sweep_refuses_a_bad_run_before_simulating(tmp_path, capsys, monkeypatch,
                                                    flags, message):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)

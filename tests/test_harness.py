@@ -198,6 +198,22 @@ def test_bad_path_or_worker_count_raises_before_any_pool(monkeypatch, command, n
     assert RecordingPool.sizes == []
 
 
+@pytest.mark.parametrize("command", ["ensemble", "p_sweep"])
+@pytest.mark.parametrize("threshold", [0.0, -1e-30, math.inf, math.nan])
+def test_bad_extinction_threshold_raises_before_any_pool(monkeypatch, command, threshold):
+    # a NaN threshold would flag no path extinct and inf every path at t=0
+    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    with pytest.raises(ValueError, match="extinction_threshold must be finite and positive"):
+        if command == "ensemble":
+            ensemble(make_extinction(), small_config(), 3, workers=2,
+                     extinction_threshold=threshold)
+        else:
+            p_sweep(imprecise_extinction(), [0.0, 1.0], small_config(), 2, workers=2,
+                    extinction_threshold=threshold)
+    assert RecordingPool.sizes == []
+
+
 def test_numpy_integer_counts_are_accepted():
     summary = ensemble(make_extinction(), small_config(t_end=2.0), np.int64(3),
                        workers=np.int64(1))
@@ -250,7 +266,7 @@ def test_aggregate_equals_nan_reductions(shape):
             assert got[stat].tobytes() == pcts[k].tobytes()
 
 
-@pytest.mark.parametrize("field", ["rate", "mean"])
+@pytest.mark.parametrize("field", ["rate", "mean", "min_horizon"])
 @pytest.mark.parametrize("value", [-1.0, -1e-12, math.inf, math.nan])
 def test_tolerances_reject_negative_or_non_finite(field, value):
     with pytest.raises(ValueError, match=field):

@@ -20,7 +20,7 @@ martingale terms used by the long-run diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._lazy import np
 from .model import CrispModel, JumpSpec, State, drift
@@ -36,8 +36,8 @@ _FLOOR_LIN = math.exp(FLOOR_LOG)
 _CEIL_LOG = 700.0
 
 # Mesh steps a kernel advances per chunk.  Noise, step sizes and the
-# kernel's per-step lists exist for one chunk at a time, so beyond the mesh
-# arrays a path's memory does not grow with its horizon.
+# kernel's per-step lists exist for one chunk at a time, so beyond its jump
+# events a path's memory does not grow with its horizon.
 _CHUNK_STEPS = 4096
 
 # Fewest paths of one run that step together in the batched log-Euler
@@ -47,7 +47,11 @@ _CHUNK_STEPS = 4096
 _MIN_BATCH = 40
 
 # Largest mesh (uniform steps plus expected jump events) a path may ask for,
-# checked before anything is allocated: about 1.7 GB of mesh at 17 B a step.
+# checked before anything is allocated.  Grid steps cost no memory, as the
+# mesh is built a piece at a time, but each jump event costs about 210 B of
+# peak RSS: its (t, mark) tuple in the schedule and the mesh's four event
+# arrays (1e6 to 4e6 events, x86-64 CPython 3.11).  So the cap bounds a
+# jump-dense path only to about 21 GB.
 _MAX_MESH_STEPS = 10**8
 
 
@@ -173,61 +177,64 @@ def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> lis
     return list(zip(times[order].tolist(), marks[order].tolist()))
 
 
-def _uniform_steps(t_end: float, dt: float) -> int:
-    # t_end is divided into whole steps of size ~dt (exact when divisible)
-    return max(1, int(math.ceil(t_end / dt - 1e-9)))
-
-
 class _Mesh:
-    """One path's jump-adapted mesh: the uniform dt-grid with its jump events
-    woven in, built a piece at a time.  Beyond the grid, which the paths of
-    a batch share, a path's mesh memory does not grow with its horizon.
+    """One path's jump-adapted mesh: the uniform grid of n steps of about dt
+    on [0, t_end] with its jump events woven in, built a piece at a time and
+    never whole, so its memory grows with the jump count, not the horizon.
 
     An event falling exactly on a grid point is placed before it, so
     recorded states are right-continuous (post-jump).  The origin is
-    recorded up front by the caller, never as a step target.
+    recorded up front by the caller, never as a step target.  Records are
+    taken at every stride-th grid point and at t_end, into rows 1, 2, ...
     """
 
-    def __init__(self, grid: np.ndarray, stride: int, events: list):
-        self.grid, self.stride, self.n = grid, stride, len(grid) - 1
+    def __init__(self, t_end: float, dt: float, stride: int, events: list):
+        # t_end is divided into whole steps of size ~dt (exact when divisible)
+        self.n = max(1, int(math.ceil(t_end / dt - 1e-9)))
+        self.t_end, self.stride = t_end, stride
         self.ev_t = np.array([t for t, _ in events], dtype=float)
         self.ev_mark = np.array([mk for _, mk in events], dtype=np.intp)
         # first grid point at or after each event, but never before the
         # origin, so an event at t=0 is still a step; equal-position events
-        # keep their order
-        self.pos = np.maximum(np.searchsorted(grid, self.ev_t, side="left"), 1)
+        # keep their order.  The rounded ceil is at most one index off.
+        u = np.minimum(np.ceil(self.ev_t * self.n / t_end), self.n).astype(np.intp)
+        u -= self.grid(u - 1) >= self.ev_t
+        u += self.grid(u) < self.ev_t
+        self.pos = np.maximum(u, 1)
         self.at = self.pos + np.arange(len(events))   # each event's mesh index
         self.steps = self.n + len(events)
 
+    def grid(self, u: np.ndarray) -> np.ndarray:
+        """Grid points u, bit for bit np.linspace(0, t_end, n + 1)[u]."""
+        return np.where(u == self.n, self.t_end, u * (self.t_end / self.n))
+
     def piece(self, a: int, b: int):
-        """Times, mark index (-1 on grid points) and record flag of mesh
-        points a..b: exactly that slice of np.insert(grid, pos, events)."""
+        """Times, mark index (-1 on grid points) and record row (-1 off
+        record points) of mesh points a..b: exactly that slice of the grid
+        with every event inserted at its position."""
         lo = int(np.searchsorted(self.at, a, side="left"))
         hi = int(np.searchsorted(self.at, b, side="right"))
-        u0, u1 = a - lo, b + 1 - hi          # the grid points among them
-        u = np.arange(u0, u1)
-        times = self.grid[u0:u1]
+        u = np.arange(a - lo, b + 1 - hi)    # the grid points among them
+        times = self.grid(u)
         marks = np.full(len(u), -1, dtype=np.intp)
         rec = ((u % self.stride == 0) & (u > 0)) | (u == self.n)
+        rows = np.where(rec, -(-u // self.stride), -1)
         if hi > lo:
-            rel = self.pos[lo:hi] - u0
+            # a piece may hold events and no grid point, so offset them by
+            # the grid points before the piece, not by its first one
+            rel = self.pos[lo:hi] - (a - lo)
             times = np.insert(times, rel, self.ev_t[lo:hi])
             marks = np.insert(marks, rel, self.ev_mark[lo:hi])
-            rec = np.insert(rec, rel, False)
-        return times, marks, rec
-
-
-def _grid(t_end: float, dt: float) -> np.ndarray:
-    return np.linspace(0.0, t_end, _uniform_steps(t_end, dt) + 1)
+            rows = np.insert(rows, rel, -1)
+        return times, marks, rows
 
 
 def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
     """The times every path of a config records at: 0, then every stride-th
     grid point and t_end.  Jump events are never record points, so this is
-    each path's ``Trajectory.times``.  Only those points are built, equal
-    bit for bit to the mesh's, whose grid is linspace's i * (t_end / n)."""
-    n = _uniform_steps(t_end, dt)
-    return np.append(np.arange(0, n, stride) * (t_end / n), t_end)
+    each path's ``Trajectory.times``; row r of a record block is time r."""
+    mesh = _Mesh(t_end, dt, stride, [])
+    return mesh.grid(np.append(np.arange(0, mesh.n, stride), mesh.n))
 
 
 def _log_drift(model: CrispModel) -> tuple:
@@ -408,24 +415,27 @@ def _comp_jump(model: CrispModel, events: list, t_end: float) -> np.ndarray:
 def _each_path(scalar, model: CrispModel, initial: State, block: np.ndarray,
                floors: list, errors: list):
     """A per-path kernel under the chunk protocol: one generator per path,
-    each fed its own chunk, with each chunk's records copied into that
-    path's column of the block.  A path's SimulationError ends it alone."""
+    each fed its own chunk, with each chunk's records copied into their
+    rows of that path's column of the block.  A path's SimulationError ends
+    it alone."""
     paths = [scalar(model, initial, f) for f in floors]
     out = [next(path) for path in paths][0]
     while True:
         _, chunk = yield out
-        for i, t, dts, g, marks, rec, r0 in chunk:
+        for i, t, dts, g, marks, rows in chunk:
             cols = [t[1:].tolist(), dts.tolist()]
             if g is not None:
                 cols += g.T.tolist() + [marks[1:].tolist()]
-            cols.append(rec[1:].tolist())
+            rows = rows[1:]
+            rec = rows >= 0
+            cols.append(rec.tolist())
             try:
                 recs = paths[i].send(zip(*cols))
             except SimulationError as exc:
                 errors[i] = exc
                 continue
             del cols                  # one path's step lists alive at a time
-            block[:8, r0:r0 + len(recs), i] = np.array(recs).reshape(-1, 8).T
+            block[:8, rows[rec], i] = np.array(recs).reshape(-1, 8).T
             recs.clear()
 
 
@@ -441,18 +451,16 @@ def _log_euler_batch(model: CrispModel, initial: State, block: np.ndarray,
 
     Like _each_path, it first yields the t=0 state; each send() passes
     (size, chunk), chunk holding (path, mesh times, steps, noise, marks,
-    record flags, first record index) of every running path, at most size
-    steps each.  Every path advances one mesh step at a time along a numpy
-    axis, a shorter piece padded at its end with identity steps (dt=0, no
-    noise, no mark, no record), with the scalar kernel's arithmetic in the
-    same order and exp as math.exp element by element (np.exp's SIMD loops
-    round some arguments differently, and which ones depends on the CPU).
-    Records go in place into block, whose last column takes the writes of
-    the paths that do not record at a step.
+    record rows) of every running path, at most size steps each.  Every
+    path advances one mesh step at a time along a numpy axis, a shorter
+    piece padded at its end with identity steps (dt=0, no noise, no mark,
+    no record), with the scalar kernel's arithmetic in the same order and
+    exp as math.exp element by element (np.exp's SIMD loops round some
+    arguments differently, and which ones depends on the CPU).  Records go
+    in place into block: at each step, every path i that records writes
+    its state into its row of column i.
     """
     n_paths = len(errors)
-    dump, width = n_paths, n_paths + 1
-    cells = block.reshape(9, -1)
     # the scalar kernel's constants, as (3, 1) or (2, 1) columns
     c, dso, gain, loss, log_jumps = _log_drift(model)
     c, gain, loss = (np.array(v)[:, None] for v in (c, gain, loss))   # gain: m1 e1, m2 e2
@@ -460,7 +468,8 @@ def _log_euler_batch(model: CrispModel, initial: State, block: np.ndarray,
     ceil, floor, floor_lin = _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN
     state = np.zeros((9, n_paths))
     lg, e, integ = state[0:3], state[3:6], state[6:9]
-    recorded = [3, 4, 5, 6, 7, 8, 1, 2]   # state rows of e1 e2 e3 iS ix iy l2 l3
+    # the state rows of e1 e2 e3 iS ix iy l2 l3, as a column to pair with paths
+    recorded = np.array([[3], [4], [5], [6], [7], [8], [1], [2]])
     l0 = [math.log(initial.S), math.log(initial.x), math.log(initial.y)]
     e0 = [math.exp(v) for v in l0]
     lg[:] = np.array(l0)[:, None]
@@ -469,31 +478,32 @@ def _log_euler_batch(model: CrispModel, initial: State, block: np.ndarray,
     drift = np.empty((3, n_paths))
     lost = np.zeros((3, n_paths))                 # its y row stays 0: m2 e2 - 0 - c3
     e1, e12, e23, d1, d23, lost12 = e[0], e[0:2], e[1:3], drift[0], drift[1:3], lost[0:2]
-    column = np.arange(n_paths)
     out = tuple(e0)
     while True:
         size, chunk = yield out
         dt = np.zeros((size, n_paths))
         g = np.zeros((size, 3, n_paths))
-        cell = np.full((size, n_paths), dump)
+        row = np.full((size, n_paths), -1)
         steps, at, hits = [0] * n_paths, [None] * n_paths, []
-        for i, t, dts, gi, marks, rec, r0 in chunk:
+        for i, t, dts, gi, marks, rows in chunk:
             k = len(dts)
             dt[:k, i] = dts
             g[:k, :, i] = gi
-            r = np.flatnonzero(rec[1:])
-            cell[r, i] = (r0 + np.arange(len(r))) * width + i
+            row[:k, i] = rows[1:]
             j = np.flatnonzero(marks[1:] >= 0)
             hits.append(np.stack((j, np.full(len(j), i), marks[1:][j])))
             steps[i], at[i] = k, t
         h = 0.5 * dt
-        # per step: no record (None), one record index shared by every path,
-        # or each path's own cell (after a jump some paths lag behind)
-        shared = (cell[:, 0] != dump) & (cell - column == cell[:, :1]).all(axis=1)
-        writes = [r if every else c_j if some else None
-                  for r, c_j, some, every in zip((cell[:, 0] // width).tolist(), cell,
-                                                 (cell != dump).any(axis=1).tolist(),
-                                                 shared.tolist())]
+        # per step: no record (None), one record row shared by every path,
+        # or the paths that record and their rows (after a jump some paths
+        # lag behind)
+        on = row >= 0
+        shared = ((row == row[:, :1]).all(axis=1) & on[:, 0]).tolist()
+        step_on, path_on = np.nonzero(on)
+        row_on = row[step_on, path_on]
+        cut = np.searchsorted(step_on, np.arange(size + 1)).tolist()
+        writes = [r if every else (path_on[a:b], row_on[a:b]) if b > a else None
+                  for r, every, a, b in zip(row[:, 0].tolist(), shared, cut, cut[1:])]
         # per step: the paths that jump there, and their log jump sizes
         jumps = {}
         hits = np.concatenate(hits, axis=1)
@@ -539,10 +549,11 @@ def _log_euler_batch(model: CrispModel, initial: State, block: np.ndarray,
             if w is None:
                 continue
             if type(w) is int:
-                block[0:6, w, :n_paths] = state[3:9]
-                block[6:8, w, :n_paths] = state[1:3]
+                block[0:6, w] = state[3:9]
+                block[6:8, w] = state[1:3]
             else:
-                cells[:8, w] = state[recorded]
+                idx, r = w
+                block[:8, r, idx] = state[recorded, idx]
 
 
 def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
@@ -556,7 +567,8 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
     paths beside it change the result; without seeds the mesh is the
     uniform grid, nothing is drawn and both martingales are zero.  Every
     sampled event is a mesh step, so a finished path's jump log is its
-    schedule.  Every kernel records into one block, returned as a
+    schedule.  Every kernel records into one (9, records, paths) block, at
+    the rows its mesh pieces name, and the block is returned as a
     (9, paths, records) view.
     """
     stochastic = seeds is not None
@@ -568,17 +580,14 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
               _direct_euler if config.scheme == DIRECT_EULER else _log_euler)
     schedules = [sample_jumps(model.jumps, config.t_end, rng) if stochastic else []
                  for rng in rngs]
-    grid = _grid(config.t_end, config.dt)
-    meshes = [_Mesh(grid, config.output_stride, events) for events in schedules]
+    meshes = [_Mesh(config.t_end, config.dt, config.output_stride, events)
+              for events in schedules]
     times = record_times(config.t_end, config.dt, config.output_stride)
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
-    # one record of every path is a contiguous row; the batched kernel's
-    # extra column takes the writes of the paths that do not record at a step
-    block = np.empty((9, len(times), n_paths + batched))
+    block = np.empty((9, len(times), n_paths))   # one record of every path is a contiguous row
     floors = [[None, None, None] for _ in rngs]
     errors = [None] * n_paths
     brown = [np.zeros((1, 3))] * n_paths    # Brownian martingale sums carried across chunks
-    filled = [1] * n_paths                  # records written per path
     kernel = (_log_euler_batch(model, config.initial, block, floors, errors) if batched
               else _each_path(scalar, model, config.initial, block, floors, errors))
     s1, s2, s3 = next(kernel)
@@ -587,15 +596,13 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
 
     def piece(i, a):
         mesh = meshes[i]
-        t, marks, rec = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
+        t, marks, rows = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
         dts = np.diff(t)
         g = None
         if stochastic:
             g = _noise(rngs[i], dts, sigmas)
             brown[i] = _carry(brown[i], g)
-        r0 = filled[i]
-        filled[i] += int(np.count_nonzero(rec[1:]))
-        return i, t, dts, g, marks, rec, r0
+        return i, t, dts, g, marks, rows
 
     for a in range(0, max(mesh.steps for mesh in meshes), _CHUNK_STEPS):
         live = [i for i, mesh in enumerate(meshes) if errors[i] is None and mesh.steps > a]
@@ -604,7 +611,7 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
         size = min(_CHUNK_STEPS, max(meshes[i].steps for i in live) - a)
         kernel.send((size, (piece(i, a) for i in live)))
 
-    series = block[:, :, :n_paths].transpose(0, 2, 1)
+    series = block.transpose(0, 2, 1)
     paths = []
     for i, events in enumerate(schedules):
         if errors[i] is not None:
@@ -690,8 +697,3 @@ def derive_path_seed(seed: int, path_index: int) -> int:
     """Stable 64-bit stream key for one path of an ensemble."""
     child = np.random.SeedSequence(seed, spawn_key=(path_index,))
     return int(child.generate_state(1, dtype=np.uint64)[0])
-
-
-def path_config(config: SimConfig, path_index: int) -> SimConfig:
-    """Per-path copy of config with the derived stream seed."""
-    return replace(config, seed=derive_path_seed(config.seed, path_index))

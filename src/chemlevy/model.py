@@ -48,10 +48,6 @@ class JumpSpec:
     def total_rate(self) -> float:
         return sum(m.weight for m in self.marks)
 
-    def gammas(self, i: int) -> tuple:
-        """Jump sizes of component i (1, 2, or 3) across marks."""
-        return tuple(m.gamma(i) for m in self.marks)
-
     def gamma_intensity(self, i: int) -> float:
         """Sum of weight * gamma_i over marks (compensator drift of component i)."""
         return sum(m.weight * m.gamma(i) for m in self.marks)

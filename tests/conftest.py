@@ -10,6 +10,7 @@ The heavy ensembles (200 paths to t=2000) are shared between the acceptance
 suite and the harness tests, so they are built once per session.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -74,6 +75,12 @@ def make_prey_only(jumps=cl.JumpSpec()) -> cl.CrispModel:
 def make_persistence(jumps=cl.JumpSpec()) -> cl.CrispModel:
     return cl.CrispModel(S0=4.0, D=0.2, m1=1.0, delta1=0.5, sigma1=0.1,
                          m2=0.6, delta2=0.5, sigma2=0.1, sigma3=0.1, jumps=jumps)
+
+
+def path_config(config: cl.SimConfig, path_index: int) -> cl.SimConfig:
+    """Per-path copy of config with the stream seed the harness derives."""
+    return dataclasses.replace(
+        config, seed=cl.integrator.derive_path_seed(config.seed, path_index))
 
 
 def long_config(seed: int) -> cl.SimConfig:

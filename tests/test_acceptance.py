@@ -34,7 +34,7 @@ from chemlevy import (
     subtract,
 )
 from chemlevy.cli import write_ensemble_csv, write_terminal_csv, write_trajectory_csv
-from chemlevy.integrator import derive_path_seed, path_config, simulate_batch
+from chemlevy.integrator import derive_path_seed, simulate_batch
 from conftest import (
     INITIAL,
     TWO_MARKS,
@@ -42,6 +42,7 @@ from conftest import (
     make_extinction,
     make_persistence,
     make_prey_only,
+    path_config,
     random_crisp_model,
 )
 

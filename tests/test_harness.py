@@ -30,6 +30,7 @@ from conftest import (
     RecordingPool,
     make_extinction,
     make_persistence,
+    path_config,
     run_fresh,
 )
 
@@ -45,7 +46,7 @@ def small_config(**kw) -> SimConfig:
 def test_single_path_ensemble_percentiles_collapse():
     model = make_persistence()
     summary = ensemble(model, small_config(t_end=50.0), 1)
-    traj = simulate(model, cl.integrator.path_config(small_config(t_end=50.0), 0))
+    traj = simulate(model, path_config(small_config(t_end=50.0), 0))
     for stat in ("mean", "p5", "p50", "p95"):
         assert np.array_equal(summary.series["S"][stat], traj.S)
         assert np.array_equal(summary.series["mean_y"][stat], traj.mean_y)
@@ -94,7 +95,7 @@ def test_path_alone_equals_path_in_pooled_ensemble(n_paths):
     summary = ensemble(model, config, n_paths, workers=2, extinction_threshold=threshold)
     flags = {"x": [], "y": []}
     for i in range(n_paths):
-        traj = simulate(model, cl.integrator.path_config(config, i))
+        traj = simulate(model, path_config(config, i))
         assert np.array_equal(summary.times, traj.times)
         for name in flags:
             flags[name].append(np.logical_or.accumulate(getattr(traj, name) < threshold))
@@ -161,7 +162,7 @@ def test_groups_below_min_batch_step_path_by_path(monkeypatch, n_paths, workers,
     assert calls == {"alone": alone, "batches": batches}
     assert list(summary.terminal["path"]) == list(range(n_paths))
     assert np.array_equal(summary.terminal["mean_S"], [
-        simulate(make_extinction(), cl.integrator.path_config(config, i)).mean_S[-1]
+        simulate(make_extinction(), path_config(config, i)).mean_S[-1]
         for i in range(n_paths)])
 
 

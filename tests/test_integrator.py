@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,63 +138,127 @@ def test_jump_log_is_the_sampled_schedule(scheme):
 
 
 def full_mesh(t_end, dt, events, stride):
-    mesh = cl.integrator._Mesh(cl.integrator._grid(t_end, dt), stride, events)
+    mesh = cl.integrator._Mesh(t_end, dt, stride, events)
     return mesh.piece(0, mesh.steps)
 
 
 def test_event_at_origin_is_a_step():
     # an event drawn at exactly t=0 goes after the origin, never before it
-    mesh_t, mesh_mark, rec = full_mesh(1.0, 0.5, [(0.0, 1), (0.25, 0)], 1)
+    mesh_t, mesh_mark, rows = full_mesh(1.0, 0.5, [(0.0, 1), (0.25, 0)], 1)
     assert mesh_t.tolist() == [0.0, 0.0, 0.25, 0.5, 1.0]
     assert mesh_mark.tolist() == [-1, 1, 0, -1, -1]
-    assert rec.tolist() == [False, False, False, True, True]
+    assert rows.tolist() == [-1, -1, -1, 1, 2]
+
+
+def awkward_grids(rng, count):
+    """(t_end, dt, n) triples over many magnitudes, with t_end / dt whole
+    (n = steps) or not (n = ceil(steps))."""
+    for _ in range(count):
+        t_end = float(rng.uniform(1e-3, 1e4))
+        steps = float(rng.integers(1, 3000) if rng.random() < 0.5 else rng.uniform(1.0, 3000.0))
+        yield t_end, t_end / steps, math.ceil(steps)
 
 
 def test_record_times_are_the_meshs_record_points():
-    """record_times builds only the recorded points, bit for bit those of
-    the full mesh, including n % stride == 0 and stride > n."""
+    """record_times and the mesh's record points are bit for bit linspace's
+    points 0, stride, 2 stride, ... and n, including n % stride == 0 and
+    stride > n, and the mesh numbers its record points 1, 2, ... in order."""
     rng = np.random.default_rng(11)
-    grids = [(10.0, 1.0, 5), (10.0, 1.0, 3), (1.0, 0.5, 7), (500.0, 0.02, 100)]
-    for _ in range(2000):
-        t_end = float(rng.uniform(1e-3, 1e4))
-        # t_end / dt, whole (n = steps) or not (n = ceil(steps))
-        steps = float(rng.integers(1, 3000) if rng.random() < 0.5 else rng.uniform(1.0, 3000.0))
-        n = math.ceil(steps)
-        stride = int(rng.choice([rng.integers(1, 200), n, n + 5]))
-        grids.append((t_end, t_end / steps, stride))
-    for t_end, dt, stride in grids:
-        mesh_t, _, rec = full_mesh(t_end, dt, [], stride)
-        expected = np.concatenate(([0.0], mesh_t[rec]))
+    grids = [(10.0, 1.0, 10, 5), (10.0, 1.0, 10, 3), (1.0, 0.5, 2, 7), (500.0, 0.02, 25000, 100)]
+    for t_end, dt, n in awkward_grids(rng, 2000):
+        grids.append((t_end, dt, n, int(rng.choice([rng.integers(1, 200), n, n + 5]))))
+    for t_end, dt, n, stride in grids:
+        u = np.arange(n + 1)
+        expected = np.linspace(0.0, t_end, n + 1)[(u % stride == 0) | (u == n)]
         assert cl.integrator.record_times(t_end, dt, stride).tobytes() == expected.tobytes()
+        mesh_t, _, rows = full_mesh(t_end, dt, [], stride)
+        assert mesh_t[rows >= 0].tobytes() == expected[1:].tobytes()
+        assert rows[rows >= 0].tolist() == list(range(1, len(expected)))
 
 
 def test_mesh_pieces_are_slices_of_the_woven_mesh():
-    """A piece a..b of a mesh is that slice of the whole mesh, the grid with
-    every event inserted before the first grid point at or after it, for
-    any cut, with events on grid points, at the origin and at the end."""
+    """A piece a..b of a mesh is that slice of the whole mesh, the linspace
+    grid with every event inserted before the first grid point at or after
+    it, for any cut and awkward (t_end, dt), with events on grid points and
+    on their neighbouring floats, at the origin and at the end."""
     rng = np.random.default_rng(12)
-    for _ in range(200):
-        n = int(rng.integers(1, 40))
-        grid = np.linspace(0.0, 1.0, n + 1)
-        k = int(rng.integers(0, 12))
-        ev_t = np.sort(np.concatenate((rng.uniform(0.0, 1.0, k),
-                                       rng.choice(grid, int(rng.integers(0, 3))))))
+    for t_end, dt, n in awkward_grids(rng, 300):
+        grid = np.linspace(0.0, t_end, n + 1)
+        on = rng.choice(grid, int(rng.integers(0, 6)))
+        ev_t = np.concatenate((rng.uniform(0.0, t_end, int(rng.integers(0, 12))), on,
+                               np.nextafter(on, 0.0), np.nextafter(on, math.inf)))
+        ev_t = np.sort(ev_t[ev_t <= t_end])
         events = [(t, int(rng.integers(0, 3))) for t in ev_t.tolist()]
         stride = int(rng.integers(1, n + 3))
         pos = np.maximum(np.searchsorted(grid, ev_t, side="left"), 1)
         rec = np.zeros(n + 1, dtype=bool)
         rec[stride::stride] = True
         rec[n] = True
+        rows = np.where(rec, np.cumsum(rec), -1)
         whole = (np.insert(grid, pos, ev_t),
                  np.insert(np.full(n + 1, -1), pos, [mk for _, mk in events]),
-                 np.insert(rec, pos, False))
-        mesh = cl.integrator._Mesh(grid, stride, events)
+                 np.insert(rows, pos, -1))
+        mesh = cl.integrator._Mesh(t_end, dt, stride, events)
         assert mesh.steps == n + len(events)
         for _ in range(5):
             a = int(rng.integers(0, mesh.steps))
             b = int(rng.integers(a + 1, mesh.steps + 1))
             for got, want in zip(mesh.piece(a, b), whole):
-                assert got.tolist() == want[a:b + 1].tolist()
+                assert got.tobytes() == want[a:b + 1].tobytes()
+
+
+def test_mesh_memory_does_not_grow_with_the_horizon():
+    """A mesh of 1e8 grid steps and its first and last chunk-sized pieces
+    stay under 1 MB: no array spans the horizon."""
+    events = [(0.5, 0), (5e7, 1), (5e7 + 0.5, 0), (1e8, 1)]
+    tracemalloc.start()
+    try:
+        mesh = cl.integrator._Mesh(1e8, 1.0, 1000, events)
+        first = mesh.piece(0, 4096)
+        last = mesh.piece(mesh.steps - 4096, mesh.steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mesh.n == 10**8
+    assert first[0][:3].tolist() == [0.0, 0.5, 1.0]
+    assert last[0][-3:].tolist() == [1e8 - 1, 1e8, 1e8]
+    assert last[2][-1] == 10**5
+    assert peak < 2**20
+
+
+def terminal_state(kernel, model, dt, g):
+    """The state at the last of len(g) steps of size dt that a per-path
+    kernel takes, driven through its chunk protocol with the increments g."""
+    path = kernel(model, INITIAL, [None, None, None])
+    next(path)
+    k = len(g)
+    steps = zip(((j + 1) * dt for j in range(k)), [dt] * k, *g.T.tolist(), [-1] * k,
+                [False] * (k - 1) + [True])
+    (rec,) = path.send(steps)
+    return np.array(rec[:3])
+
+
+def test_strong_order_of_both_stochastic_kernels():
+    """Strong errors at T=1 against a fine path on the same Brownian path
+    (coarse increments are sums of fine ones, Higham 2001): log-space
+    Euler-Maruyama has order 1, because the noise is additive in log space,
+    and linear-space Euler-Maruyama has order 1/2."""
+    model = make_persistence().with_sigmas(0.5, 0.5, 0.5)
+    fine, coarse, n_paths = 12, range(4, 9), 100
+    rng = np.random.default_rng(2001)
+    errors = np.zeros((2, len(coarse), n_paths))
+    for p in range(n_paths):
+        g = math.sqrt(2.0 ** -fine) * 0.5 * rng.standard_normal((2 ** fine, 3))
+        for s, kernel in enumerate((cl.integrator._log_euler, cl.integrator._direct_euler)):
+            reference = terminal_state(kernel, model, 2.0 ** -fine, g)
+            for c, k in enumerate(coarse):
+                summed = g.reshape(2 ** k, -1, 3).sum(axis=1)
+                got = terminal_state(kernel, model, 2.0 ** -k, summed)
+                errors[s, c, p] = np.abs(got - reference).max()
+    log_dt = [math.log(2.0 ** -k) for k in coarse]
+    log_euler, direct = (np.polyfit(log_dt, np.log(e.mean(axis=1)), 1)[0] for e in errors)
+    assert abs(log_euler - 1.0) <= 0.15, log_euler
+    assert abs(direct - 0.5) <= 0.15, direct
 
 
 def test_driftless_log_brownian_mean():

@@ -150,7 +150,7 @@ def test_beta_nonnegative_and_zero_iff_noise_free():
             b = beta(model, i)
             assert b >= 0.0
             sigma = (model.sigma1, model.sigma2, model.sigma3)[i - 1]
-            noise_free = sigma == 0.0 and all(g == 0.0 for g in model.jumps.gammas(i))
+            noise_free = sigma == 0.0 and all(m.gamma(i) == 0.0 for m in model.jumps.marks)
             assert (b == 0.0) == noise_free
 
 

@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from ._lazy import np
-from .harness import VerifyTolerances, ensemble, p_sweep, verify
+from .harness import VerifyTolerances, check_horizon, ensemble, p_sweep, verify
 from .integrator import (
     DIRECT_EULER,
     LOG_EULER,
@@ -402,7 +402,7 @@ def _cmd_verify(args) -> int:
     config = _make_config(args, crisp, seed=args.seed)
     report = classify(crisp)
     tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)
-    tol.check_horizon(args.t_end)  # refused before anything is simulated
+    check_horizon(args.t_end)  # refused before anything is simulated
     summary = ensemble(crisp, config, args.paths, workers=_workers())
     verdict = verify(report, summary, tol)
     _print_verdict(verdict)

@@ -40,11 +40,31 @@ from .thresholds import Regime, ThresholdReport, classify
 # concentration first drops below this level (the flag is sticky).
 EXTINCTION_THRESHOLD = 1e-30
 
+# Shortest horizon verify accepts at all: below it the terminal statistics
+# would not be meaningful.
+MIN_HORIZON = 500.0
+
 _SERIES = ("S", "x", "y", "mean_S", "mean_x", "mean_y",
            "lnx_over_t", "lny_over_t", "phi")
 # per-path terminal scalars, in the order of a path record's terminal row
 _TERMINAL = ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y", "phi")
 _PERCENTILES = (5.0, 50.0, 95.0)
+
+# What verify checks of each prediction: the terminal series, its statistic
+# over paths (the median, or the 5th percentile for a one-sided lower
+# bound) and the comparison; and each regime's claims, in verdict order.
+_CLAIMS = {
+    "x_lyapunov_bound": ("rate_x", "median", "upper"),
+    "y_lyapunov_bound": ("rate_y", "median", "upper"),
+    "S_mean_limit": ("mean_S", "median", "within"),
+    "x_mean_limit": ("mean_x", "median", "within"),
+    "y_mean_lower_bound": ("mean_y", "p5", "lower"),
+}
+_REGIME_CLAIMS = {
+    Regime.BOTH_EXTINCT: ("x_lyapunov_bound", "y_lyapunov_bound", "S_mean_limit"),
+    Regime.PREY_ONLY: ("S_mean_limit", "x_mean_limit", "y_lyapunov_bound"),
+    Regime.PERSISTENT: ("y_mean_lower_bound",),
+}
 
 
 @dataclass(frozen=True)
@@ -53,27 +73,24 @@ class VerifyTolerances:
 
     rate: absolute slack on exponential-rate (ln c(t)/t) bounds.
     mean: relative slack on time-average limits and lower bounds.
-    min_horizon: shortest horizon verify will accept at all.
     """
 
     rate: float = 0.02
     mean: float = 0.05
-    min_horizon: float = 500.0
 
     def __post_init__(self):
-        for name in ("rate", "mean", "min_horizon"):
+        for name in ("rate", "mean"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(
                     f"tolerance {name} must be finite and nonnegative, got {value!r}")
 
-    def check_horizon(self, horizon: float) -> None:
-        """Refuse a horizon below min_horizon: its terminal statistics would
-        not be meaningful."""
-        if horizon < self.min_horizon:
-            raise ValueError(
-                f"horizon {horizon} is below min_horizon {self.min_horizon}; "
-                "terminal statistics would not be meaningful")
+
+def check_horizon(horizon: float) -> None:
+    """Refuse a horizon below MIN_HORIZON."""
+    if horizon < MIN_HORIZON:
+        raise ValueError(f"horizon {horizon} is below min_horizon {MIN_HORIZON}; "
+                         "terminal statistics would not be meaningful")
 
 
 @dataclass(frozen=True)
@@ -114,7 +131,6 @@ class EnsembleSummary:
     extinct_x_frac: np.ndarray
     extinct_y_frac: np.ndarray
     terminal: dict
-    extinction_threshold: float = EXTINCTION_THRESHOLD
     aborted: tuple = field(default_factory=tuple)
 
 
@@ -191,17 +207,13 @@ def _path_records(runs, n_paths: int, workers: int):
         yield from _unpack(map(_group_records, *zip(*tasks)))
 
 
-def _check_args(n_paths, least: int, workers, extinction_threshold) -> None:
-    """Refuse an n_paths that is not an integer >= least, a workers that is
-    not an integer >= 1, or an extinction_threshold that is not a finite
-    positive number."""
+def _check_args(n_paths, least: int, workers) -> None:
+    """Refuse an n_paths that is not an integer >= least, or a workers that
+    is not an integer >= 1."""
     for name, value, low in (("n_paths", n_paths, least), ("workers", workers, 1)):
         # an int or a numpy integer, checked without importing numpy
         if not hasattr(value, "__index__") or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    if not 0.0 < extinction_threshold < math.inf:
-        raise ValueError("extinction_threshold must be finite and positive, "
-                         f"got {extinction_threshold!r}")
 
 
 def _aggregate(stack: np.ndarray) -> dict:
@@ -224,7 +236,7 @@ def _aggregate(stack: np.ndarray) -> dict:
     return {"mean": mean, "p5": pcts[0], "p50": pcts[1], "p95": pcts[2]}
 
 
-def _summarise(records, times, extinction_threshold) -> EnsembleSummary:
+def _summarise(records, times) -> EnsembleSummary:
     """Fold one ensemble's path records, in path order, into its summary.
 
     Raises RuntimeError if 10% or more of the paths aborted.  times are the
@@ -245,7 +257,7 @@ def _summarise(records, times, extinction_threshold) -> EnsembleSummary:
         stack = np.stack([b[k] for b in blocks])
         series[name] = _aggregate(stack)
         if name in ("x", "y"):
-            extinct[name] = np.logical_or.accumulate(stack < extinction_threshold, axis=1)
+            extinct[name] = np.logical_or.accumulate(stack < EXTINCTION_THRESHOLD, axis=1)
     rows = np.stack(rows).T.copy()
     terminal = {"path": np.array(index)}
     terminal.update(zip(_TERMINAL, rows))
@@ -262,28 +274,24 @@ def _summarise(records, times, extinction_threshold) -> EnsembleSummary:
         extinct_x_frac=np.mean(extinct["x"], axis=0),
         extinct_y_frac=np.mean(extinct["y"], axis=0),
         terminal=terminal,
-        extinction_threshold=extinction_threshold,
         aborted=aborted,
     )
 
 
 def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
-             workers: int = 1,
-             extinction_threshold: float = EXTINCTION_THRESHOLD) -> EnsembleSummary:
+             workers: int = 1) -> EnsembleSummary:
     """Simulate n_paths independent paths and aggregate their statistics.
 
-    Deterministic given (model, config, n_paths, extinction_threshold);
-    ``workers`` only controls process-level parallelism, and the pool never
-    has more workers than paths.  A config simulate would refuse, or an
-    argument _check_args refuses, raises ValueError before any path runs.
-    Individual path failures are recorded; the run fails outright if 10% or
-    more abort.
+    Deterministic given (model, config, n_paths); ``workers`` only controls
+    process-level parallelism, and the pool never has more workers than
+    paths.  A config simulate would refuse, or an argument _check_args
+    refuses, raises ValueError before any path runs.  Individual path
+    failures are recorded; the run fails outright if 10% or more abort.
     """
-    _check_args(n_paths, 1, workers, extinction_threshold)
+    _check_args(n_paths, 1, workers)
     check_path_config(model, config)
     records = list(_path_records([(model, config)], n_paths, workers))
-    return _summarise(records, record_times(config.t_end, config.dt, config.output_stride),
-                      extinction_threshold)
+    return _summarise(records, record_times(config.t_end, config.dt, config.output_stride))
 
 
 def verify(report: ThresholdReport, summary: EnsembleSummary,
@@ -295,46 +303,20 @@ def verify(report: ThresholdReport, summary: EnsembleSummary,
     insensitive to the handful of pinned ones); time-average limits are
     two-sided with relative slack tol.mean; the persistent lower bound is
     one-sided against the 5th percentile.  Refuses horizons below
-    tol.min_horizon outright.
+    MIN_HORIZON outright.
     """
-    tol.check_horizon(summary.horizon)
-
-    preds = report.predictions
-    term = summary.terminal
+    check_horizon(summary.horizon)
     claims = []
-
-    def upper(claim_id, predicted, observed):
-        claims.append(Claim(claim_id, predicted, observed, tol.rate, "upper",
-                            observed <= predicted + tol.rate))
-
-    def within(claim_id, predicted, observed):
-        slack = tol.mean * abs(predicted)
-        claims.append(Claim(claim_id, predicted, observed, slack, "within",
-                            abs(observed - predicted) <= slack))
-
-    def lower(claim_id, predicted, observed):
-        slack = tol.mean * abs(predicted)
-        claims.append(Claim(claim_id, predicted, observed, slack, "lower",
-                            observed >= predicted - slack))
-
-    if report.regime is Regime.BOTH_EXTINCT:
-        upper("x_lyapunov_bound", preds.x_lyapunov_bound,
-              float(np.median(term["rate_x"])))
-        upper("y_lyapunov_bound", preds.y_lyapunov_bound,
-              float(np.median(term["rate_y"])))
-        within("S_mean_limit", preds.S_mean_limit,
-               float(np.median(term["mean_S"])))
-    elif report.regime is Regime.PREY_ONLY:
-        within("S_mean_limit", preds.S_mean_limit,
-               float(np.median(term["mean_S"])))
-        within("x_mean_limit", preds.x_mean_limit,
-               float(np.median(term["mean_x"])))
-        upper("y_lyapunov_bound", preds.y_lyapunov_bound,
-              float(np.median(term["rate_y"])))
-    elif report.regime is Regime.PERSISTENT:
-        lower("y_mean_lower_bound", preds.y_mean_lower_bound,
-              float(np.percentile(term["mean_y"], 5.0)))
-
+    for claim_id in _REGIME_CLAIMS.get(report.regime, ()):
+        name, stat, comparison = _CLAIMS[claim_id]
+        values = summary.terminal[name]
+        observed = float(np.median(values) if stat == "median" else np.percentile(values, 5.0))
+        predicted = getattr(report.predictions, claim_id)
+        slack = tol.rate if comparison == "upper" else tol.mean * abs(predicted)
+        passed = {"upper": observed <= predicted + slack,
+                  "lower": observed >= predicted - slack,
+                  "within": abs(observed - predicted) <= slack}[comparison]
+        claims.append(Claim(claim_id, predicted, observed, slack, comparison, passed))
     return Verdict(regime=report.regime, claims=tuple(claims))
 
 
@@ -349,14 +331,13 @@ class SweepRow:
 
 
 def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
-            workers: int = 1, tol: VerifyTolerances = VerifyTolerances(),
-            extinction_threshold: float = EXTINCTION_THRESHOLD) -> list:
+            workers: int = 1, tol: VerifyTolerances = VerifyTolerances()) -> list:
     """Crispify, classify, simulate, and verify at each imprecision level.
 
     Rows are ordered by p and evaluated independently; a failure in one row
     (recorded in row.error) does not reach another.  An argument _check_args
     refuses, an empty p_grid, a config simulate would refuse or a horizon
-    tol refuses raises ValueError before any path runs: every row shares
+    below MIN_HORIZON raises ValueError before any path runs: every row shares
     the model's jumps, so one check covers them all.  Every row's paths run
     in one stream, row by row, on one pool, and a row is summarised and
     verified as soon as its records are in; an exception the stream raises
@@ -364,7 +345,7 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     n_paths=0 skips the Monte Carlo part and produces threshold-only rows:
     crispify and classify at each level, nothing else.
     """
-    _check_args(n_paths, 0, workers, extinction_threshold)
+    _check_args(n_paths, 0, workers)
     grid = sorted(float(p) for p in p_grid)
     if not grid:
         raise ValueError("p_grid must be nonempty")
@@ -376,7 +357,7 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
         return rows
 
     check_path_config(model, config)
-    tol.check_horizon(config.t_end)
+    check_horizon(config.t_end)
     times = record_times(config.t_end, config.dt, config.output_stride)
     broken = None  # a stream that raised has ended for every later row too
     with closing(_path_records([(row.crisp, config) for row in rows], n_paths,
@@ -390,7 +371,7 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
                 except Exception as exc:
                     broken = exc
                     raise
-                summary = _summarise(records, times, extinction_threshold)
+                summary = _summarise(records, times)
                 row.stats = {
                     "mean_S": float(np.median(summary.terminal["mean_S"])),
                     "mean_x": float(np.median(summary.terminal["mean_x"])),

@@ -9,7 +9,8 @@ A naive linear-space Euler scheme ("direct_euler") is kept purely as a
 diagnostic of why that guarantee matters.  Both schemes and the RK4 solver
 of the noise-free system are kernels of one chunk engine, which also picks
 the kernel: a wide run of log-space paths steps them all at once, bit for
-bit as each steps alone, and every kernel records into one block.
+bit as each steps alone, and every kernel records into one block.  Direct
+Euler and RK4 are step functions of one linear-space loop.
 
 Each trajectory also accumulates, on the full fine mesh, the running time
 averages of S, x, y (trapezoid rule), the exponential-rate statistics
@@ -47,12 +48,13 @@ _CHUNK_STEPS = 4096
 _MIN_BATCH = 40
 
 # Largest mesh (uniform steps plus expected jump events) a path may ask for,
-# checked before anything is allocated.  Grid steps cost no memory, as the
-# mesh is built a piece at a time, but each jump event costs about 210 B of
-# peak RSS: its (t, mark) tuple in the schedule and the mesh's four event
-# arrays (1e6 to 4e6 events, x86-64 CPython 3.11).  So the cap bounds a
-# jump-dense path only to about 21 GB.
+# and most expected jump events, both checked before anything is allocated.
+# Grid steps cost no memory, as the mesh is built a piece at a time, but
+# each jump event costs about 214 B of peak RSS: its (t, mark) tuple in the
+# schedule and the mesh's four event arrays (1e6 to 4e6 events, x86-64
+# CPython 3.11).  So the event cap bounds a path to about 1 GB.
 _MAX_MESH_STEPS = 10**8
+_MAX_JUMP_EVENTS = 5 * 10**6
 
 
 class SimulationError(RuntimeError):
@@ -128,10 +130,14 @@ def _check_config(config: SimConfig, positive_initial: bool,
         raise ValueError(f"t_end must be positive and finite, got {config.t_end!r}")
     if not 0.0 < config.dt < config.t_end:
         raise ValueError(f"dt must lie in (0, t_end), got {config.dt!r}")
-    steps = config.t_end / config.dt + max(jump_rate, 0.0) * config.t_end
+    events = max(jump_rate, 0.0) * config.t_end
+    steps = config.t_end / config.dt + events
     if not steps <= _MAX_MESH_STEPS:
         raise ValueError(f"t_end/dt plus the expected jump count is {steps:.3g}, "
                          f"above the cap of {_MAX_MESH_STEPS:.0e} mesh steps")
+    if not events <= _MAX_JUMP_EVENTS:
+        raise ValueError(f"the expected jump count is {events:.3g}, "
+                         f"above the cap of {_MAX_JUMP_EVENTS:.0e} events per path")
     stride = config.output_stride
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"output_stride must be an integer >= 1, got {stride!r}")
@@ -258,10 +264,11 @@ def _log_euler(model: CrispModel, initial: State, floors: list):
     """Log-space Euler-Maruyama kernel with exact multiplicative jumps.
 
     Every per-path kernel is a generator with this signature.  It first
-    yields the t=0 state; then each send() passes the steps of one chunk and
-    gets back that chunk's records (S, x, y, the three trapezoid integrals,
-    ln x, ln y), which the caller empties once copied.  A kernel stores its
-    first pin times in floors.
+    yields the t=0 state; then each send() passes the steps of one chunk,
+    each (t, dt, g1, g2, g3, mark, record), and gets back that chunk's
+    records (S, x, y, the three trapezoid integrals, ln x, ln y), which the
+    caller empties once copied.  A kernel stores its first pin times in
+    floors.
     """
     (c1, c2, c3), dso, (m1, m2), (m1d1, m2d2), log_jumps = _log_drift(model)
     jl1, jl2, jl3 = log_jumps.T.tolist()
@@ -315,47 +322,11 @@ def _log_euler(model: CrispModel, initial: State, floors: list):
         out = recs
 
 
-def _direct_euler(model: CrispModel, initial: State, floors: list):
-    """Linear-space Euler-Maruyama kernel; aborts on the first nonpositive state."""
-    comp1, comp2, comp3 = (model.jumps.gamma_intensity(i) for i in (1, 2, 3))
-    marks = model.jumps.marks
-    isfinite, log = math.isfinite, math.log
-    S, x, y = initial.S, initial.x, initial.y
-    iS = ix = iy = 0.0
-    out = S, x, y
-    while True:
-        recs = []
-        for t, dt, g1, g2, g3, mk, rec in (yield out):
-            pS, px, py = S, x, y
-            dS, dx, dy = drift(model, S, x, y)
-            S = S + (dS - comp1 * S) * dt + S * g1
-            x = x + (dx - comp2 * x) * dt + x * g2
-            y = y + (dy - comp3 * y) * dt + y * g3
-            if mk >= 0:
-                mark = marks[mk]
-                S *= 1.0 + mark.gamma1
-                x *= 1.0 + mark.gamma2
-                y *= 1.0 + mark.gamma3
-            if S <= 0.0 or x <= 0.0 or y <= 0.0:
-                raise SimulationError(
-                    "direct Euler scheme produced a nonpositive state", t)
-            if not (isfinite(S) and isfinite(x) and isfinite(y)):
-                raise SimulationError("non-finite state", t)
-            h = 0.5 * dt
-            iS += (pS + S) * h
-            ix += (px + x) * h
-            iy += (py + y) * h
-            if rec:
-                recs.append((S, x, y, iS, ix, iy, log(x), log(y)))
-        out = recs
-
-
-def _rk4(model: CrispModel, initial: State, floors: list):
-    """Classical fourth-order Runge-Kutta kernel for the noise-free system.
-
-    Its steps carry no noise or mark, only (t, dt, record); the log of a zero
-    coordinate is recorded as -inf.
-    """
+def _linear(step, initial: State):
+    """The linear-space kernel loop: each step's state is step(S, x, y, t,
+    dt, g1, g2, g3, mark), which may raise its own SimulationError; the loop
+    aborts on a non-finite state and records the log of a zero coordinate
+    as -inf."""
     isfinite, log = math.isfinite, math.log
     ninf = float("-inf")
     S, x, y = initial.S, initial.x, initial.y
@@ -363,15 +334,9 @@ def _rk4(model: CrispModel, initial: State, floors: list):
     out = S, x, y
     while True:
         recs = []
-        for t, dt, rec in (yield out):
+        for t, dt, g1, g2, g3, mk, rec in (yield out):
             pS, px, py = S, x, y
-            k1 = drift(model, S, x, y)
-            k2 = drift(model, S + 0.5 * dt * k1[0], x + 0.5 * dt * k1[1], y + 0.5 * dt * k1[2])
-            k3 = drift(model, S + 0.5 * dt * k2[0], x + 0.5 * dt * k2[1], y + 0.5 * dt * k2[2])
-            k4 = drift(model, S + dt * k3[0], x + dt * k3[1], y + dt * k3[2])
-            S += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            x += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            y += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            S, x, y = step(S, x, y, t, dt, g1, g2, g3, mk)
             if not (isfinite(S) and isfinite(x) and isfinite(y)):
                 raise SimulationError("non-finite state", t)
             h = 0.5 * dt
@@ -382,6 +347,44 @@ def _rk4(model: CrispModel, initial: State, floors: list):
                 recs.append((S, x, y, iS, ix, iy,
                              log(x) if x > 0.0 else ninf, log(y) if y > 0.0 else ninf))
         out = recs
+
+
+def _direct_euler(model: CrispModel, initial: State, floors: list):
+    """Linear-space Euler-Maruyama kernel; aborts on the first nonpositive state."""
+    comp1, comp2, comp3 = (model.jumps.gamma_intensity(i) for i in (1, 2, 3))
+    marks = model.jumps.marks
+
+    def step(S, x, y, t, dt, g1, g2, g3, mk):
+        dS, dx, dy = drift(model, S, x, y)
+        S = S + (dS - comp1 * S) * dt + S * g1
+        x = x + (dx - comp2 * x) * dt + x * g2
+        y = y + (dy - comp3 * y) * dt + y * g3
+        if mk >= 0:
+            mark = marks[mk]
+            S *= 1.0 + mark.gamma1
+            x *= 1.0 + mark.gamma2
+            y *= 1.0 + mark.gamma3
+        if S <= 0.0 or x <= 0.0 or y <= 0.0:
+            raise SimulationError("direct Euler scheme produced a nonpositive state", t)
+        return S, x, y
+
+    return _linear(step, initial)
+
+
+def _rk4(model: CrispModel, initial: State, floors: list):
+    """Classical fourth-order Runge-Kutta kernel for the noise-free system;
+    its steps carry zero noise and no mark, which it ignores."""
+
+    def step(S, x, y, t, dt, *_):
+        k1 = drift(model, S, x, y)
+        k2 = drift(model, S + 0.5 * dt * k1[0], x + 0.5 * dt * k1[1], y + 0.5 * dt * k1[2])
+        k3 = drift(model, S + 0.5 * dt * k2[0], x + 0.5 * dt * k2[1], y + 0.5 * dt * k2[2])
+        k4 = drift(model, S + dt * k3[0], x + dt * k3[1], y + dt * k3[2])
+        return (S + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                x + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+                y + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
+
+    return _linear(step, initial)
 
 
 def _noise(rng, dts: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -423,12 +426,10 @@ def _each_path(scalar, model: CrispModel, initial: State, block: np.ndarray,
     while True:
         _, chunk = yield out
         for i, t, dts, g, marks, rows in chunk:
-            cols = [t[1:].tolist(), dts.tolist()]
-            if g is not None:
-                cols += g.T.tolist() + [marks[1:].tolist()]
             rows = rows[1:]
             rec = rows >= 0
-            cols.append(rec.tolist())
+            cols = [t[1:].tolist(), dts.tolist(), *g.T.tolist(), marks[1:].tolist(),
+                    rec.tolist()]
             try:
                 recs = paths[i].send(zip(*cols))
             except SimulationError as exc:
@@ -565,11 +566,11 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
     path draws its jump schedule from its own seed's stream, then each
     chunk's normals in stream order, so neither the chunk size nor the
     paths beside it change the result; without seeds the mesh is the
-    uniform grid, nothing is drawn and both martingales are zero.  Every
-    sampled event is a mesh step, so a finished path's jump log is its
-    schedule.  Every kernel records into one (9, records, paths) block, at
-    the rows its mesh pieces name, and the block is returned as a
-    (9, paths, records) view.
+    uniform grid, nothing is drawn, the noise is zero and so are both
+    martingales.  Every sampled event is a mesh step, so a finished path's
+    jump log is its schedule.  Every kernel records into one (9, records,
+    paths) block, at the rows its mesh pieces name, and the block is
+    returned as a (9, paths, records) view.
     """
     stochastic = seeds is not None
     rngs = ([np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
@@ -598,10 +599,8 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
         mesh = meshes[i]
         t, marks, rows = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
         dts = np.diff(t)
-        g = None
-        if stochastic:
-            g = _noise(rngs[i], dts, sigmas)
-            brown[i] = _carry(brown[i], g)
+        g = _noise(rngs[i], dts, sigmas) if stochastic else np.zeros((len(dts), 3))
+        brown[i] = _carry(brown[i], g)
         return i, t, dts, g, marks, rows
 
     for a in range(0, max(mesh.steps for mesh in meshes), _CHUNK_STEPS):

@@ -30,6 +30,7 @@ from conftest import (
     RecordingPool,
     make_extinction,
     make_persistence,
+    make_prey_only,
     path_config,
     run_fresh,
 )
@@ -87,12 +88,13 @@ def test_ensemble_worker_count_does_not_change_results():
 
 # 6 paths step one by one; 2 * _MIN_BATCH paths step as one batch per worker
 @pytest.mark.parametrize("n_paths", [6, 2 * _MIN_BATCH])
-def test_path_alone_equals_path_in_pooled_ensemble(n_paths):
+def test_path_alone_equals_path_in_pooled_ensemble(monkeypatch, n_paths):
     model = make_extinction(jumps=TWO_MARKS)
     config = small_config(t_end=20.0, output_stride=10)
     # a threshold that some paths cross mid-run and others never do
     threshold = 1e-4
-    summary = ensemble(model, config, n_paths, workers=2, extinction_threshold=threshold)
+    monkeypatch.setattr(cl.harness, "EXTINCTION_THRESHOLD", threshold)
+    summary = ensemble(model, config, n_paths, workers=2)
     flags = {"x": [], "y": []}
     for i in range(n_paths):
         traj = simulate(model, path_config(config, i))
@@ -199,22 +201,6 @@ def test_bad_path_or_worker_count_raises_before_any_pool(monkeypatch, command, n
     assert RecordingPool.sizes == []
 
 
-@pytest.mark.parametrize("command", ["ensemble", "p_sweep"])
-@pytest.mark.parametrize("threshold", [0.0, -1e-30, math.inf, math.nan])
-def test_bad_extinction_threshold_raises_before_any_pool(monkeypatch, command, threshold):
-    # a NaN threshold would flag no path extinct and inf every path at t=0
-    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    with pytest.raises(ValueError, match="extinction_threshold must be finite and positive"):
-        if command == "ensemble":
-            ensemble(make_extinction(), small_config(), 3, workers=2,
-                     extinction_threshold=threshold)
-        else:
-            p_sweep(imprecise_extinction(), [0.0, 1.0], small_config(), 2, workers=2,
-                    extinction_threshold=threshold)
-    assert RecordingPool.sizes == []
-
-
 def test_numpy_integer_counts_are_accepted():
     summary = ensemble(make_extinction(), small_config(t_end=2.0), np.int64(3),
                        workers=np.int64(1))
@@ -267,7 +253,7 @@ def test_aggregate_equals_nan_reductions(shape):
             assert got[stat].tobytes() == pcts[k].tobytes()
 
 
-@pytest.mark.parametrize("field", ["rate", "mean", "min_horizon"])
+@pytest.mark.parametrize("field", ["rate", "mean"])
 @pytest.mark.parametrize("value", [-1.0, -1e-12, math.inf, math.nan])
 def test_tolerances_reject_negative_or_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
@@ -346,6 +332,41 @@ def test_verify_claim_rows_match_predictions(ens_extinction, ens_persistence):
         report = classify(model)
         verdict = verify(report, summary)
         assert {c.claim_id for c in verdict.claims} == set(report.predictions.present())
+
+
+def test_verify_claims_in_verdict_order():
+    """Each regime's claims come in the order verdict.csv lists them, and
+    each observed value is its statistic of its terminal series."""
+    rng = np.random.default_rng(12)
+    terminal = {name: rng.normal(size=7)
+                for name in ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y")}
+    summary = cl.EnsembleSummary(n_paths=7, horizon=500.0, times=np.array([0.0, 500.0]),
+                                 series={}, extinct_x_frac=None, extinct_y_frac=None,
+                                 terminal=terminal)
+    base = make_extinction()
+    boundary = dataclasses.replace(base, S0=(base.D + cl.beta(base, 2)) / base.m1)
+    expected = {
+        Regime.BOTH_EXTINCT: [("x_lyapunov_bound", "upper"), ("y_lyapunov_bound", "upper"),
+                              ("S_mean_limit", "within")],
+        Regime.PREY_ONLY: [("S_mean_limit", "within"), ("x_mean_limit", "within"),
+                           ("y_lyapunov_bound", "upper")],
+        Regime.PERSISTENT: [("y_mean_lower_bound", "lower")],
+        Regime.BOUNDARY: [],
+    }
+    series = {"x_lyapunov_bound": "rate_x", "y_lyapunov_bound": "rate_y",
+              "S_mean_limit": "mean_S", "x_mean_limit": "mean_x",
+              "y_mean_lower_bound": "mean_y"}
+    reports = [classify(m) for m in (base, make_prey_only(), make_persistence(), boundary)]
+    assert [r.regime for r in reports] == list(expected)
+    for report in reports:
+        verdict = verify(report, summary)
+        assert [(c.claim_id, c.comparison) for c in verdict.claims] == expected[report.regime]
+        for claim in verdict.claims:
+            values = terminal[series[claim.claim_id]]
+            want = (np.percentile(values, 5.0) if claim.comparison == "lower"
+                    else np.median(values))
+            assert claim.observed == float(want)
+            assert claim.predicted == getattr(report.predictions, claim.claim_id)
 
 
 def test_verify_zero_noise_persistent_exact():
@@ -542,8 +563,8 @@ def test_p_sweep_broken_pool_fails_the_rows_it_did_not_finish(monkeypatch):
         return real_batch(model, config, seeds)
 
     monkeypatch.setattr(cl.harness, "simulate_batch", dies_at_p_half)
-    rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], small_config(t_end=2.0),
-                   n_paths=2, workers=2, tol=VerifyTolerances(min_horizon=1.0))
+    rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], small_config(dt=0.5),
+                   n_paths=2, workers=2)
     for row in rows[1:]:
         assert "terminated abruptly" in row.error
         assert row.stats is None

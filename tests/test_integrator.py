@@ -25,12 +25,14 @@ from chemlevy import (
     simulate_ode,
 )
 from chemlevy.integrator import (
+    _MAX_JUMP_EVENTS,
     _MAX_MESH_STEPS,
     _MIN_BATCH,
     _check_config,
     derive_path_seed,
     simulate_batch,
 )
+from chemlevy.model import drift
 from conftest import (
     INITIAL,
     TWO_MARKS,
@@ -259,6 +261,159 @@ def test_strong_order_of_both_stochastic_kernels():
     log_euler, direct = (np.polyfit(log_dt, np.log(e.mean(axis=1)), 1)[0] for e in errors)
     assert abs(log_euler - 1.0) <= 0.15, log_euler
     assert abs(direct - 0.5) <= 0.15, direct
+
+
+# The direct-Euler and RK4 kernels as each stepped in its own loop, before
+# both became step functions of integrator._linear: references that the
+# shared loop must match bit for bit.
+
+def reference_direct_euler(model: CrispModel, initial: State, floors: list):
+    """Linear-space Euler-Maruyama kernel; aborts on the first nonpositive state."""
+    comp1, comp2, comp3 = (model.jumps.gamma_intensity(i) for i in (1, 2, 3))
+    marks = model.jumps.marks
+    isfinite, log = math.isfinite, math.log
+    S, x, y = initial.S, initial.x, initial.y
+    iS = ix = iy = 0.0
+    out = S, x, y
+    while True:
+        recs = []
+        for t, dt, g1, g2, g3, mk, rec in (yield out):
+            pS, px, py = S, x, y
+            dS, dx, dy = drift(model, S, x, y)
+            S = S + (dS - comp1 * S) * dt + S * g1
+            x = x + (dx - comp2 * x) * dt + x * g2
+            y = y + (dy - comp3 * y) * dt + y * g3
+            if mk >= 0:
+                mark = marks[mk]
+                S *= 1.0 + mark.gamma1
+                x *= 1.0 + mark.gamma2
+                y *= 1.0 + mark.gamma3
+            if S <= 0.0 or x <= 0.0 or y <= 0.0:
+                raise SimulationError(
+                    "direct Euler scheme produced a nonpositive state", t)
+            if not (isfinite(S) and isfinite(x) and isfinite(y)):
+                raise SimulationError("non-finite state", t)
+            h = 0.5 * dt
+            iS += (pS + S) * h
+            ix += (px + x) * h
+            iy += (py + y) * h
+            if rec:
+                recs.append((S, x, y, iS, ix, iy, log(x), log(y)))
+        out = recs
+
+
+def reference_rk4(model: CrispModel, initial: State, floors: list):
+    """Classical fourth-order Runge-Kutta kernel for the noise-free system.
+
+    Its steps carry no noise or mark, only (t, dt, record); the log of a zero
+    coordinate is recorded as -inf.
+    """
+    isfinite, log = math.isfinite, math.log
+    ninf = float("-inf")
+    S, x, y = initial.S, initial.x, initial.y
+    iS = ix = iy = 0.0
+    out = S, x, y
+    while True:
+        recs = []
+        for t, dt, rec in (yield out):
+            pS, px, py = S, x, y
+            k1 = drift(model, S, x, y)
+            k2 = drift(model, S + 0.5 * dt * k1[0], x + 0.5 * dt * k1[1], y + 0.5 * dt * k1[2])
+            k3 = drift(model, S + 0.5 * dt * k2[0], x + 0.5 * dt * k2[1], y + 0.5 * dt * k2[2])
+            k4 = drift(model, S + dt * k3[0], x + dt * k3[1], y + dt * k3[2])
+            S += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            x += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            y += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            if not (isfinite(S) and isfinite(x) and isfinite(y)):
+                raise SimulationError("non-finite state", t)
+            h = 0.5 * dt
+            iS += (pS + S) * h
+            ix += (px + x) * h
+            iy += (py + y) * h
+            if rec:
+                recs.append((S, x, y, iS, ix, iy,
+                             log(x) if x > 0.0 else ninf, log(y) if y > 0.0 else ninf))
+        out = recs
+
+
+def drive(kernel, model, initial, steps, chunk):
+    """A kernel's t=0 state and every record, or its abort's message and
+    time, with steps sent through the chunk protocol chunk at a time."""
+    path = kernel(model, initial, [None, None, None])
+    records = [next(path)]
+    try:
+        for a in range(0, len(steps), chunk):
+            recs = path.send(iter(steps[a:a + chunk]))
+            records += recs
+            recs.clear()
+    except SimulationError as exc:
+        return str(exc), exc.time
+    return records
+
+
+def random_steps(rng, model, n):
+    """n linear-space steps (t, dt, g1, g2, g3, mark, record) with random
+    sizes, noise, jump marks and record flags."""
+    dts = rng.uniform(1e-3, 0.05, n)
+    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
+    g = np.sqrt(dts)[:, None] * sigmas * rng.standard_normal((n, 3))
+    k = len(model.jumps)
+    marks = np.where(rng.random(n) < (0.2 if k else 0.0), rng.integers(0, max(k, 1), n), -1)
+    return list(zip(np.cumsum(dts).tolist(), dts.tolist(), *g.T.tolist(),
+                    marks.tolist(), (rng.random(n) < 0.3).tolist()))
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    if isinstance(got, tuple):                  # (abort message, time)
+        assert got == want
+        return
+    assert [len(r) for r in got] == [len(r) for r in want]
+    assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_linear_kernels_equal_their_own_loops(seed):
+    rng = np.random.default_rng(seed)
+    model = random_crisp_model(rng)
+    steps = random_steps(rng, model, 200)
+    ode_steps = [(t, dt, rec) for t, dt, *_, rec in steps]
+    zero = [(t, dt, 0.0, 0.0, 0.0, -1, rec) for t, dt, rec in ode_steps]
+    for chunk in (1, 7):
+        assert_same_bits(drive(cl.integrator._direct_euler, model, INITIAL, steps, chunk),
+                         drive(reference_direct_euler, model, INITIAL, steps, chunk))
+        assert_same_bits(drive(cl.integrator._rk4, model, INITIAL, zero, chunk),
+                         drive(reference_rk4, model, INITIAL, ode_steps, chunk))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_linear_kernels_abort_and_record_as_their_own_loops(chunk):
+    model = make_persistence(jumps=TWO_MARKS)
+    steps = random_steps(np.random.default_rng(3), model, 40)
+    cases = []
+    # a nonpositive state at step 20 and a non-finite one at step 30
+    for k, g in ((20, -5.0), (30, math.inf)):
+        bad = list(steps)
+        bad[k] = bad[k][:2] + (g, 0.0, 0.0, -1, True)
+        cases.append(bad)
+    for bad, message in zip(cases, ("nonpositive", "non-finite")):
+        got = drive(cl.integrator._direct_euler, model, INITIAL, bad, chunk)
+        assert got == drive(reference_direct_euler, model, INITIAL, bad, chunk)
+        assert message in got[0]
+    # RK4 overflows at a huge step, and a zero axis records -inf logs
+    ode_steps = [(t, dt, rec) for t, dt, *_, rec in steps]
+    blown = ode_steps[:25] + [(1e300, 1e300, True)] + ode_steps[25:]
+    outcomes = []
+    for initial, ode in ((INITIAL, blown), (State(1.0, 0.5, 0.0), ode_steps)):
+        want = drive(reference_rk4, model, initial, ode, chunk)
+        got = drive(cl.integrator._rk4, model, initial,
+                    [(t, dt, 0.0, 0.0, 0.0, -1, rec) for t, dt, rec in ode], chunk)
+        assert_same_bits(got, want)
+        outcomes.append(got)
+    overflow, zero_axis = outcomes
+    assert "non-finite" in overflow[0]
+    assert zero_axis[-1][-1] == -math.inf
 
 
 def test_driftless_log_brownian_mean():
@@ -496,7 +651,12 @@ def test_direct_euler_agrees_with_log_scheme_weakly():
     assert b.mean_y[-1] == pytest.approx(a.mean_y[-1], rel=0.25)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("sample_jumps ran")
+
+    # every refusal comes before the jump schedule is drawn
+    monkeypatch.setattr(cl.integrator, "sample_jumps", no_draw)
     model = make_persistence()
     with pytest.raises(ValueError):
         simulate(model, short_config(t_end=-1.0))
@@ -528,6 +688,15 @@ def test_config_validation():
     heavy = make_persistence(jumps=JumpSpec((JumpMark(1e10, 0.1, 0.1, 0.1),)))
     with pytest.raises(ValueError, match="cap"):
         simulate(heavy, short_config(t_end=100.0))
+    # 1e7 expected events fit the mesh cap but not the event cap: an event
+    # costs memory, a grid step does not
+    over = make_persistence(jumps=JumpSpec((JumpMark(1e5, 0.1, 0.1, 0.1),)))
+    assert 100.0 / 0.01 + 1e5 * 100.0 <= _MAX_MESH_STEPS
+    with pytest.raises(ValueError, match="above the cap of 5e[+]06 events per path"):
+        simulate(over, short_config(t_end=100.0))
+    with pytest.raises(ValueError, match="above the cap of 5e[+]06 events per path"):
+        cl.ensemble(over, short_config(t_end=100.0), 2, workers=2)
+    _check_config(short_config(t_end=1e3, dt=1.0), True, _MAX_JUMP_EVENTS / 1e3)  # at the cap
 
 
 _float = st.floats() | st.sampled_from([1e300, 1e-320, 5e-324, -0.0, 1e-10])
@@ -541,8 +710,9 @@ def test_config_check_raises_only_value_error(t_end, dt, s, x, y, jump_rate, pos
         _check_config(config, positive, jump_rate)
     except ValueError:
         return
-    # an accepted config asks for a finite mesh under the cap
+    # an accepted config asks for a finite mesh and jump count under the caps
     assert t_end / dt + max(jump_rate, 0.0) * t_end <= _MAX_MESH_STEPS
+    assert max(jump_rate, 0.0) * t_end <= _MAX_JUMP_EVENTS
     assert all(math.isfinite(v) for v in (s, x, y))
 
 

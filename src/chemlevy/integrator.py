@@ -197,7 +197,8 @@ class _Mesh:
     def __init__(self, t_end: float, dt: float, stride: int, events: list):
         # t_end is divided into whole steps of size ~dt (exact when divisible)
         self.n = max(1, int(math.ceil(t_end / dt - 1e-9)))
-        self.t_end, self.stride = t_end, stride
+        # a stride past n records t_end alone, as n does, and u % stride stays in int64
+        self.t_end, self.stride = t_end, min(stride, self.n)
         self.ev_t = np.array([t for t, _ in events], dtype=float)
         self.ev_mark = np.array([mk for _, mk in events], dtype=np.intp)
         # first grid point at or after each event, but never before the
@@ -240,7 +241,7 @@ def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
     grid point and t_end.  Jump events are never record points, so this is
     each path's ``Trajectory.times``; row r of a record block is time r."""
     mesh = _Mesh(t_end, dt, stride, [])
-    return mesh.grid(np.append(np.arange(0, mesh.n, stride), mesh.n))
+    return mesh.grid(np.append(np.arange(0, mesh.n, mesh.stride), mesh.n))
 
 
 def _log_drift(model: CrispModel) -> tuple:
@@ -485,37 +486,22 @@ def _log_euler_batch(model: CrispModel, initial: State, block: np.ndarray,
         dt = np.zeros((size, n_paths))
         g = np.zeros((size, 3, n_paths))
         row = np.full((size, n_paths), -1)
-        steps, at, hits = [0] * n_paths, [None] * n_paths, []
+        mark = np.full((size, n_paths), -1)
+        steps, at = [0] * n_paths, [None] * n_paths
         for i, t, dts, gi, marks, rows in chunk:
             k = len(dts)
             dt[:k, i] = dts
             g[:k, :, i] = gi
             row[:k, i] = rows[1:]
-            j = np.flatnonzero(marks[1:] >= 0)
-            hits.append(np.stack((j, np.full(len(j), i), marks[1:][j])))
+            mark[:k, i] = marks[1:]
             steps[i], at[i] = k, t
         h = 0.5 * dt
-        # per step: no record (None), one record row shared by every path,
-        # or the paths that record and their rows (after a jump some paths
-        # lag behind)
-        on = row >= 0
-        shared = ((row == row[:, :1]).all(axis=1) & on[:, 0]).tolist()
-        step_on, path_on = np.nonzero(on)
-        row_on = row[step_on, path_on]
-        cut = np.searchsorted(step_on, np.arange(size + 1)).tolist()
-        writes = [r if every else (path_on[a:b], row_on[a:b]) if b > a else None
-                  for r, every, a, b in zip(row[:, 0].tolist(), shared, cut, cut[1:])]
-        # per step: the paths that jump there, and their log jump sizes
-        jumps = {}
-        hits = np.concatenate(hits, axis=1)
-        if hits.shape[1]:
-            hits = hits[:, np.lexsort(hits[::-1])]
-            where, first = np.unique(hits[0], return_index=True)
-            for j, idx, mk in zip(where.tolist(), np.split(hits[1], first[1:]),
-                                  np.split(hits[2], first[1:])):
-                jumps[j] = idx, log_jumps[mk].T
-
-        for j, (dt_j, h_j, g_j, w) in enumerate(zip(dt, h, g, writes)):
+        # per step: does any path jump or record, and the record row every
+        # path shares (-1 where they differ: after a jump some paths lag)
+        jumped = (mark >= 0).any(axis=1).tolist()
+        recs = (row >= 0).any(axis=1).tolist()
+        shared = np.where((row == row[:, :1]).all(axis=1), row[:, 0], -1).tolist()
+        for j, (dt_j, h_j, g_j, mark_j, row_j) in enumerate(zip(dt, h, g, mark, row)):
             np.divide(dso, e1, out=d1)
             np.multiply(gain, e12, out=d23)
             np.multiply(loss, e23, out=lost12)
@@ -537,9 +523,9 @@ def _log_euler_batch(model: CrispModel, initial: State, block: np.ndarray,
             drift *= h_j
             integ += drift
             e[:] = new
-            if j in jumps:
-                idx, dl = jumps[j]
-                lg[:, idx] += dl
+            if jumped[j]:
+                idx = np.flatnonzero(mark_j >= 0)
+                lg[:, idx] += log_jumps[mark_j[idx]].T
                 e[:, idx] = _exact_exp(lg[:, idx])
             if lg.min() < floor:
                 low = lg < floor
@@ -547,14 +533,12 @@ def _log_euler_batch(model: CrispModel, initial: State, block: np.ndarray,
                 e[low] = floor_lin
                 for k, i in zip(*np.nonzero(low & np.isnan(pinned))):
                     pinned[k, i] = floors[i][k] = float(at[i][j + 1])
-            if w is None:
-                continue
-            if type(w) is int:
-                block[0:6, w] = state[3:9]
-                block[6:8, w] = state[1:3]
-            else:
-                idx, r = w
-                block[:8, r, idx] = state[recorded, idx]
+            if shared[j] >= 0:
+                block[0:6, shared[j]] = state[3:9]
+                block[6:8, shared[j]] = state[1:3]
+            elif recs[j]:
+                idx = np.flatnonzero(row_j >= 0)
+                block[:8, row_j[idx], idx] = state[recorded, idx]
 
 
 def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:

@@ -11,6 +11,13 @@ import math
 from dataclasses import dataclass
 
 
+def number(value) -> float:
+    """A JSON number (an int or a float, never a bool or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class IntervalNumber:
     """Closed real interval; the degenerate [a, a] behaves as the real a."""
@@ -30,14 +37,11 @@ class IntervalNumber:
         """Coerce a bare number (shorthand for [n, n]) or a 2-sequence."""
         if isinstance(value, IntervalNumber):
             return value
+        pair = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value] * 2
         try:
-            if isinstance(value, (int, float)):
-                return cls(float(value), float(value))
-            if isinstance(value, (list, tuple)) and len(value) == 2:
-                return cls(float(value[0]), float(value[1]))
-        except (TypeError, OverflowError):  # a non-number, or an int past the float range
-            pass
-        raise ValueError(f"cannot interpret {value!r} as an interval")
+            return cls(*map(number, pair))
+        except (TypeError, OverflowError):
+            raise ValueError(f"cannot interpret {value!r} as an interval") from None
 
     def __add__(self, other: "IntervalNumber") -> "IntervalNumber":
         return add(self, other)

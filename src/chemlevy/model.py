@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .interval import IntervalNumber, interval_value
+from .interval import IntervalNumber, interval_value, number
 
 _PARAM_FIELDS = ("D", "m1", "delta1", "sigma1", "m2", "delta2", "sigma2", "sigma3")
 
@@ -308,8 +308,8 @@ def model_from_dict(data: dict) -> ImpreciseModel:
         raise ValueError("model config has unknown field(s): " + ", ".join(unknown))
 
     try:
-        s0 = float(data["S0"])
-    except (TypeError, ValueError, OverflowError):
+        s0 = number(data["S0"])
+    except (TypeError, OverflowError):
         raise ValueError(f"field S0: expected a number, got {data['S0']!r}") from None
 
     params = {}
@@ -328,14 +328,14 @@ def model_from_dict(data: dict) -> ImpreciseModel:
             raise ValueError(f"jumps[{k}]: expected a mapping, got {rec!r}")
         try:
             marks.append(JumpMark(
-                weight=float(rec["weight"]),
-                gamma1=float(rec["gamma1"]),
-                gamma2=float(rec["gamma2"]),
-                gamma3=float(rec["gamma3"]),
+                weight=number(rec["weight"]),
+                gamma1=number(rec["gamma1"]),
+                gamma2=number(rec["gamma2"]),
+                gamma3=number(rec["gamma3"]),
             ))
         except KeyError as exc:
             raise ValueError(f"jumps[{k}]: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise ValueError(f"jumps[{k}]: fields must be numbers, got {rec!r}") from None
 
     return ImpreciseModel(S0=s0, jumps=JumpSpec(tuple(marks)), **params)

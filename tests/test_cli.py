@@ -7,7 +7,7 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chemlevy import cli, harness
@@ -549,6 +549,11 @@ def _argv(draw):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_argv())
+# a stride too large for int64, which st.integers() practically never draws
+@example(["simulate", "--model", str(MODELS / "persistence.json"), "--p", "0.5",
+          "--t-end", "1", "--stride", "9223372036854775808"])
+@example(["ensemble", "--model", str(MODELS / "persistence.json"), "--p", "0.5",
+          "--t-end", "1", "--paths", "2", "--stride", "9223372036854775808"])
 def test_any_argv_exits_0_1_or_2(tmp_path, monkeypatch, argv):
     """cli.main returns 0, 1 or 2, or argparse exits 2: never a traceback."""
     monkeypatch.chdir(tmp_path)

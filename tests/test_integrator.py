@@ -228,16 +228,22 @@ def test_mesh_memory_does_not_grow_with_the_horizon():
     assert peak < 2**20
 
 
-def terminal_state(kernel, model, dt, g):
-    """The state at the last of len(g) steps of size dt that a per-path
-    kernel takes, driven through its chunk protocol with the increments g."""
+def terminal_state(kernel, model, t, marks, g):
+    """The state at the last of the mesh points t (after the origin) that a
+    per-path kernel steps to, driven through its chunk protocol with the
+    increments g and the mark index (-1 for none) of each step."""
     path = kernel(model, INITIAL, [None, None, None])
     next(path)
     k = len(g)
-    steps = zip(((j + 1) * dt for j in range(k)), [dt] * k, *g.T.tolist(), [-1] * k,
+    steps = zip(t.tolist(), np.diff(t, prepend=0.0).tolist(), *g.T.tolist(), marks.tolist(),
                 [False] * (k - 1) + [True])
     (rec,) = path.send(steps)
     return np.array(rec[:3])
+
+
+def uniform_mesh(k):
+    """Mesh points and marks of 2**k steps of 2**-k on [0, 1], no jumps."""
+    return np.arange(1, 2 ** k + 1) * 2.0 ** -k, np.full(2 ** k, -1)
 
 
 def test_strong_order_of_both_stochastic_kernels():
@@ -252,15 +258,56 @@ def test_strong_order_of_both_stochastic_kernels():
     for p in range(n_paths):
         g = math.sqrt(2.0 ** -fine) * 0.5 * rng.standard_normal((2 ** fine, 3))
         for s, kernel in enumerate((cl.integrator._log_euler, cl.integrator._direct_euler)):
-            reference = terminal_state(kernel, model, 2.0 ** -fine, g)
+            reference = terminal_state(kernel, model, *uniform_mesh(fine), g)
             for c, k in enumerate(coarse):
                 summed = g.reshape(2 ** k, -1, 3).sum(axis=1)
-                got = terminal_state(kernel, model, 2.0 ** -k, summed)
+                got = terminal_state(kernel, model, *uniform_mesh(k), summed)
                 errors[s, c, p] = np.abs(got - reference).max()
     log_dt = [math.log(2.0 ** -k) for k in coarse]
     log_euler, direct = (np.polyfit(log_dt, np.log(e.mean(axis=1)), 1)[0] for e in errors)
     assert abs(log_euler - 1.0) <= 0.15, log_euler
     assert abs(direct - 0.5) <= 0.15, direct
+
+
+def test_strong_order_of_log_euler_on_a_jump_adapted_mesh():
+    """The coupled setup above with jumps: the coarse and the fine mesh both
+    hold every jump time and mark (a jump-adapted scheme, Platen and
+    Bruti-Liberati 2010), each coarse increment is the sum of the fine ones
+    over its step, and log-space Euler-Maruyama keeps order 1."""
+    jumps = JumpSpec(tuple(dataclasses.replace(mk, weight=2.5) for mk in TWO_MARKS.marks))
+    model = make_persistence(jumps=jumps).with_sigmas(0.5, 0.5, 0.5)
+    fine, coarse, n_paths = 12, range(4, 9), 100
+    rng = np.random.default_rng(2002)
+    errors = np.zeros((len(coarse), n_paths))
+    n_jumps = 0
+    for p in range(n_paths):
+        events = sample_jumps(model.jumps, 1.0, rng)
+        n_jumps += len(events)
+
+        def mesh(k):
+            t, marks = uniform_mesh(k)
+            t = np.concatenate((t, [time for time, _ in events]))
+            marks = np.concatenate((marks, [mk for _, mk in events])).astype(int)
+            order = np.argsort(t, kind="stable")
+            return t[order], marks[order]
+
+        t_fine, marks_fine = mesh(fine)
+        g = np.sqrt(np.diff(t_fine, prepend=0.0))[:, None] * 0.5 * rng.standard_normal(
+            (len(t_fine), 3))
+        brownian = np.concatenate((np.zeros((1, 3)), np.cumsum(g, axis=0)))
+        reference = terminal_state(cl.integrator._log_euler, model, t_fine, marks_fine, g)
+        for c, k in enumerate(coarse):
+            t, marks = mesh(k)
+            # every coarse mesh point is a fine one
+            at = np.concatenate(([0], np.searchsorted(t_fine, t) + 1))
+            assert t_fine[at[1:] - 1].tobytes() == t.tobytes()
+            got = terminal_state(cl.integrator._log_euler, model, t, marks,
+                                 np.diff(brownian[at], axis=0))
+            errors[c, p] = np.abs(got - reference).max()
+    assert n_jumps >= 4 * n_paths
+    log_dt = [math.log(2.0 ** -k) for k in coarse]
+    slope = np.polyfit(log_dt, np.log(errors.mean(axis=1)), 1)[0]
+    assert abs(slope - 1.0) <= 0.15, slope
 
 
 # The direct-Euler and RK4 kernels as each stepped in its own loop, before
@@ -560,6 +607,19 @@ def test_chunk_size_does_not_change_the_path(monkeypatch, integrate, model, conf
             or reference.jump_log or reference.lny_over_t[-1] == -math.inf)
 
 
+@pytest.mark.parametrize("integrate", [simulate, batched])
+def test_a_stride_past_int64_records_as_stride_n_does(integrate):
+    """Any stride of at least the step count n (here 1000) records t_end
+    alone, bit for bit as stride n does, even one too large for int64."""
+    model = make_persistence(jumps=TWO_MARKS)
+    want = integrate(model, short_config(t_end=10.0, output_stride=1000))
+    got = integrate(model, short_config(t_end=10.0, output_stride=2**64))
+    assert want.times.tolist() == [0.0, 10.0]
+    for name in _SERIES_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.jump_log == want.jump_log
+
+
 def assert_batch_is_each_path_alone(model, config, n_paths):
     """simulate_batch equals simulate of each path alone, bit for bit: every
     record, the budget residual, both martingales, the jump log, the floor
@@ -610,6 +670,34 @@ def test_batch_equals_each_path_alone_through_pins_and_aborts(stride):
         make_extinction(), short_config(initial=State(1e-12, 0.5, 0.2), output_stride=stride),
         _MIN_BATCH)
     assert all(isinstance(path, SimulationError) for path in doomed)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_batch_is_each_path_alone_through_every_kind_of_step(monkeypatch, chunk):
+    """A batch is each path alone at any chunk size, through steps where
+    several paths jump, where every path records in one shared row, where
+    some paths record and others do not, and padding at a chunk's end."""
+    if chunk is not None:
+        monkeypatch.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
+    model = make_persistence(jumps=TWO_MARKS)
+    config = short_config(t_end=5.0, dt=0.02, seed=8, output_stride=3)
+    assert_batch_is_each_path_alone(model, config, _MIN_BATCH)
+    # every input exercises each kind of step: each path's mesh, as one
+    # (paths, steps) table padded with -1 past its end
+    meshes = [cl.integrator._Mesh(config.t_end, config.dt, config.output_stride,
+                                  sample_jumps(model.jumps, config.t_end,
+                                               rng_for(derive_path_seed(config.seed, i))))
+              for i in range(_MIN_BATCH)]
+    marks = np.full((_MIN_BATCH, max(mesh.steps for mesh in meshes)), -1)
+    rows = marks.copy()
+    for i, mesh in enumerate(meshes):
+        _, mark, row = mesh.piece(0, mesh.steps)
+        marks[i, :mesh.steps], rows[i, :mesh.steps] = mark[1:], row[1:]
+    on = rows >= 0
+    assert ((marks >= 0).sum(axis=0) >= 2).any()
+    assert (on.all(axis=0) & (rows == rows[0]).all(axis=0)).any()
+    assert (on.any(axis=0) & ~on.all(axis=0)).any()
+    assert len({mesh.steps for mesh in meshes}) > 1
 
 
 def test_batch_of_direct_euler_paths_is_each_path_alone():

@@ -229,6 +229,11 @@ def test_model_from_dict_scalar_shorthand():
     assert model.m1 == I(0.4, 0.4)  # bare number means a degenerate interval
     assert len(model.jumps) == 1
     assert model.jumps.marks[0].gamma2 == -0.3
+    # a JSON int is a number too
+    ints = {"S0": 4, "m1": [1, 2], "jumps": [{"weight": 1, "gamma1": 0, "gamma2": 0,
+                                              "gamma3": 0}]}
+    model = model_from_dict({**MODEL_DICT, **ints})
+    assert (model.S0, model.m1, model.jumps.marks[0].weight) == (4.0, I(1.0, 2.0), 1.0)
 
 
 def test_model_from_dict_missing_and_unknown_fields():
@@ -247,6 +252,25 @@ def test_model_from_dict_bad_jump_record():
     bad["jumps"] = [{"weight": 0.5, "gamma1": 0.1, "gamma2": 0.1}]
     with pytest.raises(ValueError, match="jumps\\[0\\]"):
         model_from_dict(bad)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("S0", True, "field S0: expected a number"),
+    ("S0", "4", "field S0: expected a number"),
+    ("m1", True, "field m1: cannot interpret"),
+    ("m1", "1.0", "field m1: cannot interpret"),
+    ("D", [0.2, False], "field D: cannot interpret"),
+    ("D", ["0.2", 0.4], "field D: cannot interpret"),
+    ("jumps", [{"weight": True, "gamma1": 0.1, "gamma2": 0.1, "gamma3": 0.1}],
+     "jumps\\[0\\]: fields must be numbers"),
+    ("jumps", [{"weight": "0.5", "gamma1": 0.1, "gamma2": 0.1, "gamma3": 0.1}],
+     "jumps\\[0\\]: fields must be numbers"),
+])
+def test_model_numbers_are_json_numbers_only(field, value, message):
+    """S0, interval endpoints and jump fields take an int or a float: never a
+    bool, never a numeric string."""
+    with pytest.raises(ValueError, match=message):
+        model_from_dict({**MODEL_DICT, field: value})
 
 
 def test_load_model_roundtrip(tmp_path):

@@ -22,6 +22,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
 
+from . import _compiled
 from ._lazy import np
 from .integrator import (
     SimConfig,
@@ -194,11 +195,13 @@ def _path_records(runs, n_paths: int, workers: int):
         tasks += [(model, config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     workers = min(workers, len(tasks))
     if workers > 1:
-        # Load numpy and numpy.random (which numpy imports on first access)
-        # before forking, so the workers inherit them instead of each
-        # importing them again; LazyLoader is also not thread-safe before
-        # Python 3.12, and the pool's result thread unpickles arrays.
+        # Load numpy, numpy.random (which numpy imports on first access) and
+        # the compiled kernel before forking, so the workers inherit them
+        # instead of each loading them again; LazyLoader is also not
+        # thread-safe before Python 3.12, and the pool's result thread
+        # unpickles arrays.
         np.random
+        _compiled.log_euler_chunk()
         with (tempfile.TemporaryDirectory(prefix="chemlevy-") as spill_dir,
               ProcessPoolExecutor(max_workers=workers) as pool):
             spills = [os.path.join(spill_dir, f"{k}.npy") for k in range(len(tasks))]

@@ -7,10 +7,11 @@ multiplicative jump ln(1 + gamma_i) at each event.  Working in log space makes
 strict positivity structural: no step can produce a nonpositive concentration.
 A naive linear-space Euler scheme ("direct_euler") is kept purely as a
 diagnostic of why that guarantee matters.  Both schemes and the RK4 solver
-of the noise-free system are kernels of one chunk engine, which also picks
-the kernel: a wide run of log-space paths steps them all at once, bit for
-bit as each steps alone, and every kernel records into one block.  Direct
-Euler and RK4 are step functions of one linear-space loop.
+of the noise-free system are kernels of one chunk engine, which steps every
+path alone and records it into one block.  Log-space paths run a compiled
+chunk kernel (``_log_euler.c``) where it loads, bit for bit the Python
+``_log_euler``; direct Euler and RK4 are step functions of one
+linear-space loop.
 
 Each trajectory also accumulates, on the full fine mesh, the running time
 averages of S, x, y (trapezoid rule), the exponential-rate statistics
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _compiled
 from ._lazy import np
 from .model import CrispModel, JumpSpec, State, drift
 
@@ -40,12 +42,6 @@ _CEIL_LOG = 700.0
 # kernel's per-step lists exist for one chunk at a time, so beyond its jump
 # events a path's memory does not grow with its horizon.
 _CHUNK_STEPS = 4096
-
-# Fewest paths of one run that step together in the batched log-Euler
-# kernel instead of one by one.  A batched step pays a fixed numpy cost
-# whatever its width, so narrower batches are slower than the scalar kernel;
-# 40 is the measured crossover (README, "Performance and memory").
-_MIN_BATCH = 40
 
 # Largest mesh (uniform steps plus expected jump events) a path may ask for,
 # and most expected jump events, both checked before anything is allocated.
@@ -245,7 +241,7 @@ def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
 
 
 def _log_drift(model: CrispModel) -> tuple:
-    """The Ito-corrected per-capita log drift both log-Euler kernels step
+    """The Ito-corrected per-capita log drift the log-Euler kernels step
     (not model.drift), its constants folded once:
 
         d ln S = D S0 / S - (m1/delta1) x - c1
@@ -416,183 +412,107 @@ def _comp_jump(model: CrispModel, events: list, t_end: float) -> np.ndarray:
     return jump_sum - t_end * lcomp
 
 
-def _each_path(scalar, model: CrispModel, initial: State, block: np.ndarray,
-               floors: list, errors: list):
-    """A per-path kernel under the chunk protocol: one generator per path,
-    each fed its own chunk, with each chunk's records copied into their
-    rows of that path's column of the block.  A path's SimulationError ends
-    it alone."""
-    paths = [scalar(model, initial, f) for f in floors]
-    out = [next(path) for path in paths][0]
-    while True:
-        _, chunk = yield out
-        for i, t, dts, g, marks, rows in chunk:
+def _each_path(scalar, compiled, model: CrispModel, initial: State, column: np.ndarray,
+               floors: list) -> tuple:
+    """One path's kernel under the chunk protocol: (its t=0 state, step).
+    step(t, dts, g, marks, rows) advances the path over one chunk, given
+    its mesh times, step sizes, noise, marks and record rows, and writes its
+    records into their rows of the path's column of the block, or raises
+    the path's SimulationError.
+
+    With compiled (the C log_euler_chunk) the chunk's arrays go to it as
+    they are, and it writes the records itself; otherwise a generator of
+    the scalar kernel takes the chunk as step tuples, and its records are
+    copied into the column.
+    """
+    if compiled is None:
+        path = scalar(model, initial, floors)
+
+        def step(t, dts, g, marks, rows):
             rows = rows[1:]
             rec = rows >= 0
-            cols = [t[1:].tolist(), dts.tolist(), *g.T.tolist(), marks[1:].tolist(),
-                    rec.tolist()]
-            try:
-                recs = paths[i].send(zip(*cols))
-            except SimulationError as exc:
-                errors[i] = exc
-                continue
-            del cols                  # one path's step lists alive at a time
-            block[:8, rows[rec], i] = np.array(recs).reshape(-1, 8).T
+            recs = path.send(zip(t[1:].tolist(), dts.tolist(), *g.T.tolist(),
+                                 marks[1:].tolist(), rec.tolist()))
+            column[:8, rows[rec]] = np.array(recs).reshape(-1, 8).T
             recs.clear()
 
+        return next(path), step
 
-def _exact_exp(a: np.ndarray) -> np.ndarray:
-    # math.exp element by element: the scalar kernel's bits on every CPU
-    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
-def _log_euler_batch(model: CrispModel, initial: State, block: np.ndarray,
-                     floors: list, errors: list):
-    """The log-Euler kernel of every path at once, bit for bit _log_euler of
-    each path alone.
-
-    Like _each_path, it first yields the t=0 state; each send() passes
-    (size, chunk), chunk holding (path, mesh times, steps, noise, marks,
-    record rows) of every running path, at most size steps each.  Every
-    path advances one mesh step at a time along a numpy axis, a shorter
-    piece padded at its end with identity steps (dt=0, no noise, no mark,
-    no record), with the scalar kernel's arithmetic in the same order and
-    exp as math.exp element by element (np.exp's SIMD loops round some
-    arguments differently, and which ones depends on the CPU).  Records go
-    in place into block: at each step, every path i that records writes
-    its state into its row of column i.
-    """
-    n_paths = len(errors)
-    # the scalar kernel's constants, as (3, 1) or (2, 1) columns
     c, dso, gain, loss, log_jumps = _log_drift(model)
-    c, gain, loss = (np.array(v)[:, None] for v in (c, gain, loss))   # gain: m1 e1, m2 e2
+    k = np.array([*c, dso, *gain, *loss, _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN])
+    lg = [math.log(initial.S), math.log(initial.x), math.log(initial.y)]
+    e = [math.exp(v) for v in lg]
+    state = np.array(lg + e + [0.0, 0.0, 0.0])     # l1 l2 l3 e1 e2 e3 iS ix iy
+    pins = np.full(3, math.nan)
+    fixed = (*(a.ctypes.data for a in (k, log_jumps, state, pins, column)),
+             *(s // column.itemsize for s in column.strides))
 
-    ceil, floor, floor_lin = _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN
-    state = np.zeros((9, n_paths))
-    lg, e, integ = state[0:3], state[3:6], state[6:9]
-    # the state rows of e1 e2 e3 iS ix iy l2 l3, as a column to pair with paths
-    recorded = np.array([[3], [4], [5], [6], [7], [8], [1], [2]])
-    l0 = [math.log(initial.S), math.log(initial.x), math.log(initial.y)]
-    e0 = [math.exp(v) for v in l0]
-    lg[:] = np.array(l0)[:, None]
-    e[:] = np.array(e0)[:, None]
-    pinned = np.full((3, n_paths), math.nan)      # first pin time per coordinate
-    drift = np.empty((3, n_paths))
-    lost = np.zeros((3, n_paths))                 # its y row stays 0: m2 e2 - 0 - c3
-    e1, e12, e23, d1, d23, lost12 = e[0], e[0:2], e[1:3], drift[0], drift[1:3], lost[0:2]
-    out = tuple(e0)
-    while True:
-        size, chunk = yield out
-        dt = np.zeros((size, n_paths))
-        g = np.zeros((size, 3, n_paths))
-        row = np.full((size, n_paths), -1)
-        mark = np.full((size, n_paths), -1)
-        steps, at = [0] * n_paths, [None] * n_paths
-        for i, t, dts, gi, marks, rows in chunk:
-            k = len(dts)
-            dt[:k, i] = dts
-            g[:k, :, i] = gi
-            row[:k, i] = rows[1:]
-            mark[:k, i] = marks[1:]
-            steps[i], at[i] = k, t
-        h = 0.5 * dt
-        # per step: does any path jump or record, and the record row every
-        # path shares (-1 where they differ: after a jump some paths lag)
-        jumped = (mark >= 0).any(axis=1).tolist()
-        recs = (row >= 0).any(axis=1).tolist()
-        shared = np.where((row == row[:, :1]).all(axis=1), row[:, 0], -1).tolist()
-        for j, (dt_j, h_j, g_j, mark_j, row_j) in enumerate(zip(dt, h, g, mark, row)):
-            np.divide(dso, e1, out=d1)
-            np.multiply(gain, e12, out=d23)
-            np.multiply(loss, e23, out=lost12)
-            np.subtract(drift, lost, out=drift)
-            drift -= c
-            drift *= dt_j
-            drift += g_j
-            lg += drift
-            if not lg.max() <= ceil:
-                bad = np.flatnonzero(~(lg <= ceil).all(axis=0))
-                for i in bad.tolist():
-                    if errors[i] is None and j < steps[i]:
-                        errors[i] = SimulationError("log-state overflow", float(at[i][j + 1]))
-                # an aborted path, or a padded one whose drift is inf * 0,
-                # carries on from a harmless state; its records are dropped
-                lg[:, bad] = 0.0
-            new = _exact_exp(lg)
-            np.add(e, new, out=drift)
-            drift *= h_j
-            integ += drift
-            e[:] = new
-            if jumped[j]:
-                idx = np.flatnonzero(mark_j >= 0)
-                lg[:, idx] += log_jumps[mark_j[idx]].T
-                e[:, idx] = _exact_exp(lg[:, idx])
-            if lg.min() < floor:
-                low = lg < floor
-                lg[low] = floor
-                e[low] = floor_lin
-                for k, i in zip(*np.nonzero(low & np.isnan(pinned))):
-                    pinned[k, i] = floors[i][k] = float(at[i][j + 1])
-            if shared[j] >= 0:
-                block[0:6, shared[j]] = state[3:9]
-                block[6:8, shared[j]] = state[1:3]
-            elif recs[j]:
-                idx = np.flatnonzero(row_j >= 0)
-                block[:8, row_j[idx], idx] = state[recorded, idx]
+    def step(t, dts, g, marks, rows):
+        n = len(dts)
+        t, dts, g = (np.ascontiguousarray(a, np.float64) for a in (t, dts, g))
+        marks, rows = (np.ascontiguousarray(a, np.intp) for a in (marks, rows))
+        # the kernel reads n + 1 mesh points, n noise rows and the jump of
+        # each mark named, and writes each record row named
+        if not (len(t) == len(marks) == len(rows) == n + 1 and g.shape == (n, 3)
+                and marks.max() < len(log_jumps) and rows.max() < column.shape[1]):
+            raise ValueError("a chunk's arrays do not fit the compiled kernel")
+        end = compiled(n, t.ctypes.data, dts.ctypes.data, g.ctypes.data,
+                       marks.ctypes.data, rows.ctypes.data, *fixed)
+        floors[:] = [None if math.isnan(v) else v for v in pins.tolist()]
+        if end == -2:
+            raise OverflowError("math range error")   # as math.exp raises it
+        if end >= 0:
+            raise SimulationError("log-state overflow", float(t[end + 1]))
+
+    step.buffers = k, log_jumps, state, pins, column   # alive while fixed points into them
+    return tuple(e), step
 
 
 def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
     """The chunk engine: run one path per seed, or without seeds one
     noise-free RK4 path, and return (series, paths) as simulate_batch does.
 
-    This is where the kernel is chosen: _MIN_BATCH or more log-Euler paths
-    step together in _log_euler_batch, any other run path by path.  Each
-    path draws its jump schedule from its own seed's stream, then each
-    chunk's normals in stream order, so neither the chunk size nor the
-    paths beside it change the result; without seeds the mesh is the
-    uniform grid, nothing is drawn, the noise is zero and so are both
-    martingales.  Every sampled event is a mesh step, so a finished path's
-    jump log is its schedule.  Every kernel records into one (9, records,
-    paths) block, at the rows its mesh pieces name, and the block is
-    returned as a (9, paths, records) view.
+    This is where the kernel is chosen: log-Euler paths run the compiled
+    chunk kernel where it loads, and the Python _log_euler bit for bit the
+    same elsewhere; direct Euler and RK4 run in Python.  Each path draws
+    its jump schedule from its own seed's stream, then each chunk's normals
+    in stream order, so neither the chunk size nor the paths beside it
+    change the result; without seeds the mesh is the uniform grid, nothing
+    is drawn, the noise is zero and so are both martingales.  Every sampled
+    event is a mesh step, so a finished path's jump log is its schedule.
+    Every kernel records into one (9, records, paths) block, at the rows
+    its mesh pieces name, and the block is returned as a (9, paths,
+    records) view.  A path that aborts stops there.
     """
     stochastic = seeds is not None
     rngs = ([np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
             if stochastic else [None])
-    n_paths = len(rngs)
-    batched = stochastic and config.scheme == LOG_EULER and n_paths >= _MIN_BATCH
-    scalar = (_rk4 if not stochastic else
-              _direct_euler if config.scheme == DIRECT_EULER else _log_euler)
+    log_euler = stochastic and config.scheme == LOG_EULER
+    scalar = (_rk4 if not stochastic else _log_euler if log_euler else _direct_euler)
+    compiled = _compiled.log_euler_chunk() if log_euler else None
     schedules = [sample_jumps(model.jumps, config.t_end, rng) if stochastic else []
                  for rng in rngs]
-    meshes = [_Mesh(config.t_end, config.dt, config.output_stride, events)
-              for events in schedules]
     times = record_times(config.t_end, config.dt, config.output_stride)
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
-    block = np.empty((9, len(times), n_paths))   # one record of every path is a contiguous row
+    block = np.empty((9, len(times), len(rngs)))   # one record of every path is a contiguous row
     floors = [[None, None, None] for _ in rngs]
-    errors = [None] * n_paths
-    brown = [np.zeros((1, 3))] * n_paths    # Brownian martingale sums carried across chunks
-    kernel = (_log_euler_batch(model, config.initial, block, floors, errors) if batched
-              else _each_path(scalar, model, config.initial, block, floors, errors))
-    s1, s2, s3 = next(kernel)
-    # the t=0 record: a time average is the initial value, a rate is 0/0
-    block[:8, 0] = np.array([s1, s2, s3, s1, s2, s3, math.nan, math.nan])[:, None]
-
-    def piece(i, a):
-        mesh = meshes[i]
-        t, marks, rows = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
-        dts = np.diff(t)
-        g = _noise(rngs[i], dts, sigmas) if stochastic else np.zeros((len(dts), 3))
-        brown[i] = _carry(brown[i], g)
-        return i, t, dts, g, marks, rows
-
-    for a in range(0, max(mesh.steps for mesh in meshes), _CHUNK_STEPS):
-        live = [i for i, mesh in enumerate(meshes) if errors[i] is None and mesh.steps > a]
-        if not live:
-            break                   # every path has ended or aborted
-        size = min(_CHUNK_STEPS, max(meshes[i].steps for i in live) - a)
-        kernel.send((size, (piece(i, a) for i in live)))
+    errors = [None] * len(rngs)
+    brown = [np.zeros((1, 3))] * len(rngs)     # Brownian martingale sums
+    for i, (rng, events) in enumerate(zip(rngs, schedules)):
+        mesh = _Mesh(config.t_end, config.dt, config.output_stride, events)
+        s, step = _each_path(scalar, compiled, model, config.initial, block[:, :, i], floors[i])
+        # the t=0 record: a time average is the initial value, a rate is 0/0
+        block[:8, 0, i] = (*s, *s, math.nan, math.nan)
+        for a in range(0, mesh.steps, _CHUNK_STEPS):
+            t, marks, rows = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
+            dts = np.diff(t)
+            g = _noise(rng, dts, sigmas) if stochastic else np.zeros((len(dts), 3))
+            brown[i] = _carry(brown[i], g)
+            try:
+                step(t, dts, g, marks, rows)
+            except SimulationError as exc:
+                errors[i] = exc
+                break
 
     series = block.transpose(0, 2, 1)
     paths = []
@@ -620,10 +540,9 @@ def _alone(run: tuple) -> Trajectory:
 def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
     """Integrate one path per seed of the config's stochastic scheme.
 
-    Path i is bit for bit ``simulate(model, replace(config, seed=seeds[i]))``,
-    whichever kernel runs it: _MIN_BATCH or more log-Euler paths step
-    together along a numpy axis, fewer (and direct-Euler paths) one by one.
-    A path aborts alone, with simulate's SimulationError.
+    Path i is bit for bit ``simulate(model, replace(config, seed=seeds[i]))``:
+    every path steps alone.  A path aborts alone, with simulate's
+    SimulationError.
 
     Returns (series, paths).  series is one (9, len(seeds), n_records) array
     of S, x, y, mean_S, mean_x, mean_y, lnx_over_t, lny_over_t and the

@@ -12,8 +12,11 @@ suite and the harness tests, so they are built once per session.
 
 import dataclasses
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 import time
 from pathlib import Path
 
@@ -49,6 +52,29 @@ class RecordingPool:
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled log-Euler kernel into a cache of the test session's
+    own (fresh processes inherit it), so the suite neither reads nor writes
+    the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        cl._compiled.log_euler_chunk.cache_clear()
+        yield
+
+
+@pytest.fixture(scope="session")
+def compiled(kernel_cache):
+    """The compiled log-Euler chunk kernel, which must load wherever Python's
+    C compiler is installed; a test that needs it is skipped elsewhere."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler to build the log-Euler kernel with")
+    kernel = cl._compiled.log_euler_chunk()
+    assert kernel is not None, "the compiled log-Euler kernel did not load"
+    return kernel
 
 
 def run_fresh(code: str) -> str:

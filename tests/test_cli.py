@@ -1,16 +1,20 @@
 """End-to-end CLI behavior: exit codes, printed output, and emitted CSV files."""
 
+import ctypes
 import json
 import math
 import os
 import shutil
+import subprocess
+import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chemlevy import cli, harness
+from chemlevy import _compiled, cli, harness
 from chemlevy.cli import main
 from conftest import RecordingPool, run_fresh
 
@@ -189,20 +193,30 @@ def test_readme_threshold_commands_print_what_they_always_printed(tmp_path, caps
 
 
 def test_threshold_commands_never_load_numpy(tmp_path):
+    """A fresh import chemlevy, validate, thresholds and a threshold-only
+    sweep load neither numpy nor ctypes, and never touch the compiled
+    kernel's cache."""
     models = sorted(str(p) for p in MODELS.glob("*.json"))
     thr, swp = str(tmp_path / "thr"), str(tmp_path / "swp")
+    cache = str(tmp_path / "cache")
     code = f"""
+import os
 import sys
+os.environ["XDG_CACHE_HOME"] = {cache!r}
+import chemlevy
+print(sorted(m for m in sys.modules if m.startswith("numpy.") or m == "ctypes"))
 from chemlevy.cli import main
 for path in {models!r}:
     assert main(["validate", "--model", path]) == 0
     assert main(["thresholds", "--model", path, "--p", "0.5", "--theta", "3",
                  "--out", {thr!r}]) == 0
     assert main(["sweep", "--model", path, "--p-grid", "0,0.5,1", "--out", {swp!r}]) == 0
-print(sorted(m for m in sys.modules if m.startswith("numpy.")))
+print(sorted(m for m in sys.modules if m.startswith("numpy.") or m == "ctypes"))
 """
     assert models
-    assert run_fresh(code).splitlines()[-1] == "[]"
+    lines = run_fresh(code).splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert not os.path.exists(cache)
 
 
 def test_simulate_writes_trajectory(tmp_path, capsys):
@@ -353,6 +367,76 @@ def test_monte_carlo_pool_follows_affinity(tmp_path, monkeypatch, affinity, cpu_
     assert main(["ensemble", "--model", path, "--p", "0.5", "--t-end", "2", "--dt", "0.02",
                  "--paths", "3", "--out", str(tmp_path)]) == 0
     assert RecordingPool.sizes == pools
+
+
+# a path with jumps, pins and records at an odd stride, and a pooled ensemble
+KERNEL_RUNS = [
+    ["simulate", "--model", str(MODELS / "imprecise_jumps.json"), "--p", "0.5",
+     "--t-end", "50", "--stride", "7"],
+    ["ensemble", "--model", str(MODELS / "imprecise_jumps.json"), "--p", "0.5",
+     "--t-end", "20", "--stride", "3", "--paths", "6"],
+]
+
+
+def run_outputs(argv, out, capsys):
+    """Exit status, stdout and stderr (with out's name masked) and every
+    output file of one in-process command."""
+    status = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    return status, captured.out.replace(str(out), "OUT"), captured.err, files
+
+
+@pytest.mark.parametrize("failure", ["no compiler", "unwritable cache", "loader raises"])
+def test_a_kernel_that_cannot_be_had_gives_the_same_bytes(tmp_path, capsys, monkeypatch,
+                                                          request, compiled, failure):
+    """Without a compiler, with a cache that cannot be written, or with a
+    library that does not load, the commands run on the Python kernel:
+    the same files and the same printout, and nothing said about it."""
+    want = [run_outputs(argv, tmp_path / f"want{k}", capsys)
+            for k, argv in enumerate(KERNEL_RUNS)]
+    cache = tmp_path / "cache"
+    if failure == "no compiler":
+        config_var = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: "no-such-cc -pthread" if name == "CC" else config_var(name))
+    elif failure == "unwritable cache":
+        cache.write_text("")              # a file where a directory must go
+    else:
+        def no_library(*args, **kwargs):
+            raise OSError("cannot load the library")
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    _compiled.log_euler_chunk.cache_clear()
+    request.addfinalizer(_compiled.log_euler_chunk.cache_clear)
+    got = [run_outputs(argv, tmp_path / f"got{k}", capsys) for k, argv in enumerate(KERNEL_RUNS)]
+    assert _compiled.log_euler_chunk() is None
+    assert got == want
+    assert [status for status, *_ in got] == [0, 0]
+    assert all(err == "" for _, _, err, _ in got)
+
+
+@pytest.mark.parametrize("variable", ["XDG_CACHE_HOME", "HOME"])
+def test_two_fresh_processes_build_one_kernel_in_an_empty_cache(tmp_path, compiled, variable):
+    """Two processes that start at once on one empty cache both build the
+    kernel, both exit 0 with the same outputs, and leave one library."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("XDG_CACHE_HOME", None)
+    env[variable] = str(tmp_path / "home")
+    cache = tmp_path / "home" / ("chemlevy" if variable == "XDG_CACHE_HOME" else ".cache/chemlevy")
+    runs = [subprocess.Popen([sys.executable, "-m", "chemlevy.cli", *KERNEL_RUNS[1],
+                              "--out", str(tmp_path / f"run{k}")], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for k in range(2)]
+    printed = [run.communicate(timeout=120) for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], printed
+    assert printed[0][0].replace("run0", "run1") == printed[1][0]
+    assert printed[0][1] == printed[1][1] == ""
+    assert [(f.name, f.read_bytes()) for f in sorted((tmp_path / "run0").iterdir())] \
+        == [(f.name, f.read_bytes()) for f in sorted((tmp_path / "run1").iterdir())]
+    assert len([f.name for f in cache.iterdir()]) == 1
+    assert next(cache.iterdir()).name.endswith(".so")
 
 
 @pytest.mark.parametrize("flag, value", [("--t-end", "inf"), ("--t-end", "nan"),

@@ -23,7 +23,6 @@ from chemlevy import (
     simulate,
     verify,
 )
-from chemlevy.integrator import _MIN_BATCH
 from conftest import (
     INITIAL,
     TWO_MARKS,
@@ -86,8 +85,8 @@ def test_ensemble_worker_count_does_not_change_results():
     assert np.array_equal(a.extinct_x_frac, b.extinct_x_frac)
 
 
-# 6 paths step one by one; 2 * _MIN_BATCH paths step as one batch per worker
-@pytest.mark.parametrize("n_paths", [6, 2 * _MIN_BATCH])
+# a narrow and a wide group per worker
+@pytest.mark.parametrize("n_paths", [6, 80])
 def test_path_alone_equals_path_in_pooled_ensemble(monkeypatch, n_paths):
     model = make_extinction(jumps=TWO_MARKS)
     config = small_config(t_end=20.0, output_stride=10)
@@ -129,43 +128,46 @@ def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, p
     assert list(summary.terminal["path"]) == list(range(n_paths))
 
 
-@pytest.mark.parametrize("n_paths, workers, scheme, alone, batches", [
-    (_MIN_BATCH - 1, 1, cl.LOG_EULER, _MIN_BATCH - 1, []),
-    (_MIN_BATCH, 1, cl.LOG_EULER, 0, [_MIN_BATCH]),
-    # one worker's group is one path short of a batch, the other's is not
-    (2 * _MIN_BATCH - 1, 2, cl.LOG_EULER, _MIN_BATCH - 1, [_MIN_BATCH]),
-    (_MIN_BATCH, 1, cl.DIRECT_EULER, _MIN_BATCH, []),
+@pytest.mark.parametrize("n_paths, workers, scheme", [
+    (1, 1, cl.LOG_EULER), (39, 1, cl.LOG_EULER), (40, 1, cl.LOG_EULER), (79, 2, cl.LOG_EULER),
+    (1, 1, cl.DIRECT_EULER), (40, 1, cl.DIRECT_EULER), (79, 2, cl.DIRECT_EULER),
 ])
-def test_groups_below_min_batch_step_path_by_path(monkeypatch, n_paths, workers, scheme,
-                                                   alone, batches):
-    """Each worker's group is one simulate_batch, which steps it in the
-    batched kernel from _MIN_BATCH log-Euler paths on, else path by path."""
+def test_log_euler_paths_run_compiled_and_the_others_in_python(monkeypatch, compiled, n_paths,
+                                                                workers, scheme):
+    """Each worker's group is one simulate_batch, whose log-Euler paths all
+    run the compiled kernel and whose direct-Euler paths (and the RK4 path
+    of simulate_ode) run in Python, whatever the group's width."""
     monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    calls = {"alone": 0, "batches": []}
+    calls = {"compiled": 0, "_log_euler": 0, "_direct_euler": 0, "_rk4": 0}
 
-    def counted_scalar(kernel):
+    def counted_compiled(*args):
+        calls["compiled"] += 1
+        return compiled(*args)
+
+    def counted_scalar(name):
+        kernel = getattr(cl.integrator, name)
+
         def counted(model, initial, floors):
-            calls["alone"] += 1
+            calls[name] += 1
             return kernel(model, initial, floors)
         return counted
 
-    real_batch = cl.integrator._log_euler_batch
-
-    def counted_batch(model, initial, block, floors, errors):
-        calls["batches"].append(len(errors))
-        return real_batch(model, initial, block, floors, errors)
-
-    for name in ("_log_euler", "_direct_euler"):
-        monkeypatch.setattr(cl.integrator, name, counted_scalar(getattr(cl.integrator, name)))
-    monkeypatch.setattr(cl.integrator, "_log_euler_batch", counted_batch)
+    monkeypatch.setattr(cl._compiled, "log_euler_chunk", lambda: counted_compiled)
+    for name in ("_log_euler", "_direct_euler", "_rk4"):
+        monkeypatch.setattr(cl.integrator, name, counted_scalar(name))
     config = small_config(t_end=2.0, scheme=scheme)
     summary = ensemble(make_extinction(), config, n_paths, workers=workers)
-    assert calls == {"alone": alone, "batches": batches}
+    log_euler = scheme == cl.LOG_EULER
+    # every path of 100 steps is one chunk
+    assert calls == {"compiled": n_paths if log_euler else 0, "_log_euler": 0,
+                     "_direct_euler": 0 if log_euler else n_paths, "_rk4": 0}
     assert list(summary.terminal["path"]) == list(range(n_paths))
     assert np.array_equal(summary.terminal["mean_S"], [
         simulate(make_extinction(), path_config(config, i)).mean_S[-1]
         for i in range(n_paths)])
+    cl.simulate_ode(make_extinction(), config)
+    assert calls["_rk4"] == 1
 
 
 def test_ensemble_refused_config_raises_before_any_pool(monkeypatch):
@@ -208,11 +210,11 @@ def test_numpy_integer_counts_are_accepted():
 
 
 def test_pool_is_built_after_numpy_is_loaded():
-    """Forked workers inherit numpy and numpy.random instead of each
-    importing them."""
+    """Forked workers inherit numpy, numpy.random and the compiled kernel
+    instead of each loading them."""
     code = """
 import sys
-from chemlevy import CrispModel, SimConfig, State, harness
+from chemlevy import CrispModel, SimConfig, State, _compiled, harness
 
 def numpy_loaded():
     return any(m.startswith("numpy.") for m in sys.modules)
@@ -221,7 +223,7 @@ class PoolBuilt(Exception):
     pass
 
 def pool(max_workers):
-    raise PoolBuilt("numpy.random" in sys.modules)
+    raise PoolBuilt("numpy.random" in sys.modules, _compiled.log_euler_chunk.cache_info().currsize)
 
 harness.ProcessPoolExecutor = pool
 model = CrispModel(S0=1.0, D=0.5, m1=0.4, delta1=0.5, sigma1=0.1,
@@ -231,9 +233,9 @@ before = numpy_loaded()
 try:
     harness.ensemble(model, config, n_paths=3, workers=2)
 except PoolBuilt as exc:
-    print(before, exc.args[0])
+    print(before, *exc.args)
 """
-    assert run_fresh(code).splitlines()[-1] == "False True"
+    assert run_fresh(code).splitlines()[-1] == "False True 1"
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (7, 40), (120, 301)])

@@ -1,6 +1,7 @@
 """Path integration: jump sampling, the log-space scheme, RK4, and statistics."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -27,7 +28,6 @@ from chemlevy import (
 from chemlevy.integrator import (
     _MAX_JUMP_EVENTS,
     _MAX_MESH_STEPS,
-    _MIN_BATCH,
     _check_config,
     derive_path_seed,
     simulate_batch,
@@ -230,15 +230,17 @@ def test_mesh_memory_does_not_grow_with_the_horizon():
 
 def terminal_state(kernel, model, t, marks, g):
     """The state at the last of the mesh points t (after the origin) that a
-    per-path kernel steps to, driven through its chunk protocol with the
-    increments g and the mark index (-1 for none) of each step."""
-    path = kernel(model, INITIAL, [None, None, None])
-    next(path)
-    k = len(g)
-    steps = zip(t.tolist(), np.diff(t, prepend=0.0).tolist(), *g.T.tolist(), marks.tolist(),
-                [False] * (k - 1) + [True])
-    (rec,) = path.send(steps)
-    return np.array(rec[:3])
+    path of a kernel steps to through integrator._each_path, with the
+    increments g and the mark index (-1 for none) of each step.  Like the
+    engine, this runs _log_euler as the compiled kernel where it loads."""
+    compiled = cl._compiled.log_euler_chunk() if kernel is cl.integrator._log_euler else None
+    column = np.empty((9, 2))
+    rows = np.full(len(t) + 1, -1, dtype=np.intp)
+    rows[-1] = 1
+    _, step = cl.integrator._each_path(kernel, compiled, model, INITIAL, column, [None] * 3)
+    step(np.concatenate(([0.0], t)), np.diff(t, prepend=0.0), g,
+         np.concatenate(([-1], marks)).astype(np.intp), rows)
+    return column[:3, 1]
 
 
 def uniform_mesh(k):
@@ -463,6 +465,69 @@ def test_linear_kernels_abort_and_record_as_their_own_loops(chunk):
     assert zero_axis[-1][-1] == -math.inf
 
 
+def drive_path(compiled, model, initial, steps, chunk):
+    """A log-Euler path's t=0 state, record block and floor times, or its
+    abort's type, message and time, with the steps (t, dt, g1, g2, g3, mark,
+    record) sent chunk at a time through integrator._each_path: to the
+    compiled kernel, or with compiled None to _log_euler.  The path records
+    into the second column of a two-path block, so the strides matter."""
+    t, dts, g1, g2, g3, marks, rec = (np.array(c) for c in zip(*steps))
+    t = np.concatenate(([0.0], t))
+    marks = np.concatenate(([-1], marks)).astype(np.intp)
+    rows = np.concatenate(([-1], np.where(rec, np.cumsum(rec), -1))).astype(np.intp)
+    g = np.stack((g1, g2, g3), axis=1)
+    block = np.full((9, rec.sum() + 1, 2), np.nan)
+    floors = [None, None, None]
+    first, step = cl.integrator._each_path(cl.integrator._log_euler, compiled, model,
+                                           initial, block[:, :, 1], floors)
+    try:
+        for a in range(0, len(dts), chunk):
+            b = a + chunk
+            step(t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1], rows[a:b + 1])
+    except (SimulationError, OverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "time", None)
+    return first, block.tobytes(), floors
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_compiled_kernel_steps_as_log_euler(compiled, seed):
+    """The compiled chunk kernel is _log_euler bit for bit at any chunk
+    size: its records, t=0 state and floor times, and where a step pushes a
+    coordinate below the floor or past the ceiling, or turns it NaN."""
+    rng = np.random.default_rng(seed)
+    model = random_crisp_model(rng)
+    steps = random_steps(rng, model, 300)
+    cases = [steps]
+    k = int(rng.integers(0, 300))
+    for g in ((0.0, -1e4, -1e4), (1e4, 0.0, 0.0), (0.0, math.nan, 0.0)):
+        bad = list(steps)
+        bad[k] = bad[k][:2] + g + bad[k][5:]
+        cases.append(bad)
+    outcomes = []
+    for case in cases:
+        for chunk in (1, 7, 300):
+            want = drive_path(None, model, INITIAL, case, chunk)
+            assert drive_path(compiled, model, INITIAL, case, chunk) == want
+        outcomes.append(want)
+    # at step k (unless the path aborted before it) x and y pin, or the
+    # path aborts, the same way past the ceiling as at a NaN
+    pinned, overflow, nan = outcomes[1:]
+    assert pinned[0] is SimulationError or None not in pinned[2][1:]
+    assert overflow[0] is SimulationError and nan == overflow
+
+
+def test_compiled_kernel_raises_where_math_exp_overflows(compiled):
+    """A jump from below the ceiling past exp's range raises math.exp's
+    OverflowError, from the compiled kernel as from _log_euler."""
+    model = make_persistence(jumps=JumpSpec((JumpMark(1.0, 0.0, 0.0, 1e6),)))
+    initial = State(1.0, 0.5, math.exp(699.0))
+    steps = [(1e-9, 1e-9, 0.0, 0.0, 0.0, 0, True)]
+    want = drive_path(None, model, initial, steps, 1)
+    assert want == (OverflowError, "math range error", None)
+    assert drive_path(compiled, model, initial, steps, 1) == want
+
+
 def test_driftless_log_brownian_mean():
     # with m2 = D = 0 and only sigma3 > 0, ln y(T) - ln y(0) + sigma3^2 T / 2
     # is exactly sigma3 * B(T); its mean over seeds must vanish
@@ -548,82 +613,114 @@ def test_nan_log_state_aborts():
 _SERIES_FIELDS = ("times", "S", "x", "y", "mean_S", "mean_x", "mean_y",
                   "lnx_over_t", "lny_over_t", "brownian", "comp_jump")
 
+# paths of a wide run
+WIDE = 40
 
-def batched(model, config):
-    """The last of _MIN_BATCH paths (seeds config.seed + k) stepped together
-    by simulate_batch; its error is raised, as simulate raises it."""
-    _, paths = simulate_batch(model, config, [config.seed + k for k in range(_MIN_BATCH)])
-    if isinstance(paths[-1], SimulationError):
-        raise paths[-1]
-    return paths[-1]
+
+def assert_same_path(got, want, got_phi=None, want_phi=None):
+    """Two outcomes of one path are the same bytes: every Trajectory field,
+    the budget residual (if given), the jump log and the floor times, or
+    the abort's message and time."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, SimulationError):
+        assert (str(got), got.time) == (str(want), want.time)
+        return
+    for name in _SERIES_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    if want_phi is not None:
+        assert got_phi.tobytes() == want_phi.tobytes()
+    assert got.jump_log == want.jump_log
+    assert got.floor_times == want.floor_times
+
+
+def assert_compiled_is_python(model, config, seeds):
+    """simulate_batch of seeds runs twice, as is (its log-Euler paths on the
+    compiled kernel) and with the kernel's loader made to return nothing
+    (on the Python _log_euler), and every path comes out as the same bytes.
+    Returns the first run's paths."""
+    assert cl._compiled.log_euler_chunk() is not None
+    (series, paths), (want_series, want_paths) = (
+        simulate_batch(model, config, seeds), python_kernel(simulate_batch, model, config, seeds))
+    for i, (got, want) in enumerate(zip(paths, want_paths)):
+        assert_same_path(got, want, series[8, i], want_series[8, i])
+    return paths
+
+
+def python_kernel(run, *args):
+    """run(*args) with the compiled kernel's loader returning nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cl._compiled, "log_euler_chunk", lambda: None)
+        return run(*args)
+
+
+def path_of(n_paths, model, config):
+    """The last path of simulate_batch of n_paths seeds (config.seed + k),
+    or with no paths simulate_ode's path, or the abort of either."""
+    if not n_paths:
+        return simulate_ode(model, config)
+    return simulate_batch(model, config, [config.seed + k for k in range(n_paths)])[1][-1]
 
 
 # inflated dilution drives both populations to the pin within t ~ 160
 PINNING = CrispModel(S0=1.0, D=5.0, m1=0.4, delta1=0.5, sigma1=0.05,
                      m2=0.3, delta2=0.5, sigma2=0.05, sigma3=0.05)
-# a noisy nutrient overflows some paths of a batch, not all
+# a noisy nutrient overflows some paths of a run, not all
 OVERFLOWING = make_extinction(jumps=TWO_MARKS).with_sigmas(8.0, 0.1, 0.1)
 
 
-@pytest.mark.parametrize("integrate, model, config", [
-    (simulate, make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=1)),
-    (simulate, make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=3)),
+@pytest.mark.parametrize("n_paths, model, config", [
+    (1, make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=1)),
+    (1, make_persistence(jumps=TWO_MARKS), short_config(t_end=20.0, output_stride=3)),
     # the extinction model pins y near t = 1400
-    (simulate, make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=1)),
-    (simulate, make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=3)),
-    (simulate, make_persistence(jumps=TWO_MARKS),
+    (1, make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=1)),
+    (1, make_extinction(), short_config(t_end=1600.0, dt=0.5, output_stride=3)),
+    (1, make_persistence(jumps=TWO_MARKS),
      short_config(t_end=20.0, output_stride=3, scheme=DIRECT_EULER)),
-    (simulate, make_extinction().with_sigmas(0.1, 2.0, 0.1),
+    (1, make_extinction().with_sigmas(0.1, 2.0, 0.1),
      short_config(t_end=50.0, dt=0.05, seed=14, scheme=DIRECT_EULER)),
     # a zero axis makes RK4's rate column -inf
-    (simulate_ode, make_persistence(), short_config(t_end=20.0, initial=State(1.0, 0.5, 0.0))),
-    (batched, make_persistence(jumps=TWO_MARKS), short_config(t_end=5.0, output_stride=1)),
-    (batched, make_persistence(jumps=TWO_MARKS), short_config(t_end=5.0, output_stride=3)),
-    (batched, PINNING, short_config(t_end=300.0, dt=0.5, output_stride=3)),
-    (batched, OVERFLOWING, short_config(t_end=4.0, dt=0.02, seed=1, output_stride=3)),
+    (0, make_persistence(), short_config(t_end=20.0, initial=State(1.0, 0.5, 0.0))),
+    (WIDE, make_persistence(jumps=TWO_MARKS), short_config(t_end=5.0, output_stride=1)),
+    (WIDE, make_persistence(jumps=TWO_MARKS), short_config(t_end=5.0, output_stride=3)),
+    (WIDE, PINNING, short_config(t_end=300.0, dt=0.5, output_stride=3)),
+    (WIDE, OVERFLOWING, short_config(t_end=4.0, dt=0.02, seed=1, output_stride=3)),
 ], ids=["jumps-stride1", "jumps-stride3", "pinned-stride1", "pinned-stride3",
         "direct-stride3", "direct-abort", "rk4-zero-axis", "batch-jumps-stride1",
         "batch-jumps-stride3", "batch-pinned", "batch-abort"])
-def test_chunk_size_does_not_change_the_path(monkeypatch, integrate, model, config):
-    def run():
-        try:
-            return integrate(model, config)
-        except SimulationError as exc:
-            return exc.time
-
-    reference = run()
-    for chunk in (1, 7):
-        monkeypatch.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
-        traj = run()
-        if isinstance(reference, float):  # the abort time must not move either
-            assert traj == reference
-            continue
-        for name in _SERIES_FIELDS:
-            assert getattr(traj, name).tobytes() == getattr(reference, name).tobytes(), name
-        assert traj.jump_log == reference.jump_log
-        assert traj.floor_times == reference.floor_times
+def test_chunk_size_does_not_change_the_path(monkeypatch, compiled, n_paths, model, config):
+    """At chunks of 1 and 7 steps a path is what it is at the default chunk
+    size, and a log-Euler path is, too, on the Python kernel."""
+    reference = path_of(n_paths, model, config)
+    log_euler = n_paths and config.scheme != DIRECT_EULER
+    for chunk in (None, 1, 7):
+        if chunk is not None:
+            monkeypatch.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
+            assert_same_path(path_of(n_paths, model, config), reference)
+        if log_euler:
+            assert_same_path(python_kernel(path_of, n_paths, model, config), reference)
     # every input exercises a pin, a jump, an abort or a -inf rate
-    assert (isinstance(reference, float) or reference.floor_times[2] is not None
+    assert (isinstance(reference, SimulationError) or reference.floor_times[2] is not None
             or reference.jump_log or reference.lny_over_t[-1] == -math.inf)
 
 
-@pytest.mark.parametrize("integrate", [simulate, batched])
-def test_a_stride_past_int64_records_as_stride_n_does(integrate):
+@pytest.mark.parametrize("n_paths", [1, WIDE], ids=["simulate", "batched"])
+def test_a_stride_past_int64_records_as_stride_n_does(compiled, n_paths):
     """Any stride of at least the step count n (here 1000) records t_end
-    alone, bit for bit as stride n does, even one too large for int64."""
+    alone, bit for bit as stride n does, even one too large for int64, on
+    either log-Euler kernel."""
     model = make_persistence(jumps=TWO_MARKS)
-    want = integrate(model, short_config(t_end=10.0, output_stride=1000))
-    got = integrate(model, short_config(t_end=10.0, output_stride=2**64))
+    want = path_of(n_paths, model, short_config(t_end=10.0, output_stride=1000))
     assert want.times.tolist() == [0.0, 10.0]
-    for name in _SERIES_FIELDS:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.jump_log == want.jump_log
+    for run in (path_of, functools.partial(python_kernel, path_of)):
+        got = run(n_paths, model, short_config(t_end=10.0, output_stride=2**64))
+        assert_same_path(got, want)
 
 
 def assert_batch_is_each_path_alone(model, config, n_paths):
     """simulate_batch equals simulate of each path alone, bit for bit: every
     record, the budget residual, both martingales, the jump log, the floor
-    times, and the abort message and time.  Returns the per-path outcomes."""
+    times, and the abort message and time; and log-Euler paths are the same
+    bytes on either kernel.  Returns the per-path outcomes."""
     seeds = [derive_path_seed(config.seed, i) for i in range(n_paths)]
     series, paths = simulate_batch(model, config, seeds)
     assert series.shape == (9, n_paths, len(cl.integrator.record_times(
@@ -633,62 +730,58 @@ def assert_batch_is_each_path_alone(model, config, n_paths):
         try:
             want = simulate(model, dataclasses.replace(config, seed=seed))
         except SimulationError as exc:
-            assert isinstance(paths[i], SimulationError)
-            assert (str(paths[i]), paths[i].time) == (str(exc), exc.time)
-            alone.append(exc)
-            continue
-        got = paths[i]
-        assert isinstance(got, cl.Trajectory), got
-        for name in _SERIES_FIELDS:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (i, name)
-        assert series[8, i].tobytes() == conservation_residual(want, model).tobytes()
-        assert got.jump_log == want.jump_log
-        assert got.floor_times == want.floor_times
+            want = exc
+        assert_same_path(paths[i], want, series[8, i],
+                         None if isinstance(want, SimulationError)
+                         else conservation_residual(want, model))
         alone.append(want)
+    if config.scheme == cl.LOG_EULER:
+        assert_compiled_is_python(model, config, seeds)
     return alone
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), stride=st.sampled_from([1, 3, 100]))
-def test_batch_equals_each_path_alone(seed, stride):
+def test_batch_equals_each_path_alone(compiled, seed, stride):
     model = random_crisp_model(np.random.default_rng(seed))
     config = SimConfig(initial=INITIAL, t_end=4.0, dt=0.02, seed=seed, output_stride=stride)
-    assert_batch_is_each_path_alone(model, config, _MIN_BATCH)
+    assert_batch_is_each_path_alone(model, config, WIDE)
 
 
 @pytest.mark.parametrize("stride", [1, 3, 100])
-def test_batch_equals_each_path_alone_through_pins_and_aborts(stride):
+def test_batch_equals_each_path_alone_through_pins_and_aborts(compiled, stride):
     pinned = assert_batch_is_each_path_alone(
-        PINNING, short_config(t_end=300.0, dt=0.5, output_stride=stride), _MIN_BATCH)
+        PINNING, short_config(t_end=300.0, dt=0.5, output_stride=stride), WIDE)
     assert all(path.floor_times[1] is not None for path in pinned)
     aborted = assert_batch_is_each_path_alone(
-        OVERFLOWING, short_config(t_end=4.0, dt=0.02, output_stride=stride), _MIN_BATCH + 3)
+        OVERFLOWING, short_config(t_end=4.0, dt=0.02, output_stride=stride), WIDE + 3)
     errors = [isinstance(path, SimulationError) for path in aborted]
     assert any(errors) and not all(errors)
     # a microscopic S(0) overflows every path within its first steps
     doomed = assert_batch_is_each_path_alone(
         make_extinction(), short_config(initial=State(1e-12, 0.5, 0.2), output_stride=stride),
-        _MIN_BATCH)
+        WIDE)
     assert all(isinstance(path, SimulationError) for path in doomed)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
-def test_batch_is_each_path_alone_through_every_kind_of_step(monkeypatch, chunk):
-    """A batch is each path alone at any chunk size, through steps where
-    several paths jump, where every path records in one shared row, where
-    some paths record and others do not, and padding at a chunk's end."""
+def test_batch_is_each_path_alone_through_every_kind_of_step(monkeypatch, compiled, chunk):
+    """A batch is each path alone on either kernel at any chunk size,
+    through steps where several paths jump, where every path records in one
+    shared row, where some paths record and others do not, and on meshes of
+    different lengths."""
     if chunk is not None:
         monkeypatch.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
     model = make_persistence(jumps=TWO_MARKS)
     config = short_config(t_end=5.0, dt=0.02, seed=8, output_stride=3)
-    assert_batch_is_each_path_alone(model, config, _MIN_BATCH)
+    assert_batch_is_each_path_alone(model, config, WIDE)
     # every input exercises each kind of step: each path's mesh, as one
     # (paths, steps) table padded with -1 past its end
     meshes = [cl.integrator._Mesh(config.t_end, config.dt, config.output_stride,
                                   sample_jumps(model.jumps, config.t_end,
                                                rng_for(derive_path_seed(config.seed, i))))
-              for i in range(_MIN_BATCH)]
-    marks = np.full((_MIN_BATCH, max(mesh.steps for mesh in meshes)), -1)
+              for i in range(WIDE)]
+    marks = np.full((WIDE, max(mesh.steps for mesh in meshes)), -1)
     rows = marks.copy()
     for i, mesh in enumerate(meshes):
         _, mark, row = mesh.piece(0, mesh.steps)
@@ -705,13 +798,13 @@ def test_batch_of_direct_euler_paths_is_each_path_alone():
     simulate steps it alone, aborts included."""
     assert_batch_is_each_path_alone(
         make_persistence(jumps=TWO_MARKS),
-        short_config(t_end=20.0, output_stride=3, scheme=DIRECT_EULER), _MIN_BATCH)
+        short_config(t_end=20.0, output_stride=3, scheme=DIRECT_EULER), WIDE)
     # at sigma2 = 2 (the direct-abort input of
     # test_chunk_size_does_not_change_the_path) every path aborts, at 1.2 some
     config = short_config(t_end=50.0, dt=0.05, seed=14, scheme=DIRECT_EULER)
     for sigma2, check in ((2.0, all), (1.2, lambda errors: any(errors) and not all(errors))):
         aborted = assert_batch_is_each_path_alone(
-            make_extinction().with_sigmas(0.1, sigma2, 0.1), config, _MIN_BATCH)
+            make_extinction().with_sigmas(0.1, sigma2, 0.1), config, WIDE)
         assert check([isinstance(path, SimulationError) for path in aborted])
 
 

@@ -1,7 +1,9 @@
 """The compiled log-Euler chunk kernel, built and loaded on first use.
 
 ``_log_euler.c`` steps one chunk of ``integrator._log_euler`` for one path,
-bit for bit.  It is compiled with the C compiler Python was built with
+bit for bit, and ``log_euler_chunk`` wraps it in a function of the same
+signature, which checks that a chunk's arrays fit before it passes their
+pointers.  It is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``) at fixed flags, into a per-user cache
 (``$XDG_CACHE_HOME/chemlevy``, else ``~/.cache/chemlevy``) keyed by the
 SHA-256 of the source, the compiler command, the flags and the machine, and
@@ -16,6 +18,8 @@ None, and the Python kernel runs instead, with the same bytes.
 import functools
 import os
 
+from ._lazy import np
+
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_log_euler.c")
 # never -ffast-math or -march: either may change the kernel's rounding
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -23,7 +27,7 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 @functools.cache
 def log_euler_chunk():
-    """The C function log_euler_chunk, or None where it cannot be had."""
+    """integrator._log_euler run in C, or None where it cannot be had."""
     try:
         return _load()
     except Exception:
@@ -67,4 +71,19 @@ def _load():
     size = ctypes.c_ssize_t
     fn.argtypes = [size, *[ctypes.c_void_p] * 10, size, size]
     fn.restype = size
-    return fn
+
+    def chunk(k, jl, t, dt, g, mark, row, s, pin, out):
+        n = len(dt)
+        t, dt, g, k, jl = (np.ascontiguousarray(a, np.float64) for a in (t, dt, g, k, jl))
+        mark, row = (np.ascontiguousarray(a, np.intp) for a in (mark, row))
+        # everything the kernel reads, and writes in place, must be there
+        if not (len(t) == len(mark) == len(row) == n + 1 and g.shape == (n, 3)
+                and k.shape == (11,) and jl.shape[1:] == (3,) and mark.max() < len(jl)
+                and s.shape == (9,) and pin.shape == (3,) and s.flags.c_contiguous
+                and pin.flags.c_contiguous and out.ndim == 2 and len(out) >= 8
+                and row.max() < out.shape[1] and s.dtype == pin.dtype == out.dtype == np.float64):
+            raise ValueError("a chunk's arrays do not fit the compiled kernel")
+        return fn(n, *(a.ctypes.data for a in (t, dt, g, mark, row, k, jl, s, pin, out)),
+                  *(stride // out.itemsize for stride in out.strides))
+
+    return chunk

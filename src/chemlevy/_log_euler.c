@@ -11,9 +11,9 @@
  * until set) carry across chunks.  Series i of record r (e1 e2 e3 iS ix iy
  * l2 l3) goes to out[i * s0 + r * s1].
  *
- * Returns -1 once every step has run, j if step j left a log-state above
- * the ceiling or NaN, and -2 if an exp after a jump overflowed, where
- * math.exp raises OverflowError.
+ * Returns -1 once every step has run, or j if step j left a log-state
+ * above the ceiling or NaN, or its jump took one past exp's range (where
+ * math.exp raises OverflowError).
  */
 #include <math.h>
 #include <stddef.h>
@@ -42,7 +42,7 @@ ptrdiff_t log_euler_chunk(ptrdiff_t n, const double *t, const double *dt, const 
         for (int i = 0; mk >= 0 && i < 3; i++) {
             l[i] += jl[3 * mk + i];
             if (isinf(e[i] = exp(l[i])))
-                return -2;
+                return j;
         }
         for (int i = 0; i < 3; i++) {
             if (l[i] < floor_) {

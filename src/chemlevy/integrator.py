@@ -6,12 +6,20 @@ concentrations with Euler-Maruyama drift/noise steps on a jump-adapted mesh
 multiplicative jump ln(1 + gamma_i) at each event.  Working in log space makes
 strict positivity structural: no step can produce a nonpositive concentration.
 A naive linear-space Euler scheme ("direct_euler") is kept purely as a
-diagnostic of why that guarantee matters.  Both schemes and the RK4 solver
-of the noise-free system are kernels of one chunk engine, which steps every
-path alone and records it into one block.  Log-space paths run a compiled
-chunk kernel (``_log_euler.c``) where it loads, bit for bit the Python
-``_log_euler``; direct Euler and RK4 are step functions of one
-linear-space loop.
+diagnostic of why that guarantee matters.
+
+Both schemes and the RK4 solver of the noise-free system are kernels of one
+chunk engine, which steps every path alone and calls the run's kernel once
+per chunk.  Every kernel is a plain function of one signature after what a
+run binds once: a chunk's mesh times t (its start first), step sizes dt,
+noise g (a row per step), and each mesh point's mark and record row (-1 for
+none); then the path's carried state s (l1 l2 l3 e1 e2 e3 iS ix iy:
+log-states, states and their trapezoid integrals), its first pin times pin
+(NaN until set) and its column out of the record block.  It writes S, x, y,
+the integrals, ln x and ln y into the rows named, and returns -1 or the
+step at which a log-state left the range.  Log-space paths run the compiled
+kernel (``_log_euler.c``) where it loads, bit for bit the Python
+``_log_euler``; direct Euler and RK4 are step functions of ``_linear``.
 
 Each trajectory also accumulates, on the full fine mesh, the running time
 averages of S, x, y (trapezoid rule), the exponential-rate statistics
@@ -21,6 +29,7 @@ martingale terms used by the long-run diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,106 +257,111 @@ def _log_drift(model: CrispModel) -> tuple:
         d ln x = m1 S - (m2/delta2) y - c2
         d ln y = m2 x - c3,   c_i = D + sigma_i^2 / 2 + sum_k w_k gamma_ik
 
-    Returns ((c1, c2, c3), D S0, (m1, m2), (m1/delta1, m2/delta2), the
-    (marks, 3) log jump sizes).
+    Returns (k, jl): k holds c1 c2 c3, D S0, m1 m2, m1/delta1 m2/delta2, the
+    ceiling, the floor and exp(floor), and jl the (marks, 3) log jump sizes.
     """
-    c = tuple(model.D + 0.5 * sigma ** 2 + model.jumps.gamma_intensity(i)
-              for i, sigma in enumerate((model.sigma1, model.sigma2, model.sigma3), 1))
-    return (c, model.D * model.S0, (model.m1, model.m2),
-            (model.m1 / model.delta1, model.m2 / model.delta2), _log_jumps(model))
+    c = (model.D + 0.5 * sigma ** 2 + model.jumps.gamma_intensity(i)
+         for i, sigma in enumerate((model.sigma1, model.sigma2, model.sigma3), 1))
+    return (np.array([*c, model.D * model.S0, model.m1, model.m2, model.m1 / model.delta1,
+                      model.m2 / model.delta2, _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN]),
+            _log_jumps(model))
 
 
-def _log_euler(model: CrispModel, initial: State, floors: list):
-    """Log-space Euler-Maruyama kernel with exact multiplicative jumps.
-
-    Every per-path kernel is a generator with this signature.  It first
-    yields the t=0 state; then each send() passes the steps of one chunk,
-    each (t, dt, g1, g2, g3, mark, record), and gets back that chunk's
-    records (S, x, y, the three trapezoid integrals, ln x, ln y), which the
-    caller empties once copied.  A kernel stores its first pin times in
-    floors.
-    """
-    (c1, c2, c3), dso, (m1, m2), (m1d1, m2d2), log_jumps = _log_drift(model)
-    jl1, jl2, jl3 = log_jumps.T.tolist()
-
-    exp = math.exp
-    ceil, floor, floor_lin = _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN
-    l1 = math.log(initial.S)
-    l2 = math.log(initial.x)
-    l3 = math.log(initial.y)
-    e1, e2, e3 = exp(l1), exp(l2), exp(l3)
-    iS = ix = iy = 0.0            # running trapezoid integrals
-    out = e1, e2, e3
-    while True:
-        recs = []
-        for t, dt, g1, g2, g3, mk, rec in (yield out):
+def _log_euler(k, jl, t, dt, g, mark, row, s, pin, out) -> int:
+    """One chunk of one path of the log-space Euler-Maruyama scheme with
+    exact multiplicative jumps, statement for statement ``_log_euler.c``,
+    given _log_drift's constants k and log jump sizes jl.  A log-state
+    leaves the range above the ceiling, as NaN, or where a jump takes it
+    past exp's range; s is then left unwritten."""
+    c1, c2, c3, dso, m1, m2, m1d1, m2d2, ceil, floor, floor_lin = k.tolist()
+    jl = jl.tolist()
+    l1, l2, l3, e1, e2, e3, iS, ix, iy = s.tolist()
+    pins = pin.tolist()
+    exp, isnan = math.exp, math.isnan
+    recs, rows = [], []
+    ts = t[1:].tolist()
+    try:
+        for tj, dtj, g1, g2, g3, mk, r in zip(ts, dt.tolist(), *g.T.tolist(),
+                                              mark[1:].tolist(), row[1:].tolist()):
             p1, p2, p3 = e1, e2, e3
-            l1 += (dso / e1 - m1d1 * e2 - c1) * dt + g1
-            l2 += (m1 * e1 - m2d2 * e3 - c2) * dt + g2
-            l3 += (m2 * e2 - c3) * dt + g3
+            l1 += (dso / e1 - m1d1 * e2 - c1) * dtj + g1
+            l2 += (m1 * e1 - m2d2 * e3 - c2) * dtj + g2
+            l3 += (m2 * e2 - c3) * dtj + g3
             if not (l1 <= ceil and l2 <= ceil and l3 <= ceil):
-                raise SimulationError("log-state overflow", t)
+                raise OverflowError      # as math.exp raises past its range
             e1 = exp(l1)
             e2 = exp(l2)
             e3 = exp(l3)
-            h = 0.5 * dt
+            h = 0.5 * dtj
             iS += (p1 + e1) * h
             ix += (p2 + e2) * h
             iy += (p3 + e3) * h
             if mk >= 0:
-                l1 += jl1[mk]
-                l2 += jl2[mk]
-                l3 += jl3[mk]
+                j1, j2, j3 = jl[mk]
+                l1 += j1
                 e1 = exp(l1)
+                l2 += j2
                 e2 = exp(l2)
+                l3 += j3
                 e3 = exp(l3)
             if l1 < floor or l2 < floor or l3 < floor:
                 if l1 < floor:
                     l1, e1 = floor, floor_lin
-                    if floors[0] is None:
-                        floors[0] = t
+                    if isnan(pins[0]):
+                        pins[0] = tj
                 if l2 < floor:
                     l2, e2 = floor, floor_lin
-                    if floors[1] is None:
-                        floors[1] = t
+                    if isnan(pins[1]):
+                        pins[1] = tj
                 if l3 < floor:
                     l3, e3 = floor, floor_lin
-                    if floors[2] is None:
-                        floors[2] = t
-            if rec:
+                    if isnan(pins[2]):
+                        pins[2] = tj
+            if r >= 0:
                 recs.append((e1, e2, e3, iS, ix, iy, l2, l3))
-        out = recs
+                rows.append(r)
+    except OverflowError:
+        # the step is found by its time's very object (an event at a grid
+        # point shares its time), so no counter slows the loop
+        return next(j for j, v in enumerate(ts) if v is tj)
+    s[:] = l1, l2, l3, e1, e2, e3, iS, ix, iy
+    pin[:] = pins
+    out[:8, rows] = np.array(recs).reshape(-1, 8).T
+    return -1
 
 
-def _linear(step, initial: State):
-    """The linear-space kernel loop: each step's state is step(S, x, y, t,
-    dt, g1, g2, g3, mark), which may raise its own SimulationError; the loop
-    aborts on a non-finite state and records the log of a zero coordinate
-    as -inf."""
+def _linear(step, t, dt, g, mark, row, s, pin, out) -> int:
+    """The linear-space chunk kernel, of _log_euler's signature after step:
+    each step's state is step(S, x, y, t, dt, g1, g2, g3, mark), which may
+    raise its own SimulationError, as a non-finite state does.  It carries
+    only the last six slots of s (S x y iS ix iy), pins nothing, records
+    the log of a zero coordinate as -inf, and returns -1."""
     isfinite, log = math.isfinite, math.log
     ninf = float("-inf")
-    S, x, y = initial.S, initial.x, initial.y
-    iS = ix = iy = 0.0
-    out = S, x, y
-    while True:
-        recs = []
-        for t, dt, g1, g2, g3, mk, rec in (yield out):
-            pS, px, py = S, x, y
-            S, x, y = step(S, x, y, t, dt, g1, g2, g3, mk)
-            if not (isfinite(S) and isfinite(x) and isfinite(y)):
-                raise SimulationError("non-finite state", t)
-            h = 0.5 * dt
-            iS += (pS + S) * h
-            ix += (px + x) * h
-            iy += (py + y) * h
-            if rec:
-                recs.append((S, x, y, iS, ix, iy,
-                             log(x) if x > 0.0 else ninf, log(y) if y > 0.0 else ninf))
-        out = recs
+    S, x, y, iS, ix, iy = s[3:].tolist()
+    recs, rows = [], []
+    for tj, dtj, g1, g2, g3, mk, r in zip(t[1:].tolist(), dt.tolist(), *g.T.tolist(),
+                                          mark[1:].tolist(), row[1:].tolist()):
+        pS, px, py = S, x, y
+        S, x, y = step(S, x, y, tj, dtj, g1, g2, g3, mk)
+        if not (isfinite(S) and isfinite(x) and isfinite(y)):
+            raise SimulationError("non-finite state", tj)
+        h = 0.5 * dtj
+        iS += (pS + S) * h
+        ix += (px + x) * h
+        iy += (py + y) * h
+        if r >= 0:
+            recs.append((S, x, y, iS, ix, iy,
+                         log(x) if x > 0.0 else ninf, log(y) if y > 0.0 else ninf))
+            rows.append(r)
+    s[3:] = S, x, y, iS, ix, iy
+    out[:8, rows] = np.array(recs).reshape(-1, 8).T
+    return -1
 
 
-def _direct_euler(model: CrispModel, initial: State, floors: list):
-    """Linear-space Euler-Maruyama kernel; aborts on the first nonpositive state."""
+def _direct_euler(model: CrispModel):
+    """The step of linear-space Euler-Maruyama; it aborts on the first
+    nonpositive state."""
     comp1, comp2, comp3 = (model.jumps.gamma_intensity(i) for i in (1, 2, 3))
     marks = model.jumps.marks
 
@@ -365,12 +379,12 @@ def _direct_euler(model: CrispModel, initial: State, floors: list):
             raise SimulationError("direct Euler scheme produced a nonpositive state", t)
         return S, x, y
 
-    return _linear(step, initial)
+    return step
 
 
-def _rk4(model: CrispModel, initial: State, floors: list):
-    """Classical fourth-order Runge-Kutta kernel for the noise-free system;
-    its steps carry zero noise and no mark, which it ignores."""
+def _rk4(model: CrispModel):
+    """The step of classical fourth-order Runge-Kutta for the noise-free
+    system; its steps carry zero noise and no mark, which it ignores."""
 
     def step(S, x, y, t, dt, *_):
         k1 = drift(model, S, x, y)
@@ -381,7 +395,7 @@ def _rk4(model: CrispModel, initial: State, floors: list):
                 x + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
                 y + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
 
-    return _linear(step, initial)
+    return step
 
 
 def _noise(rng, dts: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -412,104 +426,57 @@ def _comp_jump(model: CrispModel, events: list, t_end: float) -> np.ndarray:
     return jump_sum - t_end * lcomp
 
 
-def _each_path(scalar, compiled, model: CrispModel, initial: State, column: np.ndarray,
-               floors: list) -> tuple:
-    """One path's kernel under the chunk protocol: (its t=0 state, step).
-    step(t, dts, g, marks, rows) advances the path over one chunk, given
-    its mesh times, step sizes, noise, marks and record rows, and writes its
-    records into their rows of the path's column of the block, or raises
-    the path's SimulationError.
-
-    With compiled (the C log_euler_chunk) the chunk's arrays go to it as
-    they are, and it writes the records itself; otherwise a generator of
-    the scalar kernel takes the chunk as step tuples, and its records are
-    copied into the column.
-    """
-    if compiled is None:
-        path = scalar(model, initial, floors)
-
-        def step(t, dts, g, marks, rows):
-            rows = rows[1:]
-            rec = rows >= 0
-            recs = path.send(zip(t[1:].tolist(), dts.tolist(), *g.T.tolist(),
-                                 marks[1:].tolist(), rec.tolist()))
-            column[:8, rows[rec]] = np.array(recs).reshape(-1, 8).T
-            recs.clear()
-
-        return next(path), step
-
-    c, dso, gain, loss, log_jumps = _log_drift(model)
-    k = np.array([*c, dso, *gain, *loss, _CEIL_LOG, FLOOR_LOG, _FLOOR_LIN])
-    lg = [math.log(initial.S), math.log(initial.x), math.log(initial.y)]
-    e = [math.exp(v) for v in lg]
-    state = np.array(lg + e + [0.0, 0.0, 0.0])     # l1 l2 l3 e1 e2 e3 iS ix iy
-    pins = np.full(3, math.nan)
-    fixed = (*(a.ctypes.data for a in (k, log_jumps, state, pins, column)),
-             *(s // column.itemsize for s in column.strides))
-
-    def step(t, dts, g, marks, rows):
-        n = len(dts)
-        t, dts, g = (np.ascontiguousarray(a, np.float64) for a in (t, dts, g))
-        marks, rows = (np.ascontiguousarray(a, np.intp) for a in (marks, rows))
-        # the kernel reads n + 1 mesh points, n noise rows and the jump of
-        # each mark named, and writes each record row named
-        if not (len(t) == len(marks) == len(rows) == n + 1 and g.shape == (n, 3)
-                and marks.max() < len(log_jumps) and rows.max() < column.shape[1]):
-            raise ValueError("a chunk's arrays do not fit the compiled kernel")
-        end = compiled(n, t.ctypes.data, dts.ctypes.data, g.ctypes.data,
-                       marks.ctypes.data, rows.ctypes.data, *fixed)
-        floors[:] = [None if math.isnan(v) else v for v in pins.tolist()]
-        if end == -2:
-            raise OverflowError("math range error")   # as math.exp raises it
-        if end >= 0:
-            raise SimulationError("log-state overflow", float(t[end + 1]))
-
-    step.buffers = k, log_jumps, state, pins, column   # alive while fixed points into them
-    return tuple(e), step
+def _kernel(model: CrispModel, config: SimConfig, stochastic: bool) -> tuple:
+    """A run's chunk kernel, with its constants bound, and the state s every
+    path starts from.  Log-Euler runs the compiled kernel where it loads."""
+    first = [config.initial.S, config.initial.x, config.initial.y]
+    if stochastic and config.scheme == LOG_EULER:
+        logs = [math.log(v) for v in first]
+        kernel = functools.partial(_compiled.log_euler_chunk() or _log_euler, *_log_drift(model))
+        return kernel, [*logs, *map(math.exp, logs), 0.0, 0.0, 0.0]
+    step = _direct_euler(model) if stochastic else _rk4(model)
+    return functools.partial(_linear, step), [math.nan] * 3 + first + [0.0, 0.0, 0.0]
 
 
 def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
     """The chunk engine: run one path per seed, or without seeds one
     noise-free RK4 path, and return (series, paths) as simulate_batch does.
 
-    This is where the kernel is chosen: log-Euler paths run the compiled
-    chunk kernel where it loads, and the Python _log_euler bit for bit the
-    same elsewhere; direct Euler and RK4 run in Python.  Each path draws
-    its jump schedule from its own seed's stream, then each chunk's normals
-    in stream order, so neither the chunk size nor the paths beside it
-    change the result; without seeds the mesh is the uniform grid, nothing
-    is drawn, the noise is zero and so are both martingales.  Every sampled
-    event is a mesh step, so a finished path's jump log is its schedule.
-    Every kernel records into one (9, records, paths) block, at the rows
-    its mesh pieces name, and the block is returned as a (9, paths,
-    records) view.  A path that aborts stops there.
+    Each path draws its jump schedule from its own seed's stream, then each
+    chunk's normals in stream order, so neither the chunk size nor the
+    paths beside it change the result; without seeds the mesh is the
+    uniform grid, nothing is drawn, the noise is zero and so are both
+    martingales.  Every sampled event is a mesh step, so a finished path's
+    jump log is its schedule.  Every path records into one (9, records,
+    paths) block, at the rows its mesh pieces name, and the block is
+    returned as a (9, paths, records) view.  A path that aborts stops there.
     """
     stochastic = seeds is not None
     rngs = ([np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
             if stochastic else [None])
-    log_euler = stochastic and config.scheme == LOG_EULER
-    scalar = (_rk4 if not stochastic else _log_euler if log_euler else _direct_euler)
-    compiled = _compiled.log_euler_chunk() if log_euler else None
+    kernel, start = _kernel(model, config, stochastic)
     schedules = [sample_jumps(model.jumps, config.t_end, rng) if stochastic else []
                  for rng in rngs]
     times = record_times(config.t_end, config.dt, config.output_stride)
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
     block = np.empty((9, len(times), len(rngs)))   # one record of every path is a contiguous row
-    floors = [[None, None, None] for _ in rngs]
+    pins = np.full((len(rngs), 3), math.nan)       # first pin times
     errors = [None] * len(rngs)
     brown = [np.zeros((1, 3))] * len(rngs)     # Brownian martingale sums
     for i, (rng, events) in enumerate(zip(rngs, schedules)):
         mesh = _Mesh(config.t_end, config.dt, config.output_stride, events)
-        s, step = _each_path(scalar, compiled, model, config.initial, block[:, :, i], floors[i])
+        s = np.array(start)
         # the t=0 record: a time average is the initial value, a rate is 0/0
-        block[:8, 0, i] = (*s, *s, math.nan, math.nan)
+        block[:8, 0, i] = (*start[3:6], *start[3:6], math.nan, math.nan)
         for a in range(0, mesh.steps, _CHUNK_STEPS):
             t, marks, rows = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
             dts = np.diff(t)
             g = _noise(rng, dts, sigmas) if stochastic else np.zeros((len(dts), 3))
             brown[i] = _carry(brown[i], g)
             try:
-                step(t, dts, g, marks, rows)
+                end = kernel(t, dts, g, marks, rows, s, pins[i], block[:, :, i])
+                if end >= 0:
+                    raise SimulationError("log-state overflow", float(t[end + 1]))
             except SimulationError as exc:
                 errors[i] = exc
                 break
@@ -523,7 +490,8 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
         rows = series[:, i]     # S .. lny_over_t, in Trajectory's field order, then phi
         rows[3:8, 1:] /= times[1:]
         comp_jump = _comp_jump(model, events, config.t_end) if stochastic else np.zeros(3)
-        traj = Trajectory(times, *rows[:8], brown[i][-1], comp_jump, events, tuple(floors[i]))
+        floor_times = tuple(None if math.isnan(v) else v for v in pins[i].tolist())
+        traj = Trajectory(times, *rows[:8], brown[i][-1], comp_jump, events, floor_times)
         rows[8] = conservation_residual(traj, model)
         paths.append(traj)
     return series, paths

@@ -284,6 +284,41 @@ def test_ensemble_outputs(tmp_path, capsys):
     assert "terminal medians" in capsys.readouterr().out
 
 
+# S settles at D S0 / c1 = 1e307 / (1 + 0.04e6), about 2.5e302, below the
+# ceiling of exp(700), and a jump multiplies it by 1 + 1e6, past exp's range
+EXP_OVERFLOW = {"S0": 1e307, "D": 1.0, "m1": 1e-307, "delta1": 1.0, "sigma1": 1e-9,
+                "m2": 0.3, "delta2": 0.5, "sigma2": 0.1, "sigma3": 0.1,
+                "jumps": [{"weight": 0.04, "gamma1": 1e6, "gamma2": 0.0, "gamma3": 0.0}]}
+EXP_OVERFLOW_RUN = ["--p", "0.5", "--t-end", "1", "--dt", "1e-5", "--initial", "1e303,1,1",
+                    "--stride", "100000"]
+
+
+def test_a_jump_past_exps_range_fails_simulate_without_a_traceback(tmp_path, capsys):
+    """Seed 106 jumps once, at t=0.122787: the path aborts there as a
+    log-state overflow, and simulate says so and exits 1."""
+    path = write_model(tmp_path, EXP_OVERFLOW)
+    assert main(["simulate", "--model", path, *EXP_OVERFLOW_RUN, "--seed", "106",
+                 "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "simulation failed: log-state overflow at t=0.122787\n")
+
+
+def test_a_jump_past_exps_range_aborts_an_ensemble_path(tmp_path, capsys, monkeypatch):
+    """Of 20 paths at seed 2, path 13 jumps: it is counted as aborted and
+    left out of the terminal rows, and the ensemble runs on."""
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    path = write_model(tmp_path, EXP_OVERFLOW)
+    out_dir = tmp_path / "ens"
+    assert main(["ensemble", "--model", path, *EXP_OVERFLOW_RUN, "--seed", "2",
+                 "--paths", "20", "--out", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("20 paths to t=1 (1 aborted)\n")
+    assert captured.err == ""
+    rows = (out_dir / "ensemble_terminal.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [i for i in range(20) if i != 13]
+
+
 def test_verify_extinction_passes(tmp_path, capsys):
     path = write_model(tmp_path, EXTINCTION)
     out_dir = tmp_path / "ver"

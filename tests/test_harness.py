@@ -136,26 +136,40 @@ def test_log_euler_paths_run_compiled_and_the_others_in_python(monkeypatch, comp
                                                                 workers, scheme):
     """Each worker's group is one simulate_batch, whose log-Euler paths all
     run the compiled kernel and whose direct-Euler paths (and the RK4 path
-    of simulate_ode) run in Python, whatever the group's width."""
+    of simulate_ode) run in Python, whatever the group's width: the chunk
+    calls of each kernel are counted, with _linear's by the scheme whose
+    step it was given."""
     monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     calls = {"compiled": 0, "_log_euler": 0, "_direct_euler": 0, "_rk4": 0}
+    made = {}                          # the scheme of each step _linear is given
+    linear = cl.integrator._linear
 
-    def counted_compiled(*args):
-        calls["compiled"] += 1
-        return compiled(*args)
-
-    def counted_scalar(name):
-        kernel = getattr(cl.integrator, name)
-
-        def counted(model, initial, floors):
+    def counted(name, kernel):
+        def chunk(*args):
             calls[name] += 1
-            return kernel(model, initial, floors)
-        return counted
+            return kernel(*args)
+        return chunk
 
-    monkeypatch.setattr(cl._compiled, "log_euler_chunk", lambda: counted_compiled)
-    for name in ("_log_euler", "_direct_euler", "_rk4"):
-        monkeypatch.setattr(cl.integrator, name, counted_scalar(name))
+    def tagged(name):
+        make = getattr(cl.integrator, name)
+
+        def maker(model):
+            step = make(model)
+            made[step] = name
+            return step
+        return maker
+
+    def counted_linear(step, *args):
+        calls[made[step]] += 1
+        return linear(step, *args)
+
+    monkeypatch.setattr(cl._compiled, "log_euler_chunk", lambda: counted("compiled", compiled))
+    monkeypatch.setattr(cl.integrator, "_log_euler",
+                        counted("_log_euler", cl.integrator._log_euler))
+    monkeypatch.setattr(cl.integrator, "_linear", counted_linear)
+    for name in ("_direct_euler", "_rk4"):
+        monkeypatch.setattr(cl.integrator, name, tagged(name))
     config = small_config(t_end=2.0, scheme=scheme)
     summary = ensemble(make_extinction(), config, n_paths, workers=workers)
     log_euler = scheme == cl.LOG_EULER

@@ -228,18 +228,20 @@ def test_mesh_memory_does_not_grow_with_the_horizon():
     assert peak < 2**20
 
 
-def terminal_state(kernel, model, t, marks, g):
+def terminal_state(scheme, model, t, marks, g):
     """The state at the last of the mesh points t (after the origin) that a
-    path of a kernel steps to through integrator._each_path, with the
-    increments g and the mark index (-1 for none) of each step.  Like the
-    engine, this runs _log_euler as the compiled kernel where it loads."""
-    compiled = cl._compiled.log_euler_chunk() if kernel is cl.integrator._log_euler else None
+    path of a stochastic scheme steps to, in one chunk of the kernel the
+    engine runs for it (for log-Euler the compiled kernel where it loads),
+    with the increments g and the mark index (-1 for none) of each step."""
+    config = SimConfig(initial=INITIAL, t_end=1.0, dt=0.5, scheme=scheme)
+    kernel, start = cl.integrator._kernel(model, config, stochastic=True)
     column = np.empty((9, 2))
     rows = np.full(len(t) + 1, -1, dtype=np.intp)
     rows[-1] = 1
-    _, step = cl.integrator._each_path(kernel, compiled, model, INITIAL, column, [None] * 3)
-    step(np.concatenate(([0.0], t)), np.diff(t, prepend=0.0), g,
-         np.concatenate(([-1], marks)).astype(np.intp), rows)
+    end = kernel(np.concatenate(([0.0], t)), np.diff(t, prepend=0.0), g,
+                 np.concatenate(([-1], marks)).astype(np.intp), rows, np.array(start),
+                 np.full(3, np.nan), column)
+    assert end == -1
     return column[:3, 1]
 
 
@@ -259,11 +261,11 @@ def test_strong_order_of_both_stochastic_kernels():
     errors = np.zeros((2, len(coarse), n_paths))
     for p in range(n_paths):
         g = math.sqrt(2.0 ** -fine) * 0.5 * rng.standard_normal((2 ** fine, 3))
-        for s, kernel in enumerate((cl.integrator._log_euler, cl.integrator._direct_euler)):
-            reference = terminal_state(kernel, model, *uniform_mesh(fine), g)
+        for s, scheme in enumerate((cl.LOG_EULER, DIRECT_EULER)):
+            reference = terminal_state(scheme, model, *uniform_mesh(fine), g)
             for c, k in enumerate(coarse):
                 summed = g.reshape(2 ** k, -1, 3).sum(axis=1)
-                got = terminal_state(kernel, model, *uniform_mesh(k), summed)
+                got = terminal_state(scheme, model, *uniform_mesh(k), summed)
                 errors[s, c, p] = np.abs(got - reference).max()
     log_dt = [math.log(2.0 ** -k) for k in coarse]
     log_euler, direct = (np.polyfit(log_dt, np.log(e.mean(axis=1)), 1)[0] for e in errors)
@@ -271,45 +273,76 @@ def test_strong_order_of_both_stochastic_kernels():
     assert abs(direct - 0.5) <= 0.15, direct
 
 
+def jump_adapted_meshes(model, fine, coarse, rng):
+    """One path's coupled jump-adapted meshes on [0, 1] (Platen and
+    Bruti-Liberati 2010): the fine mesh of 2**fine steps and each coarse
+    one of 2**k steps hold every jump time and mark, and each coarse
+    increment is the sum of the fine ones over its step.  Returns each
+    mesh's (t, marks, g), the fine one first, and the jump count."""
+    events = sample_jumps(model.jumps, 1.0, rng)
+    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
+
+    def mesh(k):
+        t, marks = uniform_mesh(k)
+        t = np.concatenate((t, [time for time, _ in events]))
+        marks = np.concatenate((marks, [mk for _, mk in events])).astype(int)
+        order = np.argsort(t, kind="stable")
+        return t[order], marks[order]
+
+    t_fine, marks_fine = mesh(fine)
+    g = np.sqrt(np.diff(t_fine, prepend=0.0))[:, None] * sigmas * rng.standard_normal(
+        (len(t_fine), 3))
+    brownian = np.concatenate((np.zeros((1, 3)), np.cumsum(g, axis=0)))
+    meshes = [(t_fine, marks_fine, g)]
+    for k in coarse:
+        t, marks = mesh(k)
+        # every coarse mesh point is a fine one
+        at = np.concatenate(([0], np.searchsorted(t_fine, t) + 1))
+        assert t_fine[at[1:] - 1].tobytes() == t.tobytes()
+        meshes.append((t, marks, np.diff(brownian[at], axis=0)))
+    return meshes, len(events)
+
+
+# jump rates that give a path on [0, 1] about 5 jumps
+FREQUENT_MARKS = JumpSpec(tuple(dataclasses.replace(mk, weight=2.5) for mk in TWO_MARKS.marks))
+
+
 def test_strong_order_of_log_euler_on_a_jump_adapted_mesh():
-    """The coupled setup above with jumps: the coarse and the fine mesh both
-    hold every jump time and mark (a jump-adapted scheme, Platen and
-    Bruti-Liberati 2010), each coarse increment is the sum of the fine ones
-    over its step, and log-space Euler-Maruyama keeps order 1."""
-    jumps = JumpSpec(tuple(dataclasses.replace(mk, weight=2.5) for mk in TWO_MARKS.marks))
-    model = make_persistence(jumps=jumps).with_sigmas(0.5, 0.5, 0.5)
+    """The coupled setup above with jumps, on jump_adapted_meshes:
+    log-space Euler-Maruyama keeps strong order 1."""
+    model = make_persistence(jumps=FREQUENT_MARKS).with_sigmas(0.5, 0.5, 0.5)
     fine, coarse, n_paths = 12, range(4, 9), 100
     rng = np.random.default_rng(2002)
     errors = np.zeros((len(coarse), n_paths))
     n_jumps = 0
     for p in range(n_paths):
-        events = sample_jumps(model.jumps, 1.0, rng)
-        n_jumps += len(events)
-
-        def mesh(k):
-            t, marks = uniform_mesh(k)
-            t = np.concatenate((t, [time for time, _ in events]))
-            marks = np.concatenate((marks, [mk for _, mk in events])).astype(int)
-            order = np.argsort(t, kind="stable")
-            return t[order], marks[order]
-
-        t_fine, marks_fine = mesh(fine)
-        g = np.sqrt(np.diff(t_fine, prepend=0.0))[:, None] * 0.5 * rng.standard_normal(
-            (len(t_fine), 3))
-        brownian = np.concatenate((np.zeros((1, 3)), np.cumsum(g, axis=0)))
-        reference = terminal_state(cl.integrator._log_euler, model, t_fine, marks_fine, g)
-        for c, k in enumerate(coarse):
-            t, marks = mesh(k)
-            # every coarse mesh point is a fine one
-            at = np.concatenate(([0], np.searchsorted(t_fine, t) + 1))
-            assert t_fine[at[1:] - 1].tobytes() == t.tobytes()
-            got = terminal_state(cl.integrator._log_euler, model, t, marks,
-                                 np.diff(brownian[at], axis=0))
-            errors[c, p] = np.abs(got - reference).max()
+        meshes, jumps = jump_adapted_meshes(model, fine, coarse, rng)
+        n_jumps += jumps
+        reference, *got = (terminal_state(cl.LOG_EULER, model, *m) for m in meshes)
+        errors[:, p] = [np.abs(state - reference).max() for state in got]
     assert n_jumps >= 4 * n_paths
     log_dt = [math.log(2.0 ** -k) for k in coarse]
     slope = np.polyfit(log_dt, np.log(errors.mean(axis=1)), 1)[0]
     assert abs(slope - 1.0) <= 0.15, slope
+
+
+def test_weak_order_of_log_euler_on_a_jump_adapted_mesh():
+    """Weak errors at T=1 on the same coupled meshes: the mean of ln y(T)
+    on each coarse mesh, against its mean on the fine one, falls like dt,
+    so log-space Euler-Maruyama has weak order 1 (Higham 2001; Platen and
+    Bruti-Liberati 2010).  Coupling the meshes makes each path's
+    difference of order dt, so 400 paths estimate each mean difference to
+    about a tenth of itself."""
+    model = make_persistence(jumps=FREQUENT_MARKS).with_sigmas(0.5, 0.5, 0.5)
+    fine, coarse, n_paths = 12, range(4, 9), 400
+    rng = np.random.default_rng(2010)
+    ln_y = np.array([[math.log(terminal_state(cl.LOG_EULER, model, *m)[2])
+                      for m in jump_adapted_meshes(model, fine, coarse, rng)[0]]
+                     for _ in range(n_paths)])
+    errors = np.abs(ln_y[:, 1:].mean(axis=0) - ln_y[:, 0].mean())
+    log_dt = [math.log(2.0 ** -k) for k in coarse]
+    slope = np.polyfit(log_dt, np.log(errors), 1)[0]
+    assert abs(slope - 1.0) <= 0.2, slope
 
 
 # The direct-Euler and RK4 kernels as each stepped in its own loop, before
@@ -385,9 +418,10 @@ def reference_rk4(model: CrispModel, initial: State, floors: list):
         out = recs
 
 
-def drive(kernel, model, initial, steps, chunk):
-    """A kernel's t=0 state and every record, or its abort's message and
-    time, with steps sent through the chunk protocol chunk at a time."""
+def drive_reference(kernel, model, initial, steps, chunk):
+    """A reference kernel's t=0 state and every record, or its abort's
+    message and time, with steps sent through its generator chunk at a
+    time."""
     path = kernel(model, initial, [None, None, None])
     records = [next(path)]
     try:
@@ -398,6 +432,33 @@ def drive(kernel, model, initial, steps, chunk):
     except SimulationError as exc:
         return str(exc), exc.time
     return records
+
+
+def chunk_arrays(steps):
+    """Steps (t, dt, g1, g2, g3, mark, record) as a kernel's arrays: mesh
+    times, step sizes, noise, marks and record rows 1, 2, ..., with the
+    origin (t=0, no mark, no record) first."""
+    t, dts, g1, g2, g3, marks, rec = (np.array(c) for c in zip(*steps))
+    rows = np.where(rec, np.cumsum(rec), -1)
+    return (np.concatenate(([0.0], t)), dts, np.stack((g1, g2, g3), axis=1),
+            np.concatenate(([-1], marks)).astype(np.intp),
+            np.concatenate(([-1], rows)).astype(np.intp))
+
+
+def drive(step, initial, steps, chunk):
+    """What drive_reference returns, of integrator._linear with a step
+    function, given the steps chunk at a time as the engine gives them."""
+    t, dts, g, marks, rows = chunk_arrays(steps)
+    s = np.array([math.nan] * 3 + [initial.S, initial.x, initial.y] + [0.0] * 3)
+    column = np.full((9, rows.max() + 1), math.nan)
+    try:
+        for a in range(0, len(dts), chunk):
+            b = a + chunk
+            assert cl.integrator._linear(step, t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1],
+                                         rows[a:b + 1], s, np.full(3, math.nan), column) == -1
+    except SimulationError as exc:
+        return str(exc), exc.time
+    return [(initial.S, initial.x, initial.y), *map(tuple, column[:8, 1:].T)]
 
 
 def random_steps(rng, model, n):
@@ -430,10 +491,10 @@ def test_linear_kernels_equal_their_own_loops(seed):
     ode_steps = [(t, dt, rec) for t, dt, *_, rec in steps]
     zero = [(t, dt, 0.0, 0.0, 0.0, -1, rec) for t, dt, rec in ode_steps]
     for chunk in (1, 7):
-        assert_same_bits(drive(cl.integrator._direct_euler, model, INITIAL, steps, chunk),
-                         drive(reference_direct_euler, model, INITIAL, steps, chunk))
-        assert_same_bits(drive(cl.integrator._rk4, model, INITIAL, zero, chunk),
-                         drive(reference_rk4, model, INITIAL, ode_steps, chunk))
+        assert_same_bits(drive(cl.integrator._direct_euler(model), INITIAL, steps, chunk),
+                         drive_reference(reference_direct_euler, model, INITIAL, steps, chunk))
+        assert_same_bits(drive(cl.integrator._rk4(model), INITIAL, zero, chunk),
+                         drive_reference(reference_rk4, model, INITIAL, ode_steps, chunk))
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -447,16 +508,16 @@ def test_linear_kernels_abort_and_record_as_their_own_loops(chunk):
         bad[k] = bad[k][:2] + (g, 0.0, 0.0, -1, True)
         cases.append(bad)
     for bad, message in zip(cases, ("nonpositive", "non-finite")):
-        got = drive(cl.integrator._direct_euler, model, INITIAL, bad, chunk)
-        assert got == drive(reference_direct_euler, model, INITIAL, bad, chunk)
+        got = drive(cl.integrator._direct_euler(model), INITIAL, bad, chunk)
+        assert got == drive_reference(reference_direct_euler, model, INITIAL, bad, chunk)
         assert message in got[0]
     # RK4 overflows at a huge step, and a zero axis records -inf logs
     ode_steps = [(t, dt, rec) for t, dt, *_, rec in steps]
     blown = ode_steps[:25] + [(1e300, 1e300, True)] + ode_steps[25:]
     outcomes = []
     for initial, ode in ((INITIAL, blown), (State(1.0, 0.5, 0.0), ode_steps)):
-        want = drive(reference_rk4, model, initial, ode, chunk)
-        got = drive(cl.integrator._rk4, model, initial,
+        want = drive_reference(reference_rk4, model, initial, ode, chunk)
+        got = drive(cl.integrator._rk4(model), initial,
                     [(t, dt, 0.0, 0.0, 0.0, -1, rec) for t, dt, rec in ode], chunk)
         assert_same_bits(got, want)
         outcomes.append(got)
@@ -466,27 +527,27 @@ def test_linear_kernels_abort_and_record_as_their_own_loops(chunk):
 
 
 def drive_path(compiled, model, initial, steps, chunk):
-    """A log-Euler path's t=0 state, record block and floor times, or its
-    abort's type, message and time, with the steps (t, dt, g1, g2, g3, mark,
-    record) sent chunk at a time through integrator._each_path: to the
-    compiled kernel, or with compiled None to _log_euler.  The path records
-    into the second column of a two-path block, so the strides matter."""
-    t, dts, g1, g2, g3, marks, rec = (np.array(c) for c in zip(*steps))
-    t = np.concatenate(([0.0], t))
-    marks = np.concatenate(([-1], marks)).astype(np.intp)
-    rows = np.concatenate(([-1], np.where(rec, np.cumsum(rec), -1))).astype(np.intp)
-    g = np.stack((g1, g2, g3), axis=1)
-    block = np.full((9, rec.sum() + 1, 2), np.nan)
-    floors = [None, None, None]
-    first, step = cl.integrator._each_path(cl.integrator._log_euler, compiled, model,
-                                           initial, block[:, :, 1], floors)
-    try:
-        for a in range(0, len(dts), chunk):
-            b = a + chunk
-            step(t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1], rows[a:b + 1])
-    except (SimulationError, OverflowError) as exc:
-        return type(exc), str(exc), getattr(exc, "time", None)
-    return first, block.tobytes(), floors
+    """A log-Euler path's t=0 state, record block, floor times and carried
+    state, or its abort's type, message and time, with the steps (t, dt,
+    g1, g2, g3, mark, record) given chunk at a time to the compiled kernel,
+    or with compiled None to _log_euler.  The path records into the second
+    column of a two-path block, so the strides matter."""
+    t, dts, g, marks, rows = chunk_arrays(steps)
+    config = SimConfig(initial=initial, t_end=1.0, dt=0.5)
+    _, start = cl.integrator._kernel(model, config, stochastic=True)
+    kernel = functools.partial(compiled or cl.integrator._log_euler,
+                               *cl.integrator._log_drift(model))
+    block = np.full((9, rows.max() + 1, 2), np.nan)
+    s, pin = np.array(start), np.full(3, np.nan)
+    for a in range(0, len(dts), chunk):
+        b = a + chunk
+        end = kernel(t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1], rows[a:b + 1], s, pin,
+                     block[:, :, 1])
+        if end >= 0:
+            exc = SimulationError("log-state overflow", float(t[a + end + 1]))
+            return type(exc), str(exc), exc.time
+    floors = [None if math.isnan(v) else v for v in pin.tolist()]
+    return start[3:6], block.tobytes(), floors, s.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -518,14 +579,37 @@ def test_compiled_kernel_steps_as_log_euler(compiled, seed):
 
 
 def test_compiled_kernel_raises_where_math_exp_overflows(compiled):
-    """A jump from below the ceiling past exp's range raises math.exp's
-    OverflowError, from the compiled kernel as from _log_euler."""
+    """A jump from below the ceiling past exp's range, where math.exp raises
+    OverflowError, aborts the path as a log-state overflow at the step's
+    time, from the compiled kernel as from _log_euler."""
     model = make_persistence(jumps=JumpSpec((JumpMark(1.0, 0.0, 0.0, 1e6),)))
     initial = State(1.0, 0.5, math.exp(699.0))
-    steps = [(1e-9, 1e-9, 0.0, 0.0, 0.0, 0, True)]
-    want = drive_path(None, model, initial, steps, 1)
-    assert want == (OverflowError, "math range error", None)
+    steps = [(1e-9, 1e-9, 0.0, 0.0, 0.0, -1, True), (2e-9, 1e-9, 0.0, 0.0, 0.0, 0, True)]
+    want = drive_path(None, model, initial, steps, 2)
+    assert want == (SimulationError, "log-state overflow at t=2e-09", 2e-9)
+    assert drive_path(compiled, model, initial, steps, 2) == want
     assert drive_path(compiled, model, initial, steps, 1) == want
+
+
+def test_compiled_kernel_refuses_arrays_that_do_not_fit(compiled):
+    """The compiled wrapper refuses a record row past the column, a mark
+    past the jump sizes, and mesh arrays of unequal lengths, with a
+    ValueError before the kernel runs: the column and the carried state
+    stay as they were."""
+    model = make_persistence(jumps=TWO_MARKS)
+    k, jl = cl.integrator._log_drift(model)
+    t, dts, g, marks, rows = chunk_arrays(random_steps(np.random.default_rng(5), model, 20))
+    good = dict(t=t, dt=dts, g=g, mark=marks, row=rows)
+    misfits = [dict(good, row=np.where(rows == rows.max(), rows.max() + 1, rows)),
+               dict(good, mark=np.where(np.arange(len(marks)) == 3, len(jl), marks)),
+               dict(good, t=t[:-1]), dict(good, mark=marks[:-1]), dict(good, row=rows[:-1])]
+    column = np.full((9, rows.max() + 1), 0.25)
+    s = np.arange(9.0)
+    for misfit in misfits:
+        with pytest.raises(ValueError, match="do not fit the compiled kernel"):
+            compiled(k, jl, **misfit, s=s, pin=np.full(3, np.nan), out=column)
+        assert np.all(column == 0.25) and s.tolist() == list(range(9))
+    assert compiled(k, jl, **good, s=s, pin=np.full(3, np.nan), out=column) == -1
 
 
 def test_driftless_log_brownian_mean():

@@ -182,8 +182,8 @@ def _path_records(runs, n_paths: int, workers: int):
     run, in path order.
 
     Each run's paths are split into min(workers, n_paths) contiguous
-    groups, one task each, which simulate_batch steps (it picks the
-    kernel).  The tasks run lazily in a pool of min(workers, tasks) forked
+    groups, one task each, which simulate_batch steps a path at a time.
+    The tasks run lazily in a pool of min(workers, tasks) forked
     processes, or serially when that is one.  The caller has checked the
     config: a path's SimulationError is its record's error, and anything
     else a path raises, or a broken pool, ends the stream.

@@ -13,13 +13,14 @@ chunk engine, which steps every path alone and calls the run's kernel once
 per chunk.  Every kernel is a plain function of one signature after what a
 run binds once: a chunk's mesh times t (its start first), step sizes dt,
 noise g (a row per step), and each mesh point's mark and record row (-1 for
-none); then the path's carried state s (l1 l2 l3 e1 e2 e3 iS ix iy:
-log-states, states and their trapezoid integrals), its first pin times pin
-(NaN until set) and its column out of the record block.  It writes S, x, y,
-the integrals, ln x and ln y into the rows named, and returns -1 or the
-step at which a log-state left the range.  Log-space paths run the compiled
-kernel (``_log_euler.c``) where it loads, bit for bit the Python
-``_log_euler``; direct Euler and RK4 are step functions of ``_linear``.
+none); then the path's carried state s and its column out of the record
+block.  s has 15 slots, l1 l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3:
+log-states, states, their trapezoid integrals, the Brownian sums and the
+first pin times (NaN until set).  A kernel writes S, x, y, the integrals,
+ln x and ln y into the rows named, and returns -1 or the step at which a
+log-state left the range.  Log-space paths run the compiled kernel
+(``_log_euler.c``) where it loads, bit for bit the Python ``_log_euler``;
+direct Euler and RK4 are step functions of ``_linear``.
 
 Each trajectory also accumulates, on the full fine mesh, the running time
 averages of S, x, y (trapezoid rule), the exponential-rate statistics
@@ -172,9 +173,6 @@ def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> lis
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
-    k = len(jumps)
-    if k == 0:
-        return []
     rate = jumps.total_rate
     if rate <= 0.0:
         return []
@@ -183,7 +181,7 @@ def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> lis
         return []
     times = rng.uniform(0.0, t_end, size=n)
     probs = np.array([m.weight for m in jumps.marks]) / rate
-    marks = rng.choice(k, size=n, p=probs)
+    marks = rng.choice(len(jumps), size=n, p=probs)
     order = np.argsort(times, kind="stable")
     return list(zip(times[order].tolist(), marks[order].tolist()))
 
@@ -267,16 +265,15 @@ def _log_drift(model: CrispModel) -> tuple:
             _log_jumps(model))
 
 
-def _log_euler(k, jl, t, dt, g, mark, row, s, pin, out) -> int:
+def _log_euler(k, jl, t, dt, g, mark, row, s, out) -> int:
     """One chunk of one path of the log-space Euler-Maruyama scheme with
     exact multiplicative jumps, statement for statement ``_log_euler.c``,
-    given _log_drift's constants k and log jump sizes jl.  A log-state
-    leaves the range above the ceiling, as NaN, or where a jump takes it
-    past exp's range; s is then left unwritten."""
+    given _log_drift's constants k and log jump sizes jl.  It carries all
+    15 slots of s.  A log-state leaves the range above the ceiling, as NaN,
+    or where a jump takes it past exp's range; s is then left unwritten."""
     c1, c2, c3, dso, m1, m2, m1d1, m2d2, ceil, floor, floor_lin = k.tolist()
     jl = jl.tolist()
-    l1, l2, l3, e1, e2, e3, iS, ix, iy = s.tolist()
-    pins = pin.tolist()
+    l1, l2, l3, e1, e2, e3, iS, ix, iy, b1, b2, b3, *pins = s.tolist()
     exp, isnan = math.exp, math.isnan
     recs, rows = [], []
     ts = t[1:].tolist()
@@ -296,6 +293,9 @@ def _log_euler(k, jl, t, dt, g, mark, row, s, pin, out) -> int:
             iS += (p1 + e1) * h
             ix += (p2 + e2) * h
             iy += (p3 + e3) * h
+            b1 += g1
+            b2 += g2
+            b3 += g3
             if mk >= 0:
                 j1, j2, j3 = jl[mk]
                 l1 += j1
@@ -324,21 +324,20 @@ def _log_euler(k, jl, t, dt, g, mark, row, s, pin, out) -> int:
         # the step is found by its time's very object (an event at a grid
         # point shares its time), so no counter slows the loop
         return next(j for j, v in enumerate(ts) if v is tj)
-    s[:] = l1, l2, l3, e1, e2, e3, iS, ix, iy
-    pin[:] = pins
+    s[:] = l1, l2, l3, e1, e2, e3, iS, ix, iy, b1, b2, b3, *pins
     out[:8, rows] = np.array(recs).reshape(-1, 8).T
     return -1
 
 
-def _linear(step, t, dt, g, mark, row, s, pin, out) -> int:
+def _linear(step, t, dt, g, mark, row, s, out) -> int:
     """The linear-space chunk kernel, of _log_euler's signature after step:
     each step's state is step(S, x, y, t, dt, g1, g2, g3, mark), which may
     raise its own SimulationError, as a non-finite state does.  It carries
-    only the last six slots of s (S x y iS ix iy), pins nothing, records
-    the log of a zero coordinate as -inf, and returns -1."""
+    only slots 3 to 11 of s (S x y iS ix iy b1 b2 b3), leaves the pin times
+    NaN, records the log of a zero coordinate as -inf, and returns -1."""
     isfinite, log = math.isfinite, math.log
     ninf = float("-inf")
-    S, x, y, iS, ix, iy = s[3:].tolist()
+    S, x, y, iS, ix, iy, b1, b2, b3 = s[3:12].tolist()
     recs, rows = [], []
     for tj, dtj, g1, g2, g3, mk, r in zip(t[1:].tolist(), dt.tolist(), *g.T.tolist(),
                                           mark[1:].tolist(), row[1:].tolist()):
@@ -350,11 +349,14 @@ def _linear(step, t, dt, g, mark, row, s, pin, out) -> int:
         iS += (pS + S) * h
         ix += (px + x) * h
         iy += (py + y) * h
+        b1 += g1
+        b2 += g2
+        b3 += g3
         if r >= 0:
             recs.append((S, x, y, iS, ix, iy,
                          log(x) if x > 0.0 else ninf, log(y) if y > 0.0 else ninf))
             rows.append(r)
-    s[3:] = S, x, y, iS, ix, iy
+    s[3:12] = S, x, y, iS, ix, iy, b1, b2, b3
     out[:8, rows] = np.array(recs).reshape(-1, 8).T
     return -1
 
@@ -403,14 +405,6 @@ def _noise(rng, dts: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return np.sqrt(dts)[:, None] * sigmas * rng.standard_normal((len(dts), 3))
 
 
-def _carry(brown: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The Brownian martingale sum (shape (1, 3)) carried past a chunk."""
-    # cumsum adds in sequence, as a running += would.  Only a path that
-    # aborts in this chunk can sum to inf or NaN, and its sum is discarded.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.cumsum(np.concatenate((brown, g)), axis=0)[-1:]
-
-
 def _log_jumps(model: CrispModel) -> np.ndarray:
     """(marks, 3) array of each mark's log jump sizes ln(1 + gamma_i)."""
     return np.array([[math.log1p(mk.gamma(i)) for i in (1, 2, 3)]
@@ -430,12 +424,13 @@ def _kernel(model: CrispModel, config: SimConfig, stochastic: bool) -> tuple:
     """A run's chunk kernel, with its constants bound, and the state s every
     path starts from.  Log-Euler runs the compiled kernel where it loads."""
     first = [config.initial.S, config.initial.x, config.initial.y]
+    sums_pins = [0.0] * 6 + [math.nan] * 3     # integrals, Brownian sums, no pin yet
     if stochastic and config.scheme == LOG_EULER:
         logs = [math.log(v) for v in first]
         kernel = functools.partial(_compiled.log_euler_chunk() or _log_euler, *_log_drift(model))
-        return kernel, [*logs, *map(math.exp, logs), 0.0, 0.0, 0.0]
+        return kernel, [*logs, *map(math.exp, logs), *sums_pins]
     step = _direct_euler(model) if stochastic else _rk4(model)
-    return functools.partial(_linear, step), [math.nan] * 3 + first + [0.0, 0.0, 0.0]
+    return functools.partial(_linear, step), [math.nan] * 3 + first + sums_pins
 
 
 def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
@@ -449,49 +444,43 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
     martingales.  Every sampled event is a mesh step, so a finished path's
     jump log is its schedule.  Every path records into one (9, records,
     paths) block, at the rows its mesh pieces name, and the block is
-    returned as a (9, paths, records) view.  A path that aborts stops there.
+    returned as a (9, paths, records) view.  Each path runs to its end
+    before the next starts, and ends as a Trajectory, whose brownian and
+    floor_times are slots of its carried state, or as the SimulationError
+    that aborted it.
     """
     stochastic = seeds is not None
-    rngs = ([np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
-            if stochastic else [None])
     kernel, start = _kernel(model, config, stochastic)
-    schedules = [sample_jumps(model.jumps, config.t_end, rng) if stochastic else []
-                 for rng in rngs]
     times = record_times(config.t_end, config.dt, config.output_stride)
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
-    block = np.empty((9, len(times), len(rngs)))   # one record of every path is a contiguous row
-    pins = np.full((len(rngs), 3), math.nan)       # first pin times
-    errors = [None] * len(rngs)
-    brown = [np.zeros((1, 3))] * len(rngs)     # Brownian martingale sums
-    for i, (rng, events) in enumerate(zip(rngs, schedules)):
+    seeds = seeds if stochastic else [None]
+    block = np.empty((9, len(times), len(seeds)))   # one record of every path is a contiguous row
+    series = block.transpose(0, 2, 1)
+    paths = []
+    for i, seed in enumerate(seeds):
+        rng = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+               if stochastic else None)
+        events = sample_jumps(model.jumps, config.t_end, rng) if stochastic else []
         mesh = _Mesh(config.t_end, config.dt, config.output_stride, events)
         s = np.array(start)
         # the t=0 record: a time average is the initial value, a rate is 0/0
         block[:8, 0, i] = (*start[3:6], *start[3:6], math.nan, math.nan)
-        for a in range(0, mesh.steps, _CHUNK_STEPS):
-            t, marks, rows = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
-            dts = np.diff(t)
-            g = _noise(rng, dts, sigmas) if stochastic else np.zeros((len(dts), 3))
-            brown[i] = _carry(brown[i], g)
-            try:
-                end = kernel(t, dts, g, marks, rows, s, pins[i], block[:, :, i])
+        try:
+            for a in range(0, mesh.steps, _CHUNK_STEPS):
+                t, marks, rows = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
+                dts = np.diff(t)
+                g = _noise(rng, dts, sigmas) if stochastic else np.zeros((len(dts), 3))
+                end = kernel(t, dts, g, marks, rows, s, block[:, :, i])
                 if end >= 0:
                     raise SimulationError("log-state overflow", float(t[end + 1]))
-            except SimulationError as exc:
-                errors[i] = exc
-                break
-
-    series = block.transpose(0, 2, 1)
-    paths = []
-    for i, events in enumerate(schedules):
-        if errors[i] is not None:
-            paths.append(errors[i])
+        except SimulationError as exc:
+            paths.append(exc)
             continue
         rows = series[:, i]     # S .. lny_over_t, in Trajectory's field order, then phi
         rows[3:8, 1:] /= times[1:]
         comp_jump = _comp_jump(model, events, config.t_end) if stochastic else np.zeros(3)
-        floor_times = tuple(None if math.isnan(v) else v for v in pins[i].tolist())
-        traj = Trajectory(times, *rows[:8], brown[i][-1], comp_jump, events, floor_times)
+        floor_times = tuple(None if math.isnan(v) else v for v in s[12:].tolist())
+        traj = Trajectory(times, *rows[:8], s[9:12], comp_jump, events, floor_times)
         rows[8] = conservation_residual(traj, model)
         paths.append(traj)
     return series, paths

@@ -296,7 +296,7 @@ def model_from_dict(data: dict) -> ImpreciseModel:
 
     Parameter fields accept a bare number (shorthand for a degenerate
     interval) or a two-element [lower, upper] array; ``jumps`` is an optional
-    list of {weight, gamma1, gamma2, gamma3} records.
+    list of {weight, gamma1, gamma2, gamma3} records, with no other field.
     """
     if not isinstance(data, dict):
         raise ValueError("model config must be a mapping")
@@ -305,7 +305,7 @@ def model_from_dict(data: dict) -> ImpreciseModel:
         raise ValueError("model config missing field(s): " + ", ".join(missing))
     unknown = [k for k in data if k not in ("S0", "jumps") + _PARAM_FIELDS]
     if unknown:
-        raise ValueError("model config has unknown field(s): " + ", ".join(unknown))
+        raise ValueError("model config has unknown field(s): " + ", ".join(map(str, unknown)))
 
     try:
         s0 = number(data["S0"])
@@ -319,13 +319,16 @@ def model_from_dict(data: dict) -> ImpreciseModel:
         except ValueError as exc:
             raise ValueError(f"field {name}: {exc}") from None
 
-    records = data.get("jumps", []) or []
+    records = data.get("jumps", [])
     if not isinstance(records, (list, tuple)):
         raise ValueError(f"jumps: expected a list of mappings, got {records!r}")
     marks = []
     for k, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ValueError(f"jumps[{k}]: expected a mapping, got {rec!r}")
+        unknown = [f for f in rec if f not in ("weight", "gamma1", "gamma2", "gamma3")]
+        if unknown:
+            raise ValueError(f"jumps[{k}]: unknown field(s): " + ", ".join(map(str, unknown)))
         try:
             marks.append(JumpMark(
                 weight=number(rec["weight"]),

@@ -239,8 +239,7 @@ def terminal_state(scheme, model, t, marks, g):
     rows = np.full(len(t) + 1, -1, dtype=np.intp)
     rows[-1] = 1
     end = kernel(np.concatenate(([0.0], t)), np.diff(t, prepend=0.0), g,
-                 np.concatenate(([-1], marks)).astype(np.intp), rows, np.array(start),
-                 np.full(3, np.nan), column)
+                 np.concatenate(([-1], marks)).astype(np.intp), rows, np.array(start), column)
     assert end == -1
     return column[:3, 1]
 
@@ -449,13 +448,13 @@ def drive(step, initial, steps, chunk):
     """What drive_reference returns, of integrator._linear with a step
     function, given the steps chunk at a time as the engine gives them."""
     t, dts, g, marks, rows = chunk_arrays(steps)
-    s = np.array([math.nan] * 3 + [initial.S, initial.x, initial.y] + [0.0] * 3)
+    s = np.array([math.nan] * 3 + [initial.S, initial.x, initial.y] + [0.0] * 6 + [math.nan] * 3)
     column = np.full((9, rows.max() + 1), math.nan)
     try:
         for a in range(0, len(dts), chunk):
             b = a + chunk
             assert cl.integrator._linear(step, t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1],
-                                         rows[a:b + 1], s, np.full(3, math.nan), column) == -1
+                                         rows[a:b + 1], s, column) == -1
     except SimulationError as exc:
         return str(exc), exc.time
     return [(initial.S, initial.x, initial.y), *map(tuple, column[:8, 1:].T)]
@@ -538,15 +537,15 @@ def drive_path(compiled, model, initial, steps, chunk):
     kernel = functools.partial(compiled or cl.integrator._log_euler,
                                *cl.integrator._log_drift(model))
     block = np.full((9, rows.max() + 1, 2), np.nan)
-    s, pin = np.array(start), np.full(3, np.nan)
+    s = np.array(start)
     for a in range(0, len(dts), chunk):
         b = a + chunk
-        end = kernel(t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1], rows[a:b + 1], s, pin,
+        end = kernel(t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1], rows[a:b + 1], s,
                      block[:, :, 1])
         if end >= 0:
             exc = SimulationError("log-state overflow", float(t[a + end + 1]))
             return type(exc), str(exc), exc.time
-    floors = [None if math.isnan(v) else v for v in pin.tolist()]
+    floors = [None if math.isnan(v) else v for v in s[12:].tolist()]
     return start[3:6], block.tobytes(), floors, s.tobytes()
 
 
@@ -593,23 +592,26 @@ def test_compiled_kernel_raises_where_math_exp_overflows(compiled):
 
 def test_compiled_kernel_refuses_arrays_that_do_not_fit(compiled):
     """The compiled wrapper refuses a record row past the column, a mark
-    past the jump sizes, and mesh arrays of unequal lengths, with a
-    ValueError before the kernel runs: the column and the carried state
-    stay as they were."""
+    past the jump sizes, mesh arrays of unequal lengths, a carried state of
+    the wrong size or type and a column of too few rows, with a ValueError
+    before the kernel runs: the column and the carried state stay as they
+    were."""
     model = make_persistence(jumps=TWO_MARKS)
     k, jl = cl.integrator._log_drift(model)
     t, dts, g, marks, rows = chunk_arrays(random_steps(np.random.default_rng(5), model, 20))
-    good = dict(t=t, dt=dts, g=g, mark=marks, row=rows)
+    column = np.full((9, rows.max() + 1), 0.25)
+    s = np.arange(15.0)
+    good = dict(t=t, dt=dts, g=g, mark=marks, row=rows, s=s, out=column)
     misfits = [dict(good, row=np.where(rows == rows.max(), rows.max() + 1, rows)),
                dict(good, mark=np.where(np.arange(len(marks)) == 3, len(jl), marks)),
-               dict(good, t=t[:-1]), dict(good, mark=marks[:-1]), dict(good, row=rows[:-1])]
-    column = np.full((9, rows.max() + 1), 0.25)
-    s = np.arange(9.0)
+               dict(good, t=t[:-1]), dict(good, mark=marks[:-1]), dict(good, row=rows[:-1]),
+               dict(good, s=s[:14]), dict(good, s=s.astype(np.float32)),
+               dict(good, out=column[:7])]
     for misfit in misfits:
         with pytest.raises(ValueError, match="do not fit the compiled kernel"):
-            compiled(k, jl, **misfit, s=s, pin=np.full(3, np.nan), out=column)
-        assert np.all(column == 0.25) and s.tolist() == list(range(9))
-    assert compiled(k, jl, **good, s=s, pin=np.full(3, np.nan), out=column) == -1
+            compiled(k, jl, **misfit)
+        assert np.all(column == 0.25) and s.tolist() == list(range(15))
+    assert compiled(k, jl, **good) == -1
 
 
 def test_driftless_log_brownian_mean():
@@ -785,6 +787,28 @@ def test_chunk_size_does_not_change_the_path(monkeypatch, compiled, n_paths, mod
     # every input exercises a pin, a jump, an abort or a -inf rate
     assert (isinstance(reference, SimulationError) or reference.floor_times[2] is not None
             or reference.jump_log or reference.lny_over_t[-1] == -math.inf)
+
+
+@pytest.mark.parametrize("scheme", [cl.LOG_EULER, DIRECT_EULER])
+def test_brownian_sum_is_the_cumsum_of_the_paths_own_noise(monkeypatch, compiled, scheme):
+    """A jump-free path's Brownian martingale M(T) is, bit for bit, the last
+    row of the cumsum of sigma_i dB_i drawn on the uniform grid from the
+    path's own seed, at chunks of 1, 7 and the default size, and for
+    log-Euler from the compiled and the Python kernel."""
+    model = make_persistence()
+    config = short_config(t_end=2.0, seed=11, scheme=scheme)
+    n = 200
+    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
+    noise = (np.sqrt(np.diff(np.linspace(0.0, config.t_end, n + 1)))[:, None] * sigmas
+             * rng_for(config.seed).standard_normal((n, 3)))
+    want = np.cumsum(noise, axis=0)[-1]
+    for chunk in (None, 1, 7):
+        if chunk is not None:
+            monkeypatch.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
+        for run in (simulate, functools.partial(python_kernel, simulate)):
+            traj = run(model, config)
+            assert traj.jump_log == []
+            assert traj.brownian.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_paths", [1, WIDE], ids=["simulate", "batched"])

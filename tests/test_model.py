@@ -248,10 +248,16 @@ def test_model_from_dict_missing_and_unknown_fields():
 
 
 def test_model_from_dict_bad_jump_record():
-    bad = dict(MODEL_DICT)
-    bad["jumps"] = [{"weight": 0.5, "gamma1": 0.1, "gamma2": 0.1}]
-    with pytest.raises(ValueError, match="jumps\\[0\\]"):
-        model_from_dict(bad)
+    """A jump record needs its four fields and no other, and jumps must be
+    a list: a falsy value is not taken for no jumps."""
+    record = {"weight": 0.5, "gamma1": 0.1, "gamma2": 0.1, "gamma3": 0.1}
+    cases = [([{**record, "gamma4": 0.1}], "jumps\\[0\\]: unknown field\\(s\\): gamma4"),
+             ([record, {"weight": 0.5, "gamma1": 0.1, "gamma2": 0.1}],
+              "jumps\\[1\\]: missing field 'gamma3'")]
+    cases += [(falsy, "jumps: expected a list") for falsy in (0, False, "", {}, None)]
+    for jumps, message in cases:
+        with pytest.raises(ValueError, match=message):
+            model_from_dict({**MODEL_DICT, "jumps": jumps})
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -319,6 +325,10 @@ _model_dict = st.builds(
 # finite weights whose total rate overflows
 @example({**MODEL_DICT, "jumps": [{"weight": 1e308, "gamma1": 0.1, "gamma2": 0.1,
                                    "gamma3": 0.1}] * 2}, 0.0, 3.0)
+# a key that is no string, as a caller other than json.load may pass
+@example({**MODEL_DICT, 1: 2.0}, 0.0, 3.0)
+@example({**MODEL_DICT, "jumps": [{"weight": 1.0, "gamma1": 0.1, "gamma2": 0.1,
+                                   "gamma3": 0.1, 5: 1.0}]}, 0.0, 3.0)
 def test_model_from_dict_raises_only_value_error_and_validate_never_raises(data, p, theta):
     """model_from_dict raises only ValueError; validate, and check_H3 on a
     model that passes it, never raise; a model that passes has a finite

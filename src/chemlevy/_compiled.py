@@ -69,7 +69,7 @@ def _load():
                 os.remove(tmp)
     fn = ctypes.CDLL(path).log_euler_chunk
     size = ctypes.c_ssize_t
-    fn.argtypes = [size, *[ctypes.c_void_p] * 9, size, size]
+    fn.argtypes = [size, *[ctypes.c_void_p] * 9, size]
     fn.restype = size
 
     def chunk(k, jl, t, dt, g, mark, row, s, out):
@@ -80,9 +80,10 @@ def _load():
         if not (len(t) == len(mark) == len(row) == n + 1 and g.shape == (n, 3)
                 and k.shape == (11,) and jl.shape[1:] == (3,) and mark.max() < len(jl)
                 and s.shape == (15,) and s.flags.c_contiguous and out.ndim == 2 and len(out) >= 8
-                and row.max() < out.shape[1] and s.dtype == out.dtype == np.float64):
+                and row.max() < out.shape[1] and out.strides[1] == out.itemsize
+                and s.dtype == out.dtype == np.float64):
             raise ValueError("a chunk's arrays do not fit the compiled kernel")
         return fn(n, *(a.ctypes.data for a in (t, dt, g, mark, row, k, jl, s, out)),
-                  *(stride // out.itemsize for stride in out.strides))
+                  out.strides[0] // out.itemsize)
 
     return chunk

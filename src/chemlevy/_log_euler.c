@@ -10,7 +10,7 @@
  * state s (l1 l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3: log-states,
  * states, their integrals, the Brownian sums and the first pin times, NaN
  * until set) carries across chunks.  Series i of record r (e1 e2 e3 iS ix
- * iy l2 l3) goes to out[i * s0 + r * s1].
+ * iy l2 l3) goes to out[i * s0 + r]: each series is one contiguous row.
  *
  * Returns -1 once every step has run, or j if step j left a log-state
  * above the ceiling or NaN, or its jump took one past exp's range (where
@@ -22,7 +22,7 @@
 
 ptrdiff_t log_euler_chunk(ptrdiff_t n, const double *t, const double *dt, const double *g,
                           const intptr_t *mark, const intptr_t *row, const double *k,
-                          const double *jl, double *s, double *out, ptrdiff_t s0, ptrdiff_t s1)
+                          const double *jl, double *s, double *out, ptrdiff_t s0)
 {
     const double c1 = k[0], c2 = k[1], c3 = k[2], dso = k[3], m1 = k[4], m2 = k[5];
     const double m1d1 = k[6], m2d2 = k[7], ceiling = k[8], floor_ = k[9], floor_lin = k[10];
@@ -56,7 +56,7 @@ ptrdiff_t log_euler_chunk(ptrdiff_t n, const double *t, const double *dt, const 
         if (r >= 0) {
             const double v[8] = {e[0], e[1], e[2], in[0], in[1], in[2], l[1], l[2]};
             for (int i = 0; i < 8; i++)
-                out[i * s0 + r * s1] = v[i];
+                out[i * s0 + r] = v[i];
         }
     }
     for (int i = 0; i < 3; i++)

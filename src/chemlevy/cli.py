@@ -254,12 +254,6 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _load_checked(path):
-    model = load_model(path)
-    report = validate(model)
-    return model, report
-
-
 def _out_dir(args, default_to_cwd: bool) -> Path | None:
     if args.out is None and not default_to_cwd:
         return None
@@ -313,7 +307,7 @@ def _print_verdict(verdict) -> None:
 
 
 def _cmd_validate(args) -> int:
-    model, report = _load_checked(args.model)
+    report = validate(load_model(args.model))
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"{check.name:<30}{status:<6}{check.detail}")
@@ -329,7 +323,8 @@ def _cmd_validate(args) -> int:
 
 
 def _require_valid(args):
-    model, report = _load_checked(args.model)
+    model = load_model(args.model)
+    report = validate(model)
     if not report.ok:
         names = ", ".join(c.name for c in report.failures())
         raise ValueError(f"model failed validation check(s): {names}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -148,12 +147,12 @@ def _group_records(model: CrispModel, config: SimConfig, indices,
     """(series, records) of one task's paths, stepped as one simulate_batch,
     in index order.
 
-    A path's record is (index, None, k, terminal), k its column in series,
-    the batch's (9, paths, n) block of _SERIES over the record times, and
-    terminal _terminal's row; a failed path's is (index, error message).  A
-    pool worker saves the block to the .npy file spill and returns the
-    file's name: a block pickled back whole would cost the parent about
-    three times its size in receive buffers.
+    A path's record is (index, None, k, terminal), with its series the rows
+    series[:, k] of the batch's (9, paths, n) block of _SERIES over the
+    record times and terminal _terminal's row; a failed path's is (index,
+    error message).  A pool worker saves the block to the .npy file spill
+    and returns the file's name: a block pickled back whole would cost the
+    parent about three times its size in receive buffers.
     """
     series, paths = simulate_batch(model, config,
                                    [derive_path_seed(config.seed, i) for i in indices])
@@ -222,21 +221,15 @@ def _check_args(n_paths, least: int, workers) -> None:
 def _aggregate(stack: np.ndarray) -> dict:
     """Cross-path mean and 5/50/95 percentiles of a (paths, times) stack.
 
-    Equal bit for bit to nanmean and nanpercentile along the path axis.
-    Only the t=0 column can hold NaN: the rate series are 0/0 there, so it
-    is all-NaN for them by design.  That column goes through nanpercentile
-    alone; the rest takes one vectorised np.percentile call instead of
-    nanpercentile's per-column fallback.
+    A column holds NaN only where every path does (the rate series are 0/0
+    at t=0), so the plain reductions equal nanmean and nanpercentile there
+    too, and need neither their per-column fallback nor their warnings.  A
+    mean of paths near the float maximum overflows to inf without a word.
     """
-    pcts = np.empty((3, stack.shape[1]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        pcts[:, 0] = np.nanpercentile(stack[:, 0], _PERCENTILES)
-        # one reduction over the full stack: a per-column mean would round
-        # the t=0 row differently
-        mean = np.nanmean(stack, axis=0)
-    pcts[:, 1:] = np.percentile(stack[:, 1:], _PERCENTILES, axis=0)
-    return {"mean": mean, "p5": pcts[0], "p50": pcts[1], "p95": pcts[2]}
+    p5, p50, p95 = np.percentile(stack, _PERCENTILES, axis=0)
+    with np.errstate(over="ignore"):
+        mean = stack.mean(axis=0)
+    return {"mean": mean, "p5": p5, "p50": p50, "p95": p95}
 
 
 def _summarise(records, times) -> EnsembleSummary:
@@ -287,12 +280,13 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
 
     Deterministic given (model, config, n_paths); ``workers`` only controls
     process-level parallelism, and the pool never has more workers than
-    paths.  A config simulate would refuse, or an argument _check_args
-    refuses, raises ValueError before any path runs.  Individual path
-    failures are recorded; the run fails outright if 10% or more abort.
+    paths.  A config simulate_batch would refuse for n_paths paths, or an
+    argument _check_args refuses, raises ValueError before any path runs.
+    Individual path failures are recorded; the run fails outright if 10% or
+    more abort.
     """
     _check_args(n_paths, 1, workers)
-    check_path_config(model, config)
+    check_path_config(model, config, n_paths)
     records = list(_path_records([(model, config)], n_paths, workers))
     return _summarise(records, record_times(config.t_end, config.dt, config.output_stride))
 
@@ -339,12 +333,13 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
 
     Rows are ordered by p and evaluated independently; a failure in one row
     (recorded in row.error) does not reach another.  An argument _check_args
-    refuses, an empty p_grid, a config simulate would refuse or a horizon
-    below MIN_HORIZON raises ValueError before any path runs: every row shares
-    the model's jumps, so one check covers them all.  Every row's paths run
-    in one stream, row by row, on one pool, and a row is summarised and
-    verified as soon as its records are in; an exception the stream raises
-    (a broken pool) is the error of its row and of every later row.
+    refuses, an empty p_grid, a config simulate_batch would refuse for
+    n_paths paths or a horizon below MIN_HORIZON raises ValueError before any
+    path runs: every row shares the model's jumps, so one check covers them
+    all.  Every row's paths run in one stream, row by row, on one pool, and
+    a row is summarised and verified as soon as its records are in; an
+    exception the stream raises (a broken pool) is the error of its row and
+    of every later row.
     n_paths=0 skips the Monte Carlo part and produces threshold-only rows:
     crispify and classify at each level, nothing else.
     """
@@ -359,7 +354,7 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     if n_paths < 1:
         return rows
 
-    check_path_config(model, config)
+    check_path_config(model, config, n_paths)
     check_horizon(config.t_end)
     times = record_times(config.t_end, config.dt, config.output_stride)
     broken = None  # a stream that raised has ended for every later row too

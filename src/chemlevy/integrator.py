@@ -13,7 +13,7 @@ chunk engine, which steps every path alone and calls the run's kernel once
 per chunk.  Every kernel is a plain function of one signature after what a
 run binds once: a chunk's mesh times t (its start first), step sizes dt,
 noise g (a row per step), and each mesh point's mark and record row (-1 for
-none); then the path's carried state s and its column out of the record
+none); then the path's carried state s and its row out of the record
 block.  s has 15 slots, l1 l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3:
 log-states, states, their trapezoid integrals, the Brownian sums and the
 first pin times (NaN until set).  A kernel writes S, x, y, the integrals,
@@ -58,9 +58,11 @@ _CHUNK_STEPS = 4096
 # Grid steps cost no memory, as the mesh is built a piece at a time, but
 # each jump event costs about 214 B of peak RSS: its (t, mark) tuple in the
 # schedule and the mesh's four event arrays (1e6 to 4e6 events, x86-64
-# CPython 3.11).  So the event cap bounds a path to about 1 GB.
+# CPython 3.11).  So the event cap bounds a path to about 1 GB, and the
+# record cap, on paths times records, bounds a run's record block to as much.
 _MAX_MESH_STEPS = 10**8
 _MAX_JUMP_EVENTS = 5 * 10**6
+_MAX_PATH_RECORDS = 15 * 10**6
 
 
 class SimulationError(RuntimeError):
@@ -131,7 +133,7 @@ class Trajectory:
 
 
 def _check_config(config: SimConfig, positive_initial: bool,
-                  jump_rate: float = 0.0) -> None:
+                  jump_rate: float = 0.0, paths: int = 1) -> None:
     if not 0.0 < config.t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {config.t_end!r}")
     if not 0.0 < config.dt < config.t_end:
@@ -147,6 +149,11 @@ def _check_config(config: SimConfig, positive_initial: bool,
     stride = config.output_stride
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"output_stride must be an integer >= 1, got {stride!r}")
+    mesh = _Mesh(config.t_end, config.dt, stride, [])   # records counted, not allocated
+    records = -(-mesh.n // mesh.stride) + 1
+    if not paths * records <= _MAX_PATH_RECORDS:
+        raise ValueError(f"{paths} path(s) of {records} records are above the cap of "
+                         f"{_MAX_PATH_RECORDS:.2g} path-records")
     if config.scheme not in (LOG_EULER, DIRECT_EULER):
         raise ValueError(f"unknown scheme {config.scheme!r}")
     s = config.initial
@@ -157,11 +164,11 @@ def _check_config(config: SimConfig, positive_initial: bool,
         raise ValueError(f"initial state must be nonnegative and finite, got {s}")
 
 
-def check_path_config(model, config: SimConfig) -> None:
-    """Raise ValueError if simulate refuses config for model.  Only the
-    model's jumps are read, so an imprecise model's check covers every crisp
-    model crispify makes of it."""
-    _check_config(config, positive_initial=True, jump_rate=model.jumps.total_rate)
+def check_path_config(model, config: SimConfig, paths: int = 1) -> None:
+    """Raise ValueError if simulate_batch refuses config for model and that
+    many paths.  Only the model's jumps are read, so an imprecise model's
+    check covers every crisp model crispify makes of it."""
+    _check_config(config, positive_initial=True, jump_rate=model.jumps.total_rate, paths=paths)
 
 
 def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> list:
@@ -242,7 +249,7 @@ class _Mesh:
 def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
     """The times every path of a config records at: 0, then every stride-th
     grid point and t_end.  Jump events are never record points, so this is
-    each path's ``Trajectory.times``; row r of a record block is time r."""
+    each path's ``Trajectory.times``; record r of a record block is time r."""
     mesh = _Mesh(t_end, dt, stride, [])
     return mesh.grid(np.append(np.arange(0, mesh.n, mesh.stride), mesh.n))
 
@@ -442,20 +449,18 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
     paths beside it change the result; without seeds the mesh is the
     uniform grid, nothing is drawn, the noise is zero and so are both
     martingales.  Every sampled event is a mesh step, so a finished path's
-    jump log is its schedule.  Every path records into one (9, records,
-    paths) block, at the rows its mesh pieces name, and the block is
-    returned as a (9, paths, records) view.  Each path runs to its end
-    before the next starts, and ends as a Trajectory, whose brownian and
-    floor_times are slots of its carried state, or as the SimulationError
-    that aborted it.
+    jump log is its schedule.  Every path records into its own rows of one
+    (9, paths, records) block, at the records its mesh pieces name.  Each
+    path runs to its end before the next starts, and ends as a Trajectory,
+    whose brownian and floor_times are slots of its carried state, or as the
+    SimulationError that aborted it.
     """
     stochastic = seeds is not None
     kernel, start = _kernel(model, config, stochastic)
     times = record_times(config.t_end, config.dt, config.output_stride)
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
     seeds = seeds if stochastic else [None]
-    block = np.empty((9, len(times), len(seeds)))   # one record of every path is a contiguous row
-    series = block.transpose(0, 2, 1)
+    series = np.empty((9, len(seeds), len(times)))   # each series of a path is a contiguous row
     paths = []
     for i, seed in enumerate(seeds):
         rng = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -463,25 +468,25 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
         events = sample_jumps(model.jumps, config.t_end, rng) if stochastic else []
         mesh = _Mesh(config.t_end, config.dt, config.output_stride, events)
         s = np.array(start)
+        out = series[:, i]      # S .. lny_over_t, in Trajectory's field order, then phi
         # the t=0 record: a time average is the initial value, a rate is 0/0
-        block[:8, 0, i] = (*start[3:6], *start[3:6], math.nan, math.nan)
+        out[:8, 0] = (*start[3:6], *start[3:6], math.nan, math.nan)
         try:
             for a in range(0, mesh.steps, _CHUNK_STEPS):
                 t, marks, rows = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
                 dts = np.diff(t)
                 g = _noise(rng, dts, sigmas) if stochastic else np.zeros((len(dts), 3))
-                end = kernel(t, dts, g, marks, rows, s, block[:, :, i])
+                end = kernel(t, dts, g, marks, rows, s, out)
                 if end >= 0:
                     raise SimulationError("log-state overflow", float(t[end + 1]))
         except SimulationError as exc:
             paths.append(exc)
             continue
-        rows = series[:, i]     # S .. lny_over_t, in Trajectory's field order, then phi
-        rows[3:8, 1:] /= times[1:]
+        out[3:8, 1:] /= times[1:]
         comp_jump = _comp_jump(model, events, config.t_end) if stochastic else np.zeros(3)
         floor_times = tuple(None if math.isnan(v) else v for v in s[12:].tolist())
-        traj = Trajectory(times, *rows[:8], s[9:12], comp_jump, events, floor_times)
-        rows[8] = conservation_residual(traj, model)
+        traj = Trajectory(times, *out[:8], s[9:12], comp_jump, events, floor_times)
+        out[8] = conservation_residual(traj, model)
         paths.append(traj)
     return series, paths
 
@@ -507,8 +512,8 @@ def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
     their records into it.  paths[i] is path i's Trajectory, whose series
     are views of series[:, i], or the SimulationError that aborted it.
     """
-    check_path_config(model, config)
     seeds = list(seeds)
+    check_path_config(model, config, len(seeds))
     if not seeds:
         raise ValueError("seeds must be nonempty")
     return _integrate(model, config, seeds)

@@ -279,6 +279,11 @@ def test_ensemble_outputs(tmp_path, capsys):
     summary = (out_dir / "ensemble_summary.csv").read_text().splitlines()
     assert summary[0].startswith("t,S_mean,S_p5,S_p50,S_p95,")
     assert summary[0].endswith("extinct_x_frac,extinct_y_frac")
+    # at t=0 every path starts alike, and its rates are 0/0
+    first = dict(zip(summary[0].split(","), summary[1].split(",")))
+    rates = [v for k, v in first.items() if k.startswith(("lnx_over_t_", "lny_over_t_"))]
+    assert rates == ["nan"] * 8
+    assert first["S_p5"] == first["S_p50"] == first["S_p95"]
     terminal = (out_dir / "ensemble_terminal.csv").read_text().splitlines()
     assert len(terminal) == 6  # header + one row per path
     assert "terminal medians" in capsys.readouterr().out
@@ -488,7 +493,13 @@ def test_simulate_non_finite_horizon_is_usage_error(tmp_path, capsys, flag, valu
     (["simulate", "--t-end", "10", "--dt", "1e-320"], "cap"),
     (["simulate", "--initial", "inf,1,1"], "finite"),
     (["ode", "--initial", "nan,1,1"], "finite"),
-], ids=["huge-t-end", "subnormal-dt", "simulate-inf-initial", "ode-nan-initial"])
+    # record blocks of 7.2 GB, 7.2 GB and 28.8 GB, refused before they are allocated
+    (["simulate", "--t-end", "1e6", "--dt", "0.01", "--stride", "1"], "path-records"),
+    (["ode", "--t-end", "1e6", "--dt", "0.01", "--stride", "1"], "path-records"),
+    (["ensemble", "--t-end", "20000", "--dt", "0.01", "--stride", "1", "--paths", "200"],
+     "path-records"),
+], ids=["huge-t-end", "subnormal-dt", "simulate-inf-initial", "ode-nan-initial",
+        "simulate-record-block", "ode-record-block", "ensemble-record-block"])
 def test_unbounded_mesh_or_non_finite_initial_is_usage_error(tmp_path, capsys, argv, message):
     path = write_model(tmp_path, EXTINCTION)
     assert main(argv + ["--model", path, "--p", "0", "--out", str(tmp_path)]) == 2

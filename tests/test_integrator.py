@@ -529,19 +529,19 @@ def drive_path(compiled, model, initial, steps, chunk):
     """A log-Euler path's t=0 state, record block, floor times and carried
     state, or its abort's type, message and time, with the steps (t, dt,
     g1, g2, g3, mark, record) given chunk at a time to the compiled kernel,
-    or with compiled None to _log_euler.  The path records into the second
-    column of a two-path block, so the strides matter."""
+    or with compiled None to _log_euler.  The path records into the middle
+    path of a three-path block, so a write past its rows shows."""
     t, dts, g, marks, rows = chunk_arrays(steps)
     config = SimConfig(initial=initial, t_end=1.0, dt=0.5)
     _, start = cl.integrator._kernel(model, config, stochastic=True)
     kernel = functools.partial(compiled or cl.integrator._log_euler,
                                *cl.integrator._log_drift(model))
-    block = np.full((9, rows.max() + 1, 2), np.nan)
+    block = np.full((9, 3, rows.max() + 1), np.nan)
     s = np.array(start)
     for a in range(0, len(dts), chunk):
         b = a + chunk
         end = kernel(t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1], rows[a:b + 1], s,
-                     block[:, :, 1])
+                     block[:, 1])
         if end >= 0:
             exc = SimulationError("log-state overflow", float(t[a + end + 1]))
             return type(exc), str(exc), exc.time
@@ -591,26 +591,28 @@ def test_compiled_kernel_raises_where_math_exp_overflows(compiled):
 
 
 def test_compiled_kernel_refuses_arrays_that_do_not_fit(compiled):
-    """The compiled wrapper refuses a record row past the column, a mark
-    past the jump sizes, mesh arrays of unequal lengths, a carried state of
-    the wrong size or type and a column of too few rows, with a ValueError
-    before the kernel runs: the column and the carried state stay as they
-    were."""
+    """The compiled wrapper refuses a record row past the path's rows, a
+    mark past the jump sizes, mesh arrays of unequal lengths, a carried state
+    of the wrong size or type, and rows too few or with strided records, with
+    a ValueError before the kernel runs: the rows and the carried state stay
+    as they were."""
     model = make_persistence(jumps=TWO_MARKS)
     k, jl = cl.integrator._log_drift(model)
     t, dts, g, marks, rows = chunk_arrays(random_steps(np.random.default_rng(5), model, 20))
-    column = np.full((9, rows.max() + 1), 0.25)
+    block = np.full((9, rows.max() + 1), 0.25)
+    strided = np.full((rows.max() + 1, 9), 0.25).T
     s = np.arange(15.0)
-    good = dict(t=t, dt=dts, g=g, mark=marks, row=rows, s=s, out=column)
+    good = dict(t=t, dt=dts, g=g, mark=marks, row=rows, s=s, out=block)
     misfits = [dict(good, row=np.where(rows == rows.max(), rows.max() + 1, rows)),
                dict(good, mark=np.where(np.arange(len(marks)) == 3, len(jl), marks)),
                dict(good, t=t[:-1]), dict(good, mark=marks[:-1]), dict(good, row=rows[:-1]),
                dict(good, s=s[:14]), dict(good, s=s.astype(np.float32)),
-               dict(good, out=column[:7])]
+               dict(good, out=block[:7]), dict(good, out=strided)]
     for misfit in misfits:
         with pytest.raises(ValueError, match="do not fit the compiled kernel"):
             compiled(k, jl, **misfit)
-        assert np.all(column == 0.25) and s.tolist() == list(range(15))
+        assert np.all(block == 0.25) and np.all(strided == 0.25)
+        assert s.tolist() == list(range(15))
     assert compiled(k, jl, **good) == -1
 
 

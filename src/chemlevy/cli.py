@@ -170,6 +170,24 @@ def _initial_state(text: str) -> State:
     return State(*parts)
 
 
+# every flag more than one command takes, declared once
+_FLAGS = {
+    "--model": dict(required=True, help="JSON model file"),
+    "--out": dict(default=None, help="output directory (data commands default to '.')"),
+    "--p": dict(type=float, required=True, help="imprecision level in [0,1]"),
+    "--t-end": dict(type=float, default=500.0, help="time horizon (default 500)"),
+    "--dt": dict(type=float, default=0.01, help="grid step (default 0.01)"),
+    "--initial": dict(type=_initial_state, default=None,
+                      help="initial S,x,y (default: S0,0.1*S0,0.1*S0)"),
+    "--stride": dict(type=_positive_int, default=100, help="record every n-th grid point"),
+    "--seed": dict(type=_uint, default=1, help="random seed, an integer >= 0 (default 1)"),
+    "--paths": dict(type=_positive_int, default=100, help="Monte Carlo paths (default 100)"),
+    "--tol-rate": dict(type=float, default=0.02, help="absolute slack for rate bounds"),
+    "--tol-mean": dict(type=float, default=0.05,
+                       help="relative slack for time-average limits"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chemlevy",
@@ -177,68 +195,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "and Monte Carlo verification of long-run behavior.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sim=False, mc=False, tols=False):
-        p.add_argument("--model", required=True, help="JSON model file")
-        p.add_argument("--out", default=None,
-                       help="output directory (data commands default to '.')")
-        if sim:
-            p.add_argument("--p", type=float, required=True,
-                           help="imprecision level in [0,1]")
-            p.add_argument("--t-end", type=float, default=500.0)
-            p.add_argument("--dt", type=float, default=0.01)
-            p.add_argument("--initial", type=_initial_state, default=None,
-                           help="initial S,x,y (default: S0,0.1*S0,0.1*S0)")
-            p.add_argument("--stride", type=_positive_int, default=100,
-                           help="record every n-th grid point")
-        if mc:
-            p.add_argument("--seed", type=_uint, default=1)
-            p.add_argument("--paths", type=_positive_int, default=100)
-        if tols:
-            p.add_argument("--tol-rate", type=float, default=0.02,
-                           help="absolute slack for rate bounds")
-            p.add_argument("--tol-mean", type=float, default=0.05,
-                           help="relative slack for time-average limits")
+    def command(name, run, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p_val = sub.add_parser("validate", help="run structural model checks")
-    p_val.set_defaults(run=_cmd_validate)
-    p_val.add_argument("--model", required=True)
-
-    p_thr = sub.add_parser("thresholds", help="noise-corrected thresholds and regime")
-    p_thr.set_defaults(run=_cmd_thresholds)
-    common(p_thr)
-    p_thr.add_argument("--p", type=float, required=True)
+    run_flags = ("--t-end", "--dt", "--initial", "--stride")
+    sim = ("--model", "--out", "--p", *run_flags)
+    command("validate", _cmd_validate, "run structural model checks", "--model")
+    p_thr = command("thresholds", _cmd_thresholds, "noise-corrected thresholds and regime",
+                    "--model", "--out", "--p")
     p_thr.add_argument("--theta", type=float, default=None,
                        help="also check the order-theta moment condition (theta > 2)")
-
-    p_sim = sub.add_parser("simulate", help="integrate one stochastic path")
-    p_sim.set_defaults(run=partial(_cmd_simulate, deterministic=False))
-    common(p_sim, sim=True)
-    p_sim.add_argument("--seed", type=_uint, default=1)
-    p_sim.add_argument("--scheme", choices=[LOG_EULER, DIRECT_EULER],
-                       default=LOG_EULER)
-
-    p_ode = sub.add_parser("ode", help="integrate the noise-free system (RK4)")
-    p_ode.set_defaults(run=partial(_cmd_simulate, deterministic=True))
-    common(p_ode, sim=True)
-
-    p_ens = sub.add_parser("ensemble", help="Monte Carlo ensemble summary")
-    p_ens.set_defaults(run=_cmd_ensemble)
-    common(p_ens, sim=True, mc=True)
-
-    p_ver = sub.add_parser("verify", help="check regime predictions by Monte Carlo")
-    p_ver.set_defaults(run=_cmd_verify)
-    common(p_ver, sim=True, mc=True, tols=True)
-
-    p_swp = sub.add_parser("sweep", help="sweep the imprecision level p")
-    p_swp.set_defaults(run=_cmd_sweep)
-    common(p_swp, tols=True)
+    p_sim = command("simulate", partial(_cmd_simulate, deterministic=False),
+                    "integrate one stochastic path", *sim, "--seed")
+    p_sim.add_argument("--scheme", choices=[LOG_EULER, DIRECT_EULER], default=LOG_EULER)
+    command("ode", partial(_cmd_simulate, deterministic=True),
+            "integrate the noise-free system (RK4)", *sim)
+    command("ensemble", _cmd_ensemble, "Monte Carlo ensemble summary", *sim, "--seed", "--paths")
+    command("verify", _cmd_verify, "check regime predictions by Monte Carlo",
+            *sim, "--seed", "--paths", "--tol-rate", "--tol-mean")
+    p_swp = command("sweep", _cmd_sweep, "sweep the imprecision level p", "--model", "--out",
+                    *run_flags, "--seed", "--tol-rate", "--tol-mean")
     p_swp.add_argument("--p-grid", type=_float_list, required=True,
                        help="comma-separated p values in [0,1]")
-    p_swp.add_argument("--t-end", type=float, default=500.0)
-    p_swp.add_argument("--dt", type=float, default=0.01)
-    p_swp.add_argument("--initial", type=_initial_state, default=None)
-    p_swp.add_argument("--stride", type=_positive_int, default=100)
-    p_swp.add_argument("--seed", type=_uint, default=1)
     p_swp.add_argument("--paths", type=_uint, default=0,
                        help="paths per p (0 = thresholds only)")
 

@@ -26,6 +26,7 @@ from ._lazy import np
 from .integrator import (
     SimConfig,
     SimulationError,
+    check_integer,
     check_path_config,
     derive_path_seed,
     record_times,
@@ -212,10 +213,8 @@ def _path_records(runs, n_paths: int, workers: int):
 def _check_args(n_paths, least: int, workers) -> None:
     """Refuse an n_paths that is not an integer >= least, or a workers that
     is not an integer >= 1."""
-    for name, value, low in (("n_paths", n_paths, least), ("workers", workers, 1)):
-        # an int or a numpy integer, checked without importing numpy
-        if not hasattr(value, "__index__") or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    check_integer("n_paths", n_paths, least)
+    check_integer("workers", workers, 1)
 
 
 def _aggregate(stack: np.ndarray) -> dict:

@@ -48,16 +48,18 @@ FLOOR_LOG = -700.0
 _FLOOR_LIN = math.exp(FLOOR_LOG)
 _CEIL_LOG = 700.0
 
-# Mesh steps a kernel advances per chunk.  Noise, step sizes and the
-# kernel's per-step lists exist for one chunk at a time, so beyond its jump
-# events a path's memory does not grow with its horizon.
+# Mesh steps a kernel advances per chunk, on average: a chunk is a window of
+# grid steps with their events, sized by the path's mean event density.
+# Noise, step sizes and the kernel's per-step lists exist for one chunk at a
+# time, so beyond its jump events a path's memory does not grow with its
+# horizon.
 _CHUNK_STEPS = 4096
 
 # Largest mesh (uniform steps plus expected jump events) a path may ask for,
 # and most expected jump events, both checked before anything is allocated.
-# Grid steps cost no memory, as the mesh is built a piece at a time, but
-# each jump event costs about 214 B of peak RSS: its (t, mark) tuple in the
-# schedule and the mesh's four event arrays (1e6 to 4e6 events, x86-64
+# Grid steps cost no memory, as the mesh is built a window at a time, but
+# each jump event costs about 216 B of peak RSS: its (t, mark) tuple in the
+# schedule and the mesh's two event arrays (1e6 to 4e6 events, x86-64
 # CPython 3.11).  So the event cap bounds a path to about 1 GB, and the
 # record cap, on paths times records, bounds a run's record block to as much.
 _MAX_MESH_STEPS = 10**8
@@ -132,6 +134,13 @@ class Trajectory:
         return math.log(series[-1]) / t if series[-1] > 0.0 else float("-inf")
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """Refuse a value that is not an integer >= least."""
+    # an int or a numpy integer, checked without importing numpy
+    if not hasattr(value, "__index__") or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_config(config: SimConfig, positive_initial: bool,
                   jump_rate: float = 0.0, paths: int = 1) -> None:
     if not 0.0 < config.t_end < math.inf:
@@ -146,10 +155,10 @@ def _check_config(config: SimConfig, positive_initial: bool,
     if not events <= _MAX_JUMP_EVENTS:
         raise ValueError(f"the expected jump count is {events:.3g}, "
                          f"above the cap of {_MAX_JUMP_EVENTS:.0e} events per path")
-    stride = config.output_stride
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ValueError(f"output_stride must be an integer >= 1, got {stride!r}")
-    mesh = _Mesh(config.t_end, config.dt, stride, [])   # records counted, not allocated
+    check_integer("output_stride", config.output_stride, 1)
+    check_integer("seed", config.seed, 0)
+    # records counted, not allocated
+    mesh = _Mesh(config.t_end, config.dt, config.output_stride, [])
     records = -(-mesh.n // mesh.stride) + 1
     if not paths * records <= _MAX_PATH_RECORDS:
         raise ValueError(f"{paths} path(s) of {records} records are above the cap of "
@@ -195,8 +204,9 @@ def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> lis
 
 class _Mesh:
     """One path's jump-adapted mesh: the uniform grid of n steps of about dt
-    on [0, t_end] with its jump events woven in, built a piece at a time and
-    never whole, so its memory grows with the jump count, not the horizon.
+    on [0, t_end] with its jump events woven in, built a window of span grid
+    steps at a time and never whole, so its memory grows with the jump
+    count, not the horizon.
 
     An event falling exactly on a grid point is placed before it, so
     recorded states are right-continuous (post-jump).  The origin is
@@ -211,15 +221,8 @@ class _Mesh:
         self.t_end, self.stride = t_end, min(stride, self.n)
         self.ev_t = np.array([t for t, _ in events], dtype=float)
         self.ev_mark = np.array([mk for _, mk in events], dtype=np.intp)
-        # first grid point at or after each event, but never before the
-        # origin, so an event at t=0 is still a step; equal-position events
-        # keep their order.  The rounded ceil is at most one index off.
-        u = np.minimum(np.ceil(self.ev_t * self.n / t_end), self.n).astype(np.intp)
-        u -= self.grid(u - 1) >= self.ev_t
-        u += self.grid(u) < self.ev_t
-        self.pos = np.maximum(u, 1)
-        self.at = self.pos + np.arange(len(events))   # each event's mesh index
-        self.steps = self.n + len(events)
+        # grid steps per window, so that a window holds about _CHUNK_STEPS mesh steps
+        self.span = max(1, _CHUNK_STEPS * self.n // (self.n + len(events)))
 
     def grid(self, u: np.ndarray) -> np.ndarray:
         """Grid points u, bit for bit np.linspace(0, t_end, n + 1)[u]."""
@@ -227,22 +230,24 @@ class _Mesh:
 
     def piece(self, a: int, b: int):
         """Times, mark index (-1 on grid points) and record row (-1 off
-        record points) of mesh points a..b: exactly that slice of the grid
-        with every event inserted at its position."""
-        lo = int(np.searchsorted(self.at, a, side="left"))
-        hi = int(np.searchsorted(self.at, b, side="right"))
-        u = np.arange(a - lo, b + 1 - hi)    # the grid points among them
+        record points) of the mesh from grid point a to grid point b: those
+        grid points with the events in (grid(a), grid(b)] woven in, and
+        from the origin those at t=0, too."""
+        u = np.arange(a, b + 1)
         times = self.grid(u)
         marks = np.full(len(u), -1, dtype=np.intp)
         rec = ((u % self.stride == 0) & (u > 0)) | (u == self.n)
         rows = np.where(rec, -(-u // self.stride), -1)
+        lo, hi = np.searchsorted(self.ev_t, times[[0, -1]], side="right")
+        lo = 0 if a == 0 else lo
         if hi > lo:
-            # a piece may hold events and no grid point, so offset them by
-            # the grid points before the piece, not by its first one
-            rel = self.pos[lo:hi] - (a - lo)
-            times = np.insert(times, rel, self.ev_t[lo:hi])
-            marks = np.insert(marks, rel, self.ev_mark[lo:hi])
-            rows = np.insert(rows, rel, -1)
+            ev = self.ev_t[lo:hi]
+            # before an equal grid point and after the origin; events at one
+            # position keep their order
+            at = np.maximum(np.searchsorted(times, ev), 1)
+            times = np.insert(times, at, ev)
+            marks = np.insert(marks, at, self.ev_mark[lo:hi])
+            rows = np.insert(rows, at, -1)
         return times, marks, rows
 
 
@@ -472,8 +477,8 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
         # the t=0 record: a time average is the initial value, a rate is 0/0
         out[:8, 0] = (*start[3:6], *start[3:6], math.nan, math.nan)
         try:
-            for a in range(0, mesh.steps, _CHUNK_STEPS):
-                t, marks, rows = mesh.piece(a, min(a + _CHUNK_STEPS, mesh.steps))
+            for a in range(0, mesh.n, mesh.span):
+                t, marks, rows = mesh.piece(a, min(a + mesh.span, mesh.n))
                 dts = np.diff(t)
                 g = _noise(rng, dts, sigmas) if stochastic else np.zeros((len(dts), 3))
                 end = kernel(t, dts, g, marks, rows, s, out)
@@ -516,6 +521,8 @@ def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
     check_path_config(model, config, len(seeds))
     if not seeds:
         raise ValueError("seeds must be nonempty")
+    for seed in seeds:
+        check_integer("seed", seed, 0)
     return _integrate(model, config, seeds)
 
 

@@ -604,6 +604,19 @@ def test_help_lists_subcommands(capsys):
     for name in ("validate", "thresholds", "simulate", "ode", "ensemble",
                  "verify", "sweep"):
         assert name in out
+    # a flag more than one command takes has the same help in each, but
+    # sweep's --paths, whose 0 means thresholds only
+    helps = {}
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for name, command in commands.choices.items():
+        for action in command._actions[1:]:
+            if (name, action.dest) != ("sweep", "paths"):
+                helps.setdefault(action.option_strings[0], {})[name] = action.help
+    shared = {flag: set(by.values()) for flag, by in helps.items() if len(by) > 1}
+    assert {"--model", "--p", "--t-end", "--dt", "--initial", "--stride", "--seed",
+            "--paths"} <= shared.keys()
+    for flag, texts in shared.items():
+        assert len(texts) == 1 and None not in texts, (flag, texts)
 
 
 def _finite_number(text: str) -> bool:

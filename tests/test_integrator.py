@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,10 +33,11 @@ from chemlevy.integrator import (
     derive_path_seed,
     simulate_batch,
 )
-from chemlevy.model import drift
+from chemlevy.model import _PARAM_FIELDS, drift
 from conftest import (
     INITIAL,
     TWO_MARKS,
+    RecordingPool,
     make_extinction,
     make_persistence,
     random_crisp_model,
@@ -141,7 +143,7 @@ def test_jump_log_is_the_sampled_schedule(scheme):
 
 def full_mesh(t_end, dt, events, stride):
     mesh = cl.integrator._Mesh(t_end, dt, stride, events)
-    return mesh.piece(0, mesh.steps)
+    return mesh.piece(0, mesh.n)
 
 
 def test_event_at_origin_is_a_step():
@@ -179,10 +181,12 @@ def test_record_times_are_the_meshs_record_points():
 
 
 def test_mesh_pieces_are_slices_of_the_woven_mesh():
-    """A piece a..b of a mesh is that slice of the whole mesh, the linspace
-    grid with every event inserted before the first grid point at or after
-    it, for any cut and awkward (t_end, dt), with events on grid points and
-    on their neighbouring floats, at the origin and at the end."""
+    """A piece from grid point a to grid point b is that slice of the whole
+    mesh, the linspace grid with every event inserted before the first grid
+    point at or after it, from grid point a (the origin's events included
+    when a is 0) to grid point b, for any cut and awkward (t_end, dt), with
+    events on grid points and on their neighbouring floats, at the origin
+    and at the end."""
     rng = np.random.default_rng(12)
     for t_end, dt, n in awkward_grids(rng, 300):
         grid = np.linspace(0.0, t_end, n + 1)
@@ -200,24 +204,28 @@ def test_mesh_pieces_are_slices_of_the_woven_mesh():
         whole = (np.insert(grid, pos, ev_t),
                  np.insert(np.full(n + 1, -1), pos, [mk for _, mk in events]),
                  np.insert(rows, pos, -1))
+        # each grid point's index in the whole mesh (no event precedes the origin)
+        at = np.arange(n + 1) + np.searchsorted(pos, np.arange(n + 1), side="right")
         mesh = cl.integrator._Mesh(t_end, dt, stride, events)
-        assert mesh.steps == n + len(events)
+        assert mesh.n == n
         for _ in range(5):
-            a = int(rng.integers(0, mesh.steps))
-            b = int(rng.integers(a + 1, mesh.steps + 1))
+            a = int(rng.integers(0, n))
+            b = int(rng.integers(a + 1, n + 1))
             for got, want in zip(mesh.piece(a, b), whole):
-                assert got.tobytes() == want[a:b + 1].tobytes()
+                assert got.tobytes() == want[at[a]:at[b] + 1].tobytes()
 
 
 def test_mesh_memory_does_not_grow_with_the_horizon():
     """A mesh of 1e8 grid steps and its first and last chunk-sized pieces
-    stay under 1 MB: no array spans the horizon."""
+    stay under 1 MB: no array spans the horizon.  On a mesh with more
+    events than grid steps, the windows hold every mesh step once and none
+    holds much more than a chunk."""
     events = [(0.5, 0), (5e7, 1), (5e7 + 0.5, 0), (1e8, 1)]
     tracemalloc.start()
     try:
         mesh = cl.integrator._Mesh(1e8, 1.0, 1000, events)
         first = mesh.piece(0, 4096)
-        last = mesh.piece(mesh.steps - 4096, mesh.steps)
+        last = mesh.piece(mesh.n - 4096, mesh.n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -226,6 +234,12 @@ def test_mesh_memory_does_not_grow_with_the_horizon():
     assert last[0][-3:].tolist() == [1e8 - 1, 1e8, 1e8]
     assert last[2][-1] == 10**5
     assert peak < 2**20
+    ev_t = np.sort(np.random.default_rng(13).uniform(0.0, 2e4, 5 * 10**4))
+    mesh = cl.integrator._Mesh(2e4, 1.0, 7, [(t, 0) for t in ev_t.tolist()])
+    steps = [len(mesh.piece(a, min(a + mesh.span, mesh.n))[0]) - 1
+             for a in range(0, mesh.n, mesh.span)]
+    assert sum(steps) == mesh.n + len(ev_t)
+    assert max(steps) <= 1.1 * cl.integrator._CHUNK_STEPS
 
 
 def terminal_state(scheme, model, t, marks, g):
@@ -754,6 +768,10 @@ PINNING = CrispModel(S0=1.0, D=5.0, m1=0.4, delta1=0.5, sigma1=0.05,
                      m2=0.3, delta2=0.5, sigma2=0.05, sigma3=0.05)
 # a noisy nutrient overflows some paths of a run, not all
 OVERFLOWING = make_extinction(jumps=TWO_MARKS).with_sigmas(8.0, 0.1, 0.1)
+# about two jump events per grid step of 0.02, so a mesh holds more events
+# than grid steps
+DENSE = make_persistence(jumps=JumpSpec((JumpMark(50.0, -0.01, -0.01, -0.01),
+                                         JumpMark(50.0, 0.01, 0.01, 0.01))))
 
 
 @pytest.mark.parametrize("n_paths, model, config", [
@@ -772,9 +790,12 @@ OVERFLOWING = make_extinction(jumps=TWO_MARKS).with_sigmas(8.0, 0.1, 0.1)
     (WIDE, make_persistence(jumps=TWO_MARKS), short_config(t_end=5.0, output_stride=3)),
     (WIDE, PINNING, short_config(t_end=300.0, dt=0.5, output_stride=3)),
     (WIDE, OVERFLOWING, short_config(t_end=4.0, dt=0.02, seed=1, output_stride=3)),
+    (1, DENSE, short_config(t_end=5.0, dt=0.02, output_stride=3)),
+    (WIDE, DENSE, short_config(t_end=5.0, dt=0.02, output_stride=3)),
 ], ids=["jumps-stride1", "jumps-stride3", "pinned-stride1", "pinned-stride3",
         "direct-stride3", "direct-abort", "rk4-zero-axis", "batch-jumps-stride1",
-        "batch-jumps-stride3", "batch-pinned", "batch-abort"])
+        "batch-jumps-stride3", "batch-pinned", "batch-abort", "dense-stride3",
+        "batch-dense-stride3"])
 def test_chunk_size_does_not_change_the_path(monkeypatch, compiled, n_paths, model, config):
     """At chunks of 1 and 7 steps a path is what it is at the default chunk
     size, and a log-Euler path is, too, on the Python kernel."""
@@ -891,16 +912,17 @@ def test_batch_is_each_path_alone_through_every_kind_of_step(monkeypatch, compil
                                   sample_jumps(model.jumps, config.t_end,
                                                rng_for(derive_path_seed(config.seed, i))))
               for i in range(WIDE)]
-    marks = np.full((WIDE, max(mesh.steps for mesh in meshes)), -1)
+    pieces = [mesh.piece(0, mesh.n)[1:] for mesh in meshes]
+    steps = [len(mark) - 1 for mark, _ in pieces]
+    marks = np.full((WIDE, max(steps)), -1)
     rows = marks.copy()
-    for i, mesh in enumerate(meshes):
-        _, mark, row = mesh.piece(0, mesh.steps)
-        marks[i, :mesh.steps], rows[i, :mesh.steps] = mark[1:], row[1:]
+    for i, (mark, row) in enumerate(pieces):
+        marks[i, :steps[i]], rows[i, :steps[i]] = mark[1:], row[1:]
     on = rows >= 0
     assert ((marks >= 0).sum(axis=0) >= 2).any()
     assert (on.all(axis=0) & (rows == rows[0]).all(axis=0)).any()
     assert (on.any(axis=0) & ~on.all(axis=0)).any()
-    assert len({mesh.steps for mesh in meshes}) > 1
+    assert len(set(steps)) > 1
 
 
 def test_batch_of_direct_euler_paths_is_each_path_alone():
@@ -965,6 +987,23 @@ def test_config_validation(monkeypatch):
             cl.ensemble(model, short_config(output_stride=stride), 2)
     with pytest.raises(ValueError):
         simulate(model, short_config(scheme="heun"))
+    # a seed that is not an integer >= 0 is refused before any draw or pool
+    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    point = [cl.IntervalNumber(getattr(model, f), getattr(model, f)) for f in _PARAM_FIELDS]
+    imprecise = cl.ImpreciseModel(model.S0, *point)
+    for seed in (None, -1, 1.5, "3"):
+        message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            simulate(model, short_config(seed=seed))
+        with pytest.raises(ValueError, match=message):
+            simulate_batch(model, short_config(), [0, seed])
+        with pytest.raises(ValueError, match=message):
+            cl.ensemble(model, short_config(seed=seed), 2, workers=2)
+        with pytest.raises(ValueError, match=message):
+            cl.p_sweep(imprecise, [0.0, 1.0], short_config(t_end=500.0, seed=seed), 2,
+                       workers=2)
+    assert RecordingPool.sizes == []
     with pytest.raises(ValueError):
         simulate(model, short_config(initial=State(1.0, 0.0, 0.1)))
     for initial in (State(math.inf, 1.0, 1.0), State(1.0, math.nan, 1.0)):

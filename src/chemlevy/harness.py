@@ -6,9 +6,9 @@ of the recorded quantities over time, and keeps each path's terminal
 statistics.  ``verify`` compares those statistics against the regime
 predictions of a ThresholdReport and returns one pass/fail claim per
 applicable prediction.  Paths are embarrassingly parallel: each worker's
-contiguous group of them is one integrator.simulate_batch task, and
-aggregation is a deterministic fold in path-index order, so results are
-identical for any worker count.
+contiguous group of them is one task, which writes its paths' rows of the
+run's one record block in place, and aggregation is a deterministic fold in
+path-index order, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,18 +19,17 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import islice
 
 from . import _compiled
 from ._lazy import np
 from .integrator import (
     SimConfig,
     SimulationError,
+    _integrate,
     check_integer,
     check_path_config,
     derive_path_seed,
     record_times,
-    simulate_batch,
 )
 from .model import CrispModel, ImpreciseModel, crispify
 from .thresholds import Regime, ThresholdReport, classify
@@ -120,9 +119,11 @@ class EnsembleSummary:
 
     ``series[name][stat]`` is an array over recorded times for name in
     S, x, y, mean_S, mean_x, mean_y, lnx_over_t, lny_over_t, phi and stat in
-    mean, p5, p50, p95.  ``terminal`` maps per-path arrays: mean_S, mean_x,
-    mean_y, rate_x, rate_y, phi, brownian_over_t (n, 3), comp_jump_over_t
-    (n, 3), extinct_x, extinct_y.
+    mean, p5, p50, p95, over the paths that finished.  ``terminal`` maps
+    arrays of one row per path that finished, in path order: path (its
+    index), mean_S, mean_x, mean_y, rate_x, rate_y, phi, brownian_over_t
+    (n, 3), comp_jump_over_t (n, 3), extinct_x, extinct_y.  ``aborted``
+    holds (index, error message) of every path that did not finish.
     """
 
     n_paths: int
@@ -143,71 +144,64 @@ def _terminal(traj, series: np.ndarray) -> np.ndarray:
                            traj.brownian / t_end, traj.comp_jump / t_end))
 
 
-def _group_records(model: CrispModel, config: SimConfig, indices,
-                   spill: str | None = None) -> tuple:
-    """(series, records) of one task's paths, stepped as one simulate_batch,
-    in index order.
+def _run_paths(model: CrispModel, config: SimConfig, lo: int, hi: int, block) -> list:
+    """Step paths lo..hi-1 into their rows block[:, lo:hi] of a run's record
+    block, or of the .npy file block names, and return their records.
 
-    A path's record is (index, None, k, terminal), with its series the rows
-    series[:, k] of the batch's (9, paths, n) block of _SERIES over the
-    record times and terminal _terminal's row; a failed path's is (index,
-    error message).  A pool worker saves the block to the .npy file spill
-    and returns the file's name: a block pickled back whole would cost the
-    parent about three times its size in receive buffers.
+    A path's record is (index, None, terminal), terminal being _terminal's
+    row, or (index, error message, None) for a failed path.
     """
-    series, paths = simulate_batch(model, config,
-                                   [derive_path_seed(config.seed, i) for i in indices])
-    records = [(i, str(traj)) if isinstance(traj, SimulationError)
-               else (i, None, k, _terminal(traj, series[:, k]))
-               for k, (i, traj) in enumerate(zip(indices, paths))]
-    if spill is not None:
-        np.save(spill, series)
-        series = spill
-    return series, records
+    if isinstance(block, str):
+        block = np.load(block, mmap_mode="r+")
+    seeds = [derive_path_seed(config.seed, i) for i in range(lo, hi)]
+    _, paths = _integrate(model, config, seeds, block[:, lo:hi])
+    return [(i, str(traj), None) if isinstance(traj, SimulationError)
+            else (i, None, _terminal(traj, block[:, i]))
+            for i, traj in enumerate(paths, lo)]
 
 
-def _unpack(results):
-    """Yield each record of a stream of _group_records results, with a view
-    of its block, mapped from the spill file if it has one."""
-    for series, records in results:
-        if isinstance(series, str):
-            spill, series = series, np.load(series, mmap_mode="r")
-            os.unlink(spill)  # the mapping outlives the name
-        for r in records:
-            yield r if r[1] else (r[0], None, series[:, r[2]], r[3])
-
-
-def _path_records(runs, n_paths: int, workers: int):
-    """Yield the record of every path of each (model, config) run, run by
-    run, in path order.
+def _path_records(models, config: SimConfig, n_paths: int, workers: int):
+    """Yield (block, records) of config's run on each model, run by run:
+    its (9, n_paths, records) block of _SERIES over the record times, and
+    its paths' records in path order.
 
     Each run's paths are split into min(workers, n_paths) contiguous
-    groups, one task each, which simulate_batch steps a path at a time.
-    The tasks run lazily in a pool of min(workers, tasks) forked
-    processes, or serially when that is one.  The caller has checked the
-    config: a path's SimulationError is its record's error, and anything
-    else a path raises, or a broken pool, ends the stream.
+    groups, one _run_paths task each.  The tasks run in a pool of
+    min(workers, tasks) forked processes, where a run's block is one .npy
+    file in a temporary directory, which the parent maps and unlinks once
+    the run's tasks are in; or serially and lazily when that is one, into
+    an array.  The caller has checked the config: a path's SimulationError
+    is its record's error, and anything else a path raises, or a broken
+    pool, ends the stream.
     """
     split = min(workers, n_paths)
-    tasks = []
-    for model, config in runs:
-        bounds = [n_paths * k // split for k in range(split + 1)]
-        tasks += [(model, config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        # Load numpy, numpy.random (which numpy imports on first access) and
-        # the compiled kernel before forking, so the workers inherit them
-        # instead of each loading them again; LazyLoader is also not
-        # thread-safe before Python 3.12, and the pool's result thread
-        # unpickles arrays.
-        np.random
-        _compiled.log_euler_chunk()
-        with (tempfile.TemporaryDirectory(prefix="chemlevy-") as spill_dir,
-              ProcessPoolExecutor(max_workers=workers) as pool):
-            spills = [os.path.join(spill_dir, f"{k}.npy") for k in range(len(tasks))]
-            yield from _unpack(pool.map(_group_records, *zip(*tasks), spills))
-    else:
-        yield from _unpack(map(_group_records, *zip(*tasks)))
+    groups = [(n_paths * k // split, n_paths * (k + 1) // split) for k in range(split)]
+    shape = (9, n_paths, len(record_times(config.t_end, config.dt, config.output_stride)))
+    workers = min(workers, len(models) * split)
+    if workers == 1:
+        for model in models:
+            block = np.empty(shape)
+            yield block, [r for lo, hi in groups for r in _run_paths(model, config, lo, hi, block)]
+        return
+    # Load numpy, numpy.random (which numpy imports on first access) and the
+    # compiled kernel before forking, so the workers inherit them instead of
+    # each loading them again; LazyLoader is also not thread-safe before
+    # Python 3.12, and the pool's result thread unpickles arrays.
+    np.random
+    _compiled.log_euler_chunk()
+    with (tempfile.TemporaryDirectory(prefix="chemlevy-") as spill_dir,
+          ProcessPoolExecutor(max_workers=workers) as pool):
+        files = [os.path.join(spill_dir, f"{k}.npy") for k in range(len(models))]
+        for name in files:
+            np.lib.format.open_memmap(name, "w+", shape=shape)
+        tasks = [(model, config, lo, hi, name)
+                 for model, name in zip(models, files) for lo, hi in groups]
+        results = pool.map(_run_paths, *zip(*tasks))
+        for name in files:
+            records = [r for _ in groups for r in next(results)]
+            block = np.load(name, mmap_mode="r")
+            os.unlink(name)  # the mapping outlives the name
+            yield block, records
 
 
 def _check_args(n_paths, least: int, workers) -> None:
@@ -231,29 +225,30 @@ def _aggregate(stack: np.ndarray) -> dict:
     return {"mean": mean, "p5": p5, "p50": p50, "p95": p95}
 
 
-def _summarise(records, times) -> EnsembleSummary:
-    """Fold one ensemble's path records, in path order, into its summary.
+def _summarise(block: np.ndarray, records, times) -> EnsembleSummary:
+    """Fold one ensemble's record block and path records, in path order,
+    into its summary.
 
     Raises RuntimeError if 10% or more of the paths aborted.  times are the
     record times every path shares.
     """
     n_paths = len(records)
-    aborted = tuple(r for r in records if r[1])
+    aborted = tuple((i, msg) for i, msg, _ in records if msg)
     if len(aborted) >= 0.1 * n_paths:
         detail = "; ".join(f"path {i}: {msg}" for i, msg in aborted[:5])
         raise RuntimeError(
             f"{len(aborted)}/{n_paths} paths aborted (>= 10%): {detail}")
-    index, _, blocks, rows = zip(*(r for r in records if not r[1]))
+    index, _, rows = zip(*(r for r in records if not r[1]))
 
-    # one (paths, times) stack alive at a time; the sticky extinction flags
-    # come from the x and y stacks while they are held
+    # each series' (paths, times) rows reduced in place, or copied without
+    # the aborted paths'; the sticky extinction flags come from x's and y's
     series, extinct = {}, {}
     for k, name in enumerate(_SERIES):
-        stack = np.stack([b[k] for b in blocks])
+        stack = block[k][list(index)] if aborted else block[k]
         series[name] = _aggregate(stack)
         if name in ("x", "y"):
             extinct[name] = np.logical_or.accumulate(stack < EXTINCTION_THRESHOLD, axis=1)
-    rows = np.stack(rows).T.copy()
+    rows = np.array(rows).T.copy()
     terminal = {"path": np.array(index)}
     terminal.update(zip(_TERMINAL, rows))
     terminal["brownian_over_t"] = rows[6:9].T.copy()
@@ -286,8 +281,8 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
     """
     _check_args(n_paths, 1, workers)
     check_path_config(model, config, n_paths)
-    records = list(_path_records([(model, config)], n_paths, workers))
-    return _summarise(records, record_times(config.t_end, config.dt, config.output_stride))
+    ((block, records),) = _path_records([model], config, n_paths, workers)
+    return _summarise(block, records, record_times(config.t_end, config.dt, config.output_stride))
 
 
 def verify(report: ThresholdReport, summary: EnsembleSummary,
@@ -357,18 +352,18 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     check_horizon(config.t_end)
     times = record_times(config.t_end, config.dt, config.output_stride)
     broken = None  # a stream that raised has ended for every later row too
-    with closing(_path_records([(row.crisp, config) for row in rows], n_paths,
+    with closing(_path_records([row.crisp for row in rows], config, n_paths,
                                workers)) as stream:
         for row in rows:
             try:
                 if broken is not None:
                     raise broken
                 try:
-                    records = list(islice(stream, n_paths))
+                    block, records = next(stream)
                 except Exception as exc:
                     broken = exc
                     raise
-                summary = _summarise(records, times)
+                summary = _summarise(block, records, times)
                 row.stats = {
                     "mean_S": float(np.median(summary.terminal["mean_S"])),
                     "mean_x": float(np.median(summary.terminal["mean_x"])),

@@ -445,9 +445,10 @@ def _kernel(model: CrispModel, config: SimConfig, stochastic: bool) -> tuple:
     return functools.partial(_linear, step), [math.nan] * 3 + first + sums_pins
 
 
-def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
+def _integrate(model: CrispModel, config: SimConfig, seeds=None, out=None) -> tuple:
     """The chunk engine: run one path per seed, or without seeds one
-    noise-free RK4 path, and return (series, paths) as simulate_batch does.
+    noise-free RK4 path, into the record block out if one is given, and
+    return (series, paths) as simulate_batch does.
 
     Each path draws its jump schedule from its own seed's stream, then each
     chunk's normals in stream order, so neither the chunk size nor the
@@ -465,7 +466,7 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None) -> tuple:
     times = record_times(config.t_end, config.dt, config.output_stride)
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
     seeds = seeds if stochastic else [None]
-    series = np.empty((9, len(seeds), len(times)))   # each series of a path is a contiguous row
+    series = np.empty((9, len(seeds), len(times))) if out is None else out
     paths = []
     for i, seed in enumerate(seeds):
         rng = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -309,18 +309,40 @@ def test_a_jump_past_exps_range_fails_simulate_without_a_traceback(tmp_path, cap
         "", "simulation failed: log-state overflow at t=0.122787\n")
 
 
-def test_a_jump_past_exps_range_aborts_an_ensemble_path(tmp_path, capsys, monkeypatch):
-    """Of 20 paths at seed 2, path 13 jumps: it is counted as aborted and
-    left out of the terminal rows, and the ensemble runs on."""
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+def _overflow_ensemble(tmp_path, name):
+    """Run the 20-path EXP_OVERFLOW ensemble at seed 2 into tmp_path/name;
+    return its exit status and its two CSV files' bytes."""
     path = write_model(tmp_path, EXP_OVERFLOW)
-    out_dir = tmp_path / "ens"
-    assert main(["ensemble", "--model", path, *EXP_OVERFLOW_RUN, "--seed", "2",
-                 "--paths", "20", "--out", str(out_dir)]) == 0
+    out_dir = tmp_path / name
+    code = main(["ensemble", "--model", path, *EXP_OVERFLOW_RUN, "--seed", "2",
+                 "--paths", "20", "--out", str(out_dir)])
+    return code, [(out_dir / f).read_bytes()
+                  for f in ("ensemble_summary.csv", "ensemble_terminal.csv")]
+
+
+@pytest.mark.parametrize("pool", ["serial", "recording", "forked"])
+def test_a_jump_past_exps_range_aborts_an_ensemble_path(tmp_path, capsys, monkeypatch, pool):
+    """Of 20 paths at seed 2, path 13 jumps: it is counted as aborted and
+    left out of the terminal rows, and the ensemble runs on.  Its summary,
+    reduced over the surviving rows of the record block, has the same bytes
+    whether that block is in memory (one worker) or a file two workers
+    wrote, in one process or in two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = _overflow_ensemble(tmp_path, "serial")
+    capsys.readouterr()
+    if pool != "serial":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    if pool == "recording":
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    code, files = _overflow_ensemble(tmp_path, "ens")
+    assert RecordingPool.sizes == ([2] if pool == "recording" else [])
+    assert (code, files) == serial
+    assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("20 paths to t=1 (1 aborted)\n")
     assert captured.err == ""
-    rows = (out_dir / "ensemble_terminal.csv").read_text().splitlines()[1:]
+    rows = files[1].decode().splitlines()[1:]
     assert [int(row.split(",")[0]) for row in rows] == [i for i in range(20) if i != 13]
 
 

@@ -572,22 +572,55 @@ def test_p_sweep_refused_config_raises_before_any_pool(monkeypatch):
     assert RecordingPool.sizes == []
 
 
+def kill_worker_at_p_half(monkeypatch):
+    """Make the worker that steps a p=0.5 path exit at once."""
+    real_integrate = cl.harness._integrate
+
+    def dies_at_p_half(model, config, seeds, out):
+        if model.p == 0.5:
+            os._exit(1)
+        return real_integrate(model, config, seeds, out)
+
+    monkeypatch.setattr(cl.harness, "_integrate", dies_at_p_half)
+
+
 def test_p_sweep_broken_pool_fails_the_rows_it_did_not_finish(monkeypatch):
     """A worker that dies takes the pool with it: its row and every later
     row report the broken pool, and p_sweep still returns."""
-    real_batch = cl.harness.simulate_batch
-
-    def dies_at_p_half(model, config, seeds):
-        if model.p == 0.5:
-            os._exit(1)
-        return real_batch(model, config, seeds)
-
-    monkeypatch.setattr(cl.harness, "simulate_batch", dies_at_p_half)
+    kill_worker_at_p_half(monkeypatch)
     rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], small_config(dt=0.5),
                    n_paths=2, workers=2)
     for row in rows[1:]:
         assert "terminated abruptly" in row.error
         assert row.stats is None
+
+
+def test_pooled_runs_leave_no_files_behind(monkeypatch, tmp_path):
+    """A pooled run's record block is a file in a temporary directory, gone
+    when the run returns, also when its pool broke."""
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    ensemble(make_extinction(), small_config(t_end=2.0), 5, workers=2)
+    assert list(tmp_path.iterdir()) == []
+    config = small_config(dt=0.5)
+    rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], config, n_paths=3, workers=2)
+    assert all(row.error is None for row in rows)
+    assert list(tmp_path.iterdir()) == []
+    kill_worker_at_p_half(monkeypatch)
+    rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], config, n_paths=3, workers=2)
+    assert "terminated abruptly" in rows[1].error
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_serial_runs_need_no_temp_dir(monkeypatch, tmp_path):
+    """One worker keeps a run's record block in memory: with the temporary
+    directory missing, a serial ensemble and p_sweep still run, and make no
+    file anywhere there."""
+    missing = tmp_path / "missing"
+    monkeypatch.setattr("tempfile.tempdir", str(missing))
+    ensemble(make_extinction(), small_config(t_end=2.0), 5, workers=1)
+    rows = p_sweep(imprecise_extinction(), [0.0, 1.0], small_config(dt=0.5), n_paths=3)
+    assert all(row.error is None for row in rows)
+    assert not missing.exists()
 
 
 def test_p_sweep_empty_grid_rejected():

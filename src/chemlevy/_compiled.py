@@ -1,18 +1,26 @@
-"""The compiled log-Euler chunk kernel, built and loaded on first use.
+"""The compiled library: the log-Euler chunk kernel and the float formatter,
+built and loaded on first use.
 
 ``_log_euler.c`` steps one chunk of ``integrator._log_euler`` for one path,
 bit for bit, and ``log_euler_chunk`` wraps it in a function of the same
 signature, which checks that a chunk's arrays fit before it passes their
-pointers.  It is compiled with the C compiler Python was built with
-(``sysconfig``'s ``CC``) at fixed flags, into a per-user cache
+pointers.  ``_float_rows.c`` writes a float64 block as CSV lines whose cells
+are the floats' ``repr``, and ``float_rows`` wraps it in a function from a
+block to those bytes.  Its power-of-five tables are written by
+``_pow5_tables`` from exact integers, only when the library is built.
+
+Both sources are compiled into one library with the C compiler Python was
+built with (``sysconfig``'s ``CC``) at fixed flags, into a per-user cache
 (``$XDG_CACHE_HOME/chemlevy``, else ``~/.cache/chemlevy``) keyed by the
-SHA-256 of the source, the compiler command, the flags and the machine, and
-loaded with ``ctypes``.  A build goes to a temporary file in the cache and is
-renamed into place, so processes that build at once never load half a file.
-Nothing here runs at import: ``chemlevy`` starts without ``ctypes``, a
-compiler or the cache.  Any failure (no compiler, a cache that cannot be
-written, a library that does not load) makes ``log_euler_chunk`` return
-None, and the Python kernel runs instead, with the same bytes.
+SHA-256 of the two sources and of this file (the table generator), the
+compiler command, the flags and the machine, and loaded once with
+``ctypes``.  A build goes to a temporary directory in the cache and its
+library is renamed into place, so processes that build at once never load
+half a file.  Nothing here runs at import: ``chemlevy`` starts without
+``ctypes``, a compiler or the cache.  Any failure (no compiler, a cache that
+cannot be written, a library that does not load) makes both accessors
+return None, and the Python kernel and ``repr`` run instead, with the same
+bytes.
 """
 
 import functools
@@ -20,22 +28,51 @@ import os
 
 from ._lazy import np
 
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_log_euler.c")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SOURCES = tuple(os.path.join(_HERE, name) for name in ("_log_euler.c", "_float_rows.c"))
 # never -ffast-math or -march: either may change the kernel's rounding
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# bytes a cell may take in _float_rows.c, its "," or "\n" included
+_CELL_BYTES = 25
+
+
+def log_euler_chunk():
+    """integrator._log_euler run in C, or None where it cannot be had."""
+    library = _library()
+    return library and library[0]
+
+
+def float_rows():
+    """A function from a C-contiguous float64 (rows, cols) block to its CSV
+    lines, every cell its repr, or None where it cannot be had."""
+    library = _library()
+    return library and library[1]
 
 
 @functools.cache
-def log_euler_chunk():
-    """integrator._log_euler run in C, or None where it cannot be had."""
+def _library():
     try:
         return _load()
     except Exception:
-        # the Python kernel writes the same bytes, so this is no error; the
-        # reason goes only to a logger someone has turned on
+        # the Python kernel and repr write the same bytes, so this is no
+        # error; the reason goes only to a logger someone has turned on
         import logging
-        logging.getLogger(__name__).debug("no compiled log-Euler kernel", exc_info=True)
+        logging.getLogger(__name__).debug("no compiled library", exc_info=True)
         return None
+
+
+def _pow5_tables() -> str:
+    """_float_rows.c's tables as C, from exact integers: POW5_INV[q] is
+    2^(bits(5^q) - 1 + 125) // 5^q + 1 and POW5[i] is 5^i cut or padded to
+    125 bits, each as (low, high) 64-bit words.  q and i run to what the
+    largest double and the smallest subnormal need."""
+    def table(name, values):
+        rows = ",\n".join(f"{{0x{v & (1 << 64) - 1:x}u, 0x{v >> 64:x}u}}" for v in values)
+        return f"static const uint64_t {name}[{len(values)}][2] = {{\n{rows}}};\n"
+
+    inv = [(1 << (5 ** q).bit_length() - 1 + 125) // 5 ** q + 1 for q in range(291)]
+    pow5 = [(5 ** i << 125) >> (5 ** i).bit_length() for i in range(326)]
+    return table("POW5_INV", inv) + table("POW5", pow5)
 
 
 def _load():
@@ -50,27 +87,31 @@ def _load():
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc:
         return None
-    with open(_SOURCE, "rb") as f:
-        source = f.read()
-    key = hashlib.sha256(repr((source, cc, _FLAGS, platform.machine())).encode()).hexdigest()
+    sources = []
+    for name in (*_SOURCES, __file__):
+        with open(name, "rb") as f:
+            sources.append(f.read())
+    key = hashlib.sha256(repr((sources, cc, _FLAGS, platform.machine())).encode()).hexdigest()
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                          or os.path.join(os.path.expanduser("~"), ".cache"), "chemlevy")
-    path = os.path.join(cache, f"log_euler-{key[:32]}.so")
+    path = os.path.join(cache, f"chemlevy-{key[:32]}.so")
     if not os.path.exists(path):
         os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run([*cc, *_FLAGS, "-o", tmp, _SOURCE, "-lm"], check=True,
-                           capture_output=True, timeout=120)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    fn = ctypes.CDLL(path).log_euler_chunk
+        with tempfile.TemporaryDirectory(dir=cache) as build:
+            with open(os.path.join(build, "_pow5.h"), "w", encoding="ascii") as f:
+                f.write(_pow5_tables())
+            built = os.path.join(build, "library.so")
+            subprocess.run([*cc, *_FLAGS, "-I", build, "-o", built, *_SOURCES, "-lm"],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(built, path)
+    library = ctypes.CDLL(path)
     size = ctypes.c_ssize_t
-    fn.argtypes = [size, *[ctypes.c_void_p] * 9, size]
-    fn.restype = size
+    step = library.log_euler_chunk
+    step.argtypes = [size, *[ctypes.c_void_p] * 9, size]
+    step.restype = size
+    write = library.float_rows
+    write.argtypes = [ctypes.c_void_p, size, size, ctypes.c_void_p]
+    write.restype = size
 
     def chunk(k, jl, t, dt, g, mark, row, s, out):
         n = len(dt)
@@ -83,7 +124,14 @@ def _load():
                 and row.max() < out.shape[1] and out.strides[1] == out.itemsize
                 and s.dtype == out.dtype == np.float64):
             raise ValueError("a chunk's arrays do not fit the compiled kernel")
-        return fn(n, *(a.ctypes.data for a in (t, dt, g, mark, row, k, jl, s, out)),
-                  out.strides[0] // out.itemsize)
+        return step(n, *(a.ctypes.data for a in (t, dt, g, mark, row, k, jl, s, out)),
+                    out.strides[0] // out.itemsize)
 
-    return chunk
+    def lines(block) -> bytes:
+        if not (block.ndim == 2 and block.dtype == np.float64 and block.flags.c_contiguous):
+            raise ValueError("a block must be a C-contiguous float64 (rows, cols) array")
+        rows, cols = block.shape
+        buf = np.empty(rows * (cols * _CELL_BYTES + 1), np.uint8)
+        return buf[:write(block.ctypes.data, rows, cols, buf.ctypes.data)].tobytes()
+
+    return chunk, lines

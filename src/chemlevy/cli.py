@@ -17,6 +17,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
+from . import _compiled
 from ._lazy import np
 from .harness import VerifyTolerances, check_horizon, ensemble, p_sweep, verify
 from .integrator import (
@@ -42,40 +43,70 @@ _THRESHOLD_HEADER = ["p", *_PARAM_ORDER, *_REPORT_FIELDS, "regime"]
 # ---------------------------------------------------------------------------
 
 def _write_rows(path, header, rows) -> None:
-    # csv writes None as an empty cell and anything else as str(v); a float's
-    # str is its shortest round-trip repr
+    # for the tables that hold strings or empty cells: csv quotes a string
+    # where it must, and writes None as an empty cell and anything else as
+    # str(v), which for a float is its shortest round-trip repr
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
+def _line(row) -> str:
+    # the cells csv would write for floats, ints and bools, none of which it
+    # quotes: repr is str for all three
+    return ",".join(map(repr, row)) + "\n"
+
+
+def _write_lines(path, header, rows) -> None:
+    """Write rows of floats, ints and bools as the CSV lines csv would."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(_line, rows))
+
+
+# rows formatted at a time: the writer's memory is a block this long, not the file
+_BLOCK_ROWS = 4096
+
+
+def _write_numbers(path, header, columns) -> None:
+    """Write float64 columns of one length as CSV lines, every cell its
+    repr: a block of rows at a time, through the compiled formatter where it
+    loads, else through repr, with the same bytes."""
+    fmt = _compiled.float_rows()
+    n = len(columns[0])
+    block = np.empty((min(n, _BLOCK_ROWS), len(columns)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for a in range(0, n, _BLOCK_ROWS):
+            rows = block[:min(_BLOCK_ROWS, n - a)]
+            for k, column in enumerate(columns):
+                rows[:, k] = column[a:a + len(rows)]
+            fh.write(fmt(rows) if fmt else "".join(map(_line, rows.tolist())).encode())
+
+
 def write_trajectory_csv(traj, model, path) -> None:
-    phi = conservation_residual(traj, model)
     header = ["t", "S", "x", "y", "meanS", "meanx", "meany",
               "lnx_over_t", "lny_over_t", "phi"]
-    rows = zip(
-        traj.times.tolist(), traj.S.tolist(), traj.x.tolist(), traj.y.tolist(),
-        traj.mean_S.tolist(), traj.mean_x.tolist(), traj.mean_y.tolist(),
-        traj.lnx_over_t.tolist(), traj.lny_over_t.tolist(), phi.tolist(),
-    )
-    _write_rows(path, header, rows)
+    columns = [traj.times, traj.S, traj.x, traj.y, traj.mean_S, traj.mean_x, traj.mean_y,
+               traj.lnx_over_t, traj.lny_over_t, conservation_residual(traj, model)]
+    _write_numbers(path, header, columns)
 
 
 def write_jumps_csv(traj, path) -> None:
-    _write_rows(path, ["t", "mark"], traj.jump_log)
+    _write_lines(path, ["t", "mark"], traj.jump_log)
 
 
 def write_ensemble_csv(summary, path) -> None:
     header = ["t"]
-    columns = [summary.times.tolist()]
+    columns = [summary.times]
     for name, stats in summary.series.items():
         for stat, values in stats.items():
             header.append(f"{name}_{stat}")
-            columns.append(values.tolist())
+            columns.append(values)
     header += ["extinct_x_frac", "extinct_y_frac"]
-    columns += [summary.extinct_x_frac.tolist(), summary.extinct_y_frac.tolist()]
-    _write_rows(path, header, zip(*columns))
+    columns += [summary.extinct_x_frac, summary.extinct_y_frac]
+    _write_numbers(path, header, columns)
 
 
 def write_terminal_csv(summary, path) -> None:
@@ -88,7 +119,7 @@ def write_terminal_csv(summary, path) -> None:
                                            "rate_x", "rate_y", "phi")]
                + term["brownian_over_t"].T.tolist() + term["comp_jump_over_t"].T.tolist()
                + [term["extinct_x"].tolist(), term["extinct_y"].tolist()])
-    _write_rows(path, header, zip(*columns))
+    _write_lines(path, header, zip(*columns))
 
 
 def write_verdict_csv(verdict, path) -> None:

@@ -56,12 +56,12 @@ class RecordingPool:
 
 @pytest.fixture(scope="session", autouse=True)
 def kernel_cache(tmp_path_factory):
-    """Build the compiled log-Euler kernel into a cache of the test session's
-    own (fresh processes inherit it), so the suite neither reads nor writes
-    the user's cache."""
+    """Build the compiled library (the log-Euler kernel and the float
+    formatter) into a cache of the test session's own (fresh processes
+    inherit it), so the suite neither reads nor writes the user's cache."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        cl._compiled.log_euler_chunk.cache_clear()
+        cl._compiled._library.cache_clear()
         yield
 
 

@@ -431,12 +431,17 @@ def test_monte_carlo_pool_follows_affinity(tmp_path, monkeypatch, affinity, cpu_
     assert RecordingPool.sizes == pools
 
 
-# a path with jumps, pins and records at an odd stride, and a pooled ensemble
+# a path with jumps, pins and records at an odd stride, a pooled ensemble,
+# and the two linear-space kernels' trajectories at stride 1
 KERNEL_RUNS = [
     ["simulate", "--model", str(MODELS / "imprecise_jumps.json"), "--p", "0.5",
      "--t-end", "50", "--stride", "7"],
     ["ensemble", "--model", str(MODELS / "imprecise_jumps.json"), "--p", "0.5",
      "--t-end", "20", "--stride", "3", "--paths", "6"],
+    ["ode", "--model", str(MODELS / "persistence.json"), "--p", "0.5",
+     "--t-end", "20", "--stride", "1"],
+    ["simulate", "--scheme", "direct_euler", "--model", str(MODELS / "imprecise_jumps.json"),
+     "--p", "0.5", "--t-end", "20", "--stride", "1"],
 ]
 
 
@@ -453,8 +458,11 @@ def run_outputs(argv, out, capsys):
 def test_a_kernel_that_cannot_be_had_gives_the_same_bytes(tmp_path, capsys, monkeypatch,
                                                           request, compiled, failure):
     """Without a compiler, with a cache that cannot be written, or with a
-    library that does not load, the commands run on the Python kernel:
-    the same files and the same printout, and nothing said about it."""
+    library that does not load, the commands run on the Python kernel and
+    write their number tables through repr instead of the compiled
+    formatter: the same files and the same printout, and nothing said
+    about it."""
+    assert _compiled.float_rows() is not None
     want = [run_outputs(argv, tmp_path / f"want{k}", capsys)
             for k, argv in enumerate(KERNEL_RUNS)]
     cache = tmp_path / "cache"
@@ -469,12 +477,12 @@ def test_a_kernel_that_cannot_be_had_gives_the_same_bytes(tmp_path, capsys, monk
             raise OSError("cannot load the library")
         monkeypatch.setattr(ctypes, "CDLL", no_library)
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-    _compiled.log_euler_chunk.cache_clear()
-    request.addfinalizer(_compiled.log_euler_chunk.cache_clear)
+    _compiled._library.cache_clear()
+    request.addfinalizer(_compiled._library.cache_clear)
     got = [run_outputs(argv, tmp_path / f"got{k}", capsys) for k, argv in enumerate(KERNEL_RUNS)]
-    assert _compiled.log_euler_chunk() is None
+    assert _compiled.log_euler_chunk() is None and _compiled.float_rows() is None
     assert got == want
-    assert [status for status, *_ in got] == [0, 0]
+    assert [status for status, *_ in got] == [0] * len(KERNEL_RUNS)
     assert all(err == "" for _, _, err, _ in got)
 
 

@@ -240,7 +240,7 @@ class PoolBuilt(Exception):
     pass
 
 def pool(max_workers):
-    raise PoolBuilt("numpy.random" in sys.modules, _compiled.log_euler_chunk.cache_info().currsize)
+    raise PoolBuilt("numpy.random" in sys.modules, _compiled._library.cache_info().currsize)
 
 harness.ProcessPoolExecutor = pool
 model = CrispModel(S0=1.0, D=0.5, m1=0.4, delta1=0.5, sigma1=0.1,

@@ -1,9 +1,12 @@
-"""The compiled library: the log-Euler chunk kernel and the float formatter,
+"""The compiled library: the log-Euler window kernel and the float formatter,
 built and loaded on first use.
 
-``_log_euler.c`` steps one chunk of ``integrator._log_euler`` for one path,
-bit for bit, and ``log_euler_chunk`` wraps it in a function of the same
-signature, which checks that a chunk's arrays fit before it passes their
+``_log_euler.c`` steps one window of one path's jump-adapted mesh: it
+weaves the window's events into its grid points, scales the window's raw
+normals into noise and steps ``integrator._log_euler`` over the result, bit
+for bit ``integrator._stepped(_log_euler)``.  ``log_euler_window`` binds a
+run's constants to it once and returns a function of the engine's window
+signature, which checks that a window's arrays fit before it passes their
 pointers.  ``_float_rows.c`` writes a float64 block as CSV lines whose cells
 are the floats' ``repr``, and ``float_rows`` wraps it in a function from a
 block to those bytes.  Its power-of-five tables are written by
@@ -36,8 +39,10 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CELL_BYTES = 25
 
 
-def log_euler_chunk():
-    """integrator._log_euler run in C, or None where it cannot be had."""
+def log_euler_window():
+    """A function from a run's constants (_log_drift's k and jl, the sigmas,
+    and the grid's n, h = t_end / n, t_end and stride) to its log-Euler
+    window kernel run in C, or None where it cannot be had."""
     library = _library()
     return library and library[0]
 
@@ -105,27 +110,41 @@ def _load():
                            check=True, capture_output=True, timeout=120)
             os.replace(built, path)
     library = ctypes.CDLL(path)
-    size = ctypes.c_ssize_t
-    step = library.log_euler_chunk
-    step.argtypes = [size, *[ctypes.c_void_p] * 9, size]
-    step.restype = size
+    size, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    step = library.log_euler_window
+    step.argtypes = [ptr, ptr, ptr, size, real, real, size, size, size, ptr, ptr, size,
+                     ptr, ptr, ptr, size]
+    step.restype = real
     write = library.float_rows
-    write.argtypes = [ctypes.c_void_p, size, size, ctypes.c_void_p]
+    write.argtypes = [ptr, size, size, ptr]
     write.restype = size
 
-    def chunk(k, jl, t, dt, g, mark, row, s, out):
-        n = len(dt)
-        t, dt, g, k, jl = (np.ascontiguousarray(a, np.float64) for a in (t, dt, g, k, jl))
-        mark, row = (np.ascontiguousarray(a, np.intp) for a in (mark, row))
-        # everything the kernel reads, and writes in place, must be there
-        if not (len(t) == len(mark) == len(row) == n + 1 and g.shape == (n, 3)
-                and k.shape == (11,) and jl.shape[1:] == (3,) and mark.max() < len(jl)
-                and s.shape == (15,) and s.flags.c_contiguous and out.ndim == 2 and len(out) >= 8
-                and row.max() < out.shape[1] and out.strides[1] == out.itemsize
-                and s.dtype == out.dtype == np.float64):
-            raise ValueError("a chunk's arrays do not fit the compiled kernel")
-        return step(n, *(a.ctypes.data for a in (t, dt, g, mark, row, k, jl, s, out)),
-                    out.strides[0] // out.itemsize)
+    def bind(k, jl, sigmas, n, h, t_end, stride):
+        k, jl, sigmas = (np.ascontiguousarray(a, np.float64) for a in (k, jl, sigmas))
+        if not (k.shape == (11,) and jl.ndim == 2 and jl.shape[1] == 3 and sigmas.shape == (3,)
+                and 1 <= stride <= n):
+            raise ValueError("a run's constants do not fit the compiled kernel")
+        constants = (k.ctypes.data, jl.ctypes.data, sigmas.ctypes.data, n, h, t_end, stride)
+
+        def window(a, b, ev_t, ev_mark, z, s, out):
+            ev_t, z = (np.ascontiguousarray(v, np.float64) for v in (ev_t, z))
+            ev_mark = np.ascontiguousarray(ev_mark, np.intp)
+            m = len(ev_t)
+            # everything the kernel reads, and writes in place, must be there
+            if not (0 <= a < b <= n and ev_t.shape == ev_mark.shape == (m,)
+                    and z.shape == (b - a + m, 3)
+                    and (m == 0 or 0 <= ev_mark.min() and ev_mark.max() < len(jl))
+                    and s.shape == (15,) and s.flags.c_contiguous and out.ndim == 2
+                    and len(out) >= 8 and -(-b // stride) < out.shape[1]
+                    and out.strides[1] == out.itemsize and s.dtype == out.dtype == np.float64):
+                raise ValueError("a window's arrays do not fit the compiled kernel")
+            return step(*constants, a, b, ev_t.ctypes.data, ev_mark.ctypes.data, m,
+                        z.ctypes.data, s.ctypes.data, out.ctypes.data,
+                        out.strides[0] // out.itemsize)
+
+        # the kernel reads the constants' arrays through their pointers
+        window.arrays = k, jl, sigmas
+        return window
 
     def lines(block) -> bytes:
         if not (block.ndim == 2 and block.dtype == np.float64 and block.flags.c_contiguous):
@@ -134,4 +153,4 @@ def _load():
         buf = np.empty(rows * (cols * _CELL_BYTES + 1), np.uint8)
         return buf[:write(block.ctypes.data, rows, cols, buf.ctypes.data)].tobytes()
 
-    return chunk, lines
+    return bind, lines

@@ -94,7 +94,11 @@ def write_trajectory_csv(traj, model, path) -> None:
 
 
 def write_jumps_csv(traj, path) -> None:
-    _write_lines(path, ["t", "mark"], traj.jump_log)
+    # a block of events at a time, so that no Python object per event is held
+    t, mark = traj.jump_times, traj.jump_marks
+    blocks = (zip(t[a:a + _BLOCK_ROWS].tolist(), mark[a:a + _BLOCK_ROWS].tolist())
+              for a in range(0, len(t), _BLOCK_ROWS))
+    _write_lines(path, ["t", "mark"], (row for block in blocks for row in block))
 
 
 def write_ensemble_csv(summary, path) -> None:
@@ -374,11 +378,11 @@ def _cmd_simulate(args, deterministic: bool) -> int:
     out = _out_dir(args, default_to_cwd=True)
     write_trajectory_csv(traj, crisp, out / "trajectory.csv")
     written = [out / "trajectory.csv"]
-    if traj.jump_log:
+    if len(traj.jump_times):
         write_jumps_csv(traj, out / "jumps.csv")
         written.append(out / "jumps.csv")
     print(f"final state: S={traj.S[-1]:.6g} x={traj.x[-1]:.6g} y={traj.y[-1]:.6g} "
-          f"at t={traj.times[-1]:g} ({len(traj.jump_log)} jumps)")
+          f"at t={traj.times[-1]:g} ({len(traj.jump_times)} jumps)")
     for f in written:
         print(f"wrote {f}")
     return 0

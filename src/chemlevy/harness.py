@@ -48,7 +48,8 @@ _SERIES = ("S", "x", "y", "mean_S", "mean_x", "mean_y",
            "lnx_over_t", "lny_over_t", "phi")
 # per-path terminal scalars, in the order of a path record's terminal row
 _TERMINAL = ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y", "phi")
-_PERCENTILES = (5.0, 50.0, 95.0)
+# each percentile as the quantile np.percentile makes of it
+_PERCENTILES = {"p5": 5.0 / 100, "p50": 50.0 / 100, "p95": 95.0 / 100}
 
 # What verify checks of each prediction: the terminal series, its statistic
 # over paths (the median, or the 5th percentile for a one-sided lower
@@ -188,7 +189,7 @@ def _path_records(models, config: SimConfig, n_paths: int, workers: int):
     # each loading them again; LazyLoader is also not thread-safe before
     # Python 3.12, and the pool's result thread unpickles arrays.
     np.random
-    _compiled.log_euler_chunk()
+    _compiled.log_euler_window()
     with (tempfile.TemporaryDirectory(prefix="chemlevy-") as spill_dir,
           ProcessPoolExecutor(max_workers=workers) as pool):
         files = [os.path.join(spill_dir, f"{k}.npy") for k in range(len(models))]
@@ -214,15 +215,36 @@ def _check_args(n_paths, least: int, workers) -> None:
 def _aggregate(stack: np.ndarray) -> dict:
     """Cross-path mean and 5/50/95 percentiles of a (paths, times) stack.
 
-    A column holds NaN only where every path does (the rate series are 0/0
-    at t=0), so the plain reductions equal nanmean and nanpercentile there
-    too, and need neither their per-column fallback nor their warnings.  A
-    mean of paths near the float maximum overflows to inf without a word.
+    The percentiles are np.percentile's bit for bit, from one sort instead
+    of a partition per column: numpy's linear rule reads the sorted values
+    a and b at the floor and next of the virtual index (n - 1) q, clipped
+    to the ends, as a + (b - a) g, or b - (b - a) (1 - g) where g >= 0.5.
+    Only a tie of 0.0 with -0.0 may sort otherwise, and no series holds
+    -0.0 (S, x, y and their means are positive; ln x/t, ln y/t and phi are
+    never -0.0).  A column holds NaN only where every path does (the rate
+    series are 0/0 at t=0), so the plain reductions equal nanmean and
+    nanpercentile there too.  A mean of paths near the float maximum
+    overflows to inf, and a percentile between infinities is NaN, without
+    a word.
     """
-    p5, p50, p95 = np.percentile(stack, _PERCENTILES, axis=0)
-    with np.errstate(over="ignore"):
-        mean = stack.mean(axis=0)
-    return {"mean": mean, "p5": p5, "p50": p50, "p95": p95}
+    n = len(stack)
+    ordered = np.sort(stack, axis=0)
+    stats = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats["mean"] = stack.mean(axis=0)
+        for name, q in _PERCENTILES.items():
+            virtual = (n - 1) * q
+            # past the last index numpy reads the last value, from index -1,
+            # and its g is then virtual + 1
+            lo = math.floor(virtual) if virtual < n - 1 else -1
+            a, b = ordered[lo], ordered[lo + 1 if lo >= 0 else -1]
+            gamma = virtual - lo
+            stats[name] = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+    # numpy's NaN for a column with a NaN: its last value after the sort
+    nan = np.isnan(ordered[-1])
+    for name in _PERCENTILES:
+        stats[name][nan] = ordered[-1][nan]
+    return stats
 
 
 def _summarise(block: np.ndarray, records, times) -> EnsembleSummary:

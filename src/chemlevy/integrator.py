@@ -9,18 +9,22 @@ A naive linear-space Euler scheme ("direct_euler") is kept purely as a
 diagnostic of why that guarantee matters.
 
 Both schemes and the RK4 solver of the noise-free system are kernels of one
-chunk engine, which steps every path alone and calls the run's kernel once
-per chunk.  Every kernel is a plain function of one signature after what a
-run binds once: a chunk's mesh times t (its start first), step sizes dt,
-noise g (a row per step), and each mesh point's mark and record row (-1 for
-none); then the path's carried state s and its row out of the record
-block.  s has 15 slots, l1 l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3:
-log-states, states, their trapezoid integrals, the Brownian sums and the
-first pin times (NaN until set).  A kernel writes S, x, y, the integrals,
-ln x and ln y into the rows named, and returns -1 or the step at which a
-log-state left the range.  Log-space paths run the compiled kernel
-(``_log_euler.c``) where it loads, bit for bit the Python ``_log_euler``;
-direct Euler and RK4 are step functions of ``_linear``.
+window engine, which steps every path alone and calls the run's kernel once
+per window of its mesh.  Every kernel is a plain function of one signature
+after what a run binds once (its constants, the grid and the sigmas): a
+window's first and last grid points a and b, its slices of the path's event
+times and marks, its raw normals z (a row per mesh step), then the path's
+carried state s and its row out of the record block.  s has 15 slots, l1
+l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3: log-states, states, their
+trapezoid integrals, the Brownian sums and the first pin times (NaN until
+set).  A kernel writes S, x, y, the integrals, ln x and ln y into the rows
+its record points name, and returns -1 or the time at which a log-state
+left the range.  Log-space paths run the compiled kernel (``_log_euler.c``)
+where it loads, which weaves the window's mesh and scales its noise itself;
+elsewhere ``_stepped`` builds the window's mesh times, step sizes, noise,
+marks and record rows in numpy and hands them to a step loop: ``_log_euler``,
+bit for bit the compiled kernel, or ``_linear``, whose step functions are
+direct Euler and RK4.
 
 Each trajectory also accumulates, on the full fine mesh, the running time
 averages of S, x, y (trapezoid rule), the exponential-rate statistics
@@ -48,20 +52,20 @@ FLOOR_LOG = -700.0
 _FLOOR_LIN = math.exp(FLOOR_LOG)
 _CEIL_LOG = 700.0
 
-# Mesh steps a kernel advances per chunk, on average: a chunk is a window of
+# Mesh steps a kernel advances per window, on average: a window is a run of
 # grid steps with their events, sized by the path's mean event density.
-# Noise, step sizes and the kernel's per-step lists exist for one chunk at a
-# time, so beyond its jump events a path's memory does not grow with its
+# Noise, step sizes and the kernel's per-step lists exist for one window at
+# a time, so beyond its jump events a path's memory does not grow with its
 # horizon.
 _CHUNK_STEPS = 4096
 
 # Largest mesh (uniform steps plus expected jump events) a path may ask for,
 # and most expected jump events, both checked before anything is allocated.
 # Grid steps cost no memory, as the mesh is built a window at a time, but
-# each jump event costs about 216 B of peak RSS: its (t, mark) tuple in the
-# schedule and the mesh's two event arrays (1e6 to 4e6 events, x86-64
-# CPython 3.11).  So the event cap bounds a path to about 1 GB, and the
-# record cap, on paths times records, bounds a run's record block to as much.
+# each jump event costs about 40 B of peak RSS: the schedule's time and
+# mark arrays and their draws (1e6 to 4e6 events, x86-64 CPython 3.11).  So
+# the event cap bounds a path's schedule to about 200 MB, and the record
+# cap, on paths times records, bounds a run's record block to about 1 GB.
 _MAX_MESH_STEPS = 10**8
 _MAX_JUMP_EVENTS = 5 * 10**6
 _MAX_PATH_RECORDS = 15 * 10**6
@@ -94,7 +98,7 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded path: states, running statistics, martingales, jump log.
+    """Recorded path: states, running statistics, martingales, jump events.
 
     ``floor_times`` holds, per coordinate (S, x, y), the first time the
     log-state was pinned at FLOOR_LOG (None if never).  ``rate_x``/``rate_y``
@@ -114,8 +118,14 @@ class Trajectory:
     lny_over_t: np.ndarray
     brownian: np.ndarray      # shape (3,): terminal M_i(T) = sigma_i * B_i(T)
     comp_jump: np.ndarray     # shape (3,): terminal compensated jump martingale
-    jump_log: list
+    jump_times: np.ndarray    # the jump events' times, in order
+    jump_marks: np.ndarray    # and each one's mark index
     floor_times: tuple = (None, None, None)
+
+    @property
+    def jump_log(self) -> list:
+        """The (time, mark index) pair of every jump event, in time order."""
+        return list(zip(self.jump_times.tolist(), self.jump_marks.tolist()))
 
     @property
     def rate_x(self) -> float:
@@ -158,7 +168,7 @@ def _check_config(config: SimConfig, positive_initial: bool,
     check_integer("output_stride", config.output_stride, 1)
     check_integer("seed", config.seed, 0)
     # records counted, not allocated
-    mesh = _Mesh(config.t_end, config.dt, config.output_stride, [])
+    mesh = _Mesh(config.t_end, config.dt, config.output_stride)
     records = -(-mesh.n // mesh.stride) + 1
     if not paths * records <= _MAX_PATH_RECORDS:
         raise ValueError(f"{paths} path(s) of {records} records are above the cap of "
@@ -187,26 +197,32 @@ def sample_jumps(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> lis
     Poisson(total_rate * t_end), times are uniform on the window, and each
     mark is chosen with probability weight_k / total_rate.
     """
+    times, marks = _jump_schedule(jumps, t_end, rng)
+    return list(zip(times.tolist(), marks.tolist()))
+
+
+def _jump_schedule(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> tuple:
+    """sample_jumps's schedule, from the same draws, as its two arrays: the
+    event times in order and each event's mark index."""
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     rate = jumps.total_rate
-    if rate <= 0.0:
-        return []
-    n = int(rng.poisson(rate * t_end))
+    n = int(rng.poisson(rate * t_end)) if rate > 0.0 else 0
     if n == 0:
-        return []
+        return np.empty(0), np.empty(0, dtype=np.intp)
     times = rng.uniform(0.0, t_end, size=n)
     probs = np.array([m.weight for m in jumps.marks]) / rate
     marks = rng.choice(len(jumps), size=n, p=probs)
     order = np.argsort(times, kind="stable")
-    return list(zip(times[order].tolist(), marks[order].tolist()))
+    return times[order], marks[order].astype(np.intp, copy=False)
 
 
 class _Mesh:
-    """One path's jump-adapted mesh: the uniform grid of n steps of about dt
-    on [0, t_end] with its jump events woven in, built a window of span grid
-    steps at a time and never whole, so its memory grows with the jump
-    count, not the horizon.
+    """A run's uniform grid of n steps of about dt on [0, t_end], and each
+    path's jump-adapted mesh on it: the grid with the path's jump events
+    woven in, cut into windows of grid steps and built a window at a time,
+    never whole, so a path's memory grows with its jump count, not the
+    horizon.
 
     An event falling exactly on a grid point is placed before it, so
     recorded states are right-continuous (post-jump).  The origin is
@@ -214,39 +230,46 @@ class _Mesh:
     taken at every stride-th grid point and at t_end, into rows 1, 2, ...
     """
 
-    def __init__(self, t_end: float, dt: float, stride: int, events: list):
+    def __init__(self, t_end: float, dt: float, stride: int):
         # t_end is divided into whole steps of size ~dt (exact when divisible)
         self.n = max(1, int(math.ceil(t_end / dt - 1e-9)))
         # a stride past n records t_end alone, as n does, and u % stride stays in int64
         self.t_end, self.stride = t_end, min(stride, self.n)
-        self.ev_t = np.array([t for t, _ in events], dtype=float)
-        self.ev_mark = np.array([mk for _, mk in events], dtype=np.intp)
-        # grid steps per window, so that a window holds about _CHUNK_STEPS mesh steps
-        self.span = max(1, _CHUNK_STEPS * self.n // (self.n + len(events)))
+        self.h = t_end / self.n
 
     def grid(self, u: np.ndarray) -> np.ndarray:
         """Grid points u, bit for bit np.linspace(0, t_end, n + 1)[u]."""
-        return np.where(u == self.n, self.t_end, u * (self.t_end / self.n))
+        return np.where(u == self.n, self.t_end, u * self.h)
 
-    def piece(self, a: int, b: int):
+    def windows(self, ev_t: np.ndarray):
+        """Yield (a, b, lo, hi) for each window of a path with the event
+        times ev_t, in order: grid points a to b and the events ev_t[lo:hi],
+        those in (grid(a), grid(b)] and from the origin those at t=0, too.
+        A window spans about _CHUNK_STEPS mesh steps at the path's mean
+        event density."""
+        span = max(1, _CHUNK_STEPS * self.n // (self.n + len(ev_t)))
+        lo = 0
+        for a in range(0, self.n, span):
+            b = min(a + span, self.n)
+            hi = int(ev_t.searchsorted(self.grid(b), "right"))
+            yield a, b, lo, hi
+            lo = hi
+
+    def piece(self, a: int, b: int, ev_t: np.ndarray, ev_mark: np.ndarray) -> tuple:
         """Times, mark index (-1 on grid points) and record row (-1 off
-        record points) of the mesh from grid point a to grid point b: those
-        grid points with the events in (grid(a), grid(b)] woven in, and
-        from the origin those at t=0, too."""
+        record points) of the mesh from grid point a to grid point b, with
+        the window's events ev_t and their marks ev_mark woven in."""
         u = np.arange(a, b + 1)
         times = self.grid(u)
         marks = np.full(len(u), -1, dtype=np.intp)
         rec = ((u % self.stride == 0) & (u > 0)) | (u == self.n)
         rows = np.where(rec, -(-u // self.stride), -1)
-        lo, hi = np.searchsorted(self.ev_t, times[[0, -1]], side="right")
-        lo = 0 if a == 0 else lo
-        if hi > lo:
-            ev = self.ev_t[lo:hi]
+        if len(ev_t):
             # before an equal grid point and after the origin; events at one
             # position keep their order
-            at = np.maximum(np.searchsorted(times, ev), 1)
-            times = np.insert(times, at, ev)
-            marks = np.insert(marks, at, self.ev_mark[lo:hi])
+            at = np.maximum(np.searchsorted(times, ev_t), 1)
+            times = np.insert(times, at, ev_t)
+            marks = np.insert(marks, at, ev_mark)
             rows = np.insert(rows, at, -1)
         return times, marks, rows
 
@@ -255,7 +278,7 @@ def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
     """The times every path of a config records at: 0, then every stride-th
     grid point and t_end.  Jump events are never record points, so this is
     each path's ``Trajectory.times``; record r of a record block is time r."""
-    mesh = _Mesh(t_end, dt, stride, [])
+    mesh = _Mesh(t_end, dt, stride)
     return mesh.grid(np.append(np.arange(0, mesh.n, mesh.stride), mesh.n))
 
 
@@ -277,20 +300,20 @@ def _log_drift(model: CrispModel) -> tuple:
             _log_jumps(model))
 
 
-def _log_euler(k, jl, t, dt, g, mark, row, s, out) -> int:
-    """One chunk of one path of the log-space Euler-Maruyama scheme with
-    exact multiplicative jumps, statement for statement ``_log_euler.c``,
-    given _log_drift's constants k and log jump sizes jl.  It carries all
-    15 slots of s.  A log-state leaves the range above the ceiling, as NaN,
-    or where a jump takes it past exp's range; s is then left unwritten."""
+def _log_euler(k, jl, t, dt, g, mark, row, s, out) -> float:
+    """The step loop of the log-space Euler-Maruyama scheme with exact
+    multiplicative jumps over one window of one path, statement for
+    statement ``_log_euler.c``, given _log_drift's constants k and log jump
+    sizes jl and _stepped's window arrays.  It carries all 15 slots of s.  A
+    log-state leaves the range above the ceiling, as NaN, or where a jump
+    takes it past exp's range; s is then left unwritten."""
     c1, c2, c3, dso, m1, m2, m1d1, m2d2, ceil, floor, floor_lin = k.tolist()
     jl = jl.tolist()
     l1, l2, l3, e1, e2, e3, iS, ix, iy, b1, b2, b3, *pins = s.tolist()
     exp, isnan = math.exp, math.isnan
     recs, rows = [], []
-    ts = t[1:].tolist()
     try:
-        for tj, dtj, g1, g2, g3, mk, r in zip(ts, dt.tolist(), *g.T.tolist(),
+        for tj, dtj, g1, g2, g3, mk, r in zip(t[1:].tolist(), dt.tolist(), *g.T.tolist(),
                                               mark[1:].tolist(), row[1:].tolist()):
             p1, p2, p3 = e1, e2, e3
             l1 += (dso / e1 - m1d1 * e2 - c1) * dtj + g1
@@ -333,16 +356,14 @@ def _log_euler(k, jl, t, dt, g, mark, row, s, out) -> int:
                 recs.append((e1, e2, e3, iS, ix, iy, l2, l3))
                 rows.append(r)
     except OverflowError:
-        # the step is found by its time's very object (an event at a grid
-        # point shares its time), so no counter slows the loop
-        return next(j for j, v in enumerate(ts) if v is tj)
+        return tj
     s[:] = l1, l2, l3, e1, e2, e3, iS, ix, iy, b1, b2, b3, *pins
     out[:8, rows] = np.array(recs).reshape(-1, 8).T
     return -1
 
 
-def _linear(step, t, dt, g, mark, row, s, out) -> int:
-    """The linear-space chunk kernel, of _log_euler's signature after step:
+def _linear(step, t, dt, g, mark, row, s, out) -> float:
+    """The linear-space step loop, of _log_euler's signature after step:
     each step's state is step(S, x, y, t, dt, g1, g2, g3, mark), which may
     raise its own SimulationError, as a non-finite state does.  It carries
     only slots 3 to 11 of s (S x y iS ix iy b1 b2 b3), leaves the pin times
@@ -412,9 +433,16 @@ def _rk4(model: CrispModel):
     return step
 
 
-def _noise(rng, dts: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """One chunk's Brownian increments sigma_i dB_i, drawn in stream order."""
-    return np.sqrt(dts)[:, None] * sigmas * rng.standard_normal((len(dts), 3))
+def _stepped(loop, mesh: _Mesh, sigmas: np.ndarray):
+    """The window kernel of a step loop, in numpy: each window's mesh
+    piece, its step sizes and its Brownian increments (sqrt(dt) sigma_i)
+    z_i, handed to loop with the carried state and the path's row of the
+    record block."""
+    def kernel(a, b, ev_t, ev_mark, z, s, out):
+        t, mark, row = mesh.piece(a, b, ev_t, ev_mark)
+        dt = np.diff(t)
+        return loop(t, dt, np.sqrt(dt)[:, None] * sigmas * z, mark, row, s, out)
+    return kernel
 
 
 def _log_jumps(model: CrispModel) -> np.ndarray:
@@ -423,75 +451,84 @@ def _log_jumps(model: CrispModel) -> np.ndarray:
                      for mk in model.jumps.marks]).reshape(-1, 3)
 
 
-def _comp_jump(model: CrispModel, events: list, t_end: float) -> np.ndarray:
-    """Terminal compensated jump martingale of a schedule: the log jumps
-    summed in event order, then compensated at the horizon."""
-    hits = _log_jumps(model)[[mk for _, mk in events]]
-    jump_sum = np.cumsum(np.concatenate((np.zeros((1, 3)), hits)), axis=0)[-1]
+def _comp_jump(model: CrispModel, marks: np.ndarray, t_end: float) -> np.ndarray:
+    """Terminal compensated jump martingale of a schedule's marks: the log
+    jumps summed in event order, then compensated at the horizon.  The sums
+    are cumsums, which add in order, one coordinate at a time, so that no
+    (events, 3) array is made."""
+    jl = _log_jumps(model)
+    jump_sum = np.array([np.cumsum(np.append(0.0, jl[marks, i]))[-1] for i in range(3)])
     lcomp = np.array([model.jumps.log_gamma_intensity(i) for i in (1, 2, 3)])
     return jump_sum - t_end * lcomp
 
 
-def _kernel(model: CrispModel, config: SimConfig, stochastic: bool) -> tuple:
-    """A run's chunk kernel, with its constants bound, and the state s every
-    path starts from.  Log-Euler runs the compiled kernel where it loads."""
+def _kernel(model: CrispModel, config: SimConfig, mesh: _Mesh, stochastic: bool) -> tuple:
+    """A run's window kernel, with its constants bound, and the state s
+    every path starts from.  Log-Euler runs the compiled kernel where it
+    loads."""
     first = [config.initial.S, config.initial.x, config.initial.y]
     sums_pins = [0.0] * 6 + [math.nan] * 3     # integrals, Brownian sums, no pin yet
+    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3] if stochastic else [0.0] * 3)
     if stochastic and config.scheme == LOG_EULER:
         logs = [math.log(v) for v in first]
-        kernel = functools.partial(_compiled.log_euler_chunk() or _log_euler, *_log_drift(model))
+        k, jl = _log_drift(model)
+        compiled = _compiled.log_euler_window()
+        kernel = (compiled(k, jl, sigmas, mesh.n, mesh.h, mesh.t_end, mesh.stride) if compiled
+                  else _stepped(functools.partial(_log_euler, k, jl), mesh, sigmas))
         return kernel, [*logs, *map(math.exp, logs), *sums_pins]
     step = _direct_euler(model) if stochastic else _rk4(model)
-    return functools.partial(_linear, step), [math.nan] * 3 + first + sums_pins
+    kernel = _stepped(functools.partial(_linear, step), mesh, sigmas)
+    return kernel, [math.nan] * 3 + first + sums_pins
 
 
 def _integrate(model: CrispModel, config: SimConfig, seeds=None, out=None) -> tuple:
-    """The chunk engine: run one path per seed, or without seeds one
+    """The window engine: run one path per seed, or without seeds one
     noise-free RK4 path, into the record block out if one is given, and
     return (series, paths) as simulate_batch does.
 
     Each path draws its jump schedule from its own seed's stream, then each
-    chunk's normals in stream order, so neither the chunk size nor the
+    window's normals in stream order, so neither the window size nor the
     paths beside it change the result; without seeds the mesh is the
-    uniform grid, nothing is drawn, the noise is zero and so are both
+    uniform grid, nothing is drawn, the normals are zero and so are both
     martingales.  Every sampled event is a mesh step, so a finished path's
     jump log is its schedule.  Every path records into its own rows of one
-    (9, paths, records) block, at the records its mesh pieces name.  Each
-    path runs to its end before the next starts, and ends as a Trajectory,
-    whose brownian and floor_times are slots of its carried state, or as the
+    (9, paths, records) block, at its mesh's record points.  Each path runs
+    to its end before the next starts, and ends as a Trajectory, whose
+    brownian and floor_times are slots of its carried state, or as the
     SimulationError that aborted it.
     """
     stochastic = seeds is not None
-    kernel, start = _kernel(model, config, stochastic)
+    mesh = _Mesh(config.t_end, config.dt, config.output_stride)
+    kernel, start = _kernel(model, config, mesh, stochastic)
     times = record_times(config.t_end, config.dt, config.output_stride)
-    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
     seeds = seeds if stochastic else [None]
     series = np.empty((9, len(seeds), len(times))) if out is None else out
     paths = []
     for i, seed in enumerate(seeds):
-        rng = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-               if stochastic else None)
-        events = sample_jumps(model.jumps, config.t_end, rng) if stochastic else []
-        mesh = _Mesh(config.t_end, config.dt, config.output_stride, events)
+        if stochastic:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            ev_t, ev_mark = _jump_schedule(model.jumps, config.t_end, rng)
+            normals = rng.standard_normal
+        else:
+            ev_t, ev_mark = np.empty(0), np.empty(0, dtype=np.intp)
+            normals = np.zeros
         s = np.array(start)
         out = series[:, i]      # S .. lny_over_t, in Trajectory's field order, then phi
         # the t=0 record: a time average is the initial value, a rate is 0/0
         out[:8, 0] = (*start[3:6], *start[3:6], math.nan, math.nan)
         try:
-            for a in range(0, mesh.n, mesh.span):
-                t, marks, rows = mesh.piece(a, min(a + mesh.span, mesh.n))
-                dts = np.diff(t)
-                g = _noise(rng, dts, sigmas) if stochastic else np.zeros((len(dts), 3))
-                end = kernel(t, dts, g, marks, rows, s, out)
+            for a, b, lo, hi in mesh.windows(ev_t):
+                end = kernel(a, b, ev_t[lo:hi], ev_mark[lo:hi], normals((b - a + hi - lo, 3)),
+                             s, out)
                 if end >= 0:
-                    raise SimulationError("log-state overflow", float(t[end + 1]))
+                    raise SimulationError("log-state overflow", end)
         except SimulationError as exc:
             paths.append(exc)
             continue
         out[3:8, 1:] /= times[1:]
-        comp_jump = _comp_jump(model, events, config.t_end) if stochastic else np.zeros(3)
+        comp_jump = _comp_jump(model, ev_mark, config.t_end) if stochastic else np.zeros(3)
         floor_times = tuple(None if math.isnan(v) else v for v in s[12:].tolist())
-        traj = Trajectory(times, *out[:8], s[9:12], comp_jump, events, floor_times)
+        traj = Trajectory(times, *out[:8], s[9:12], comp_jump, ev_t, ev_mark, floor_times)
         out[8] = conservation_residual(traj, model)
         paths.append(traj)
     return series, paths
@@ -556,13 +593,15 @@ def conservation_residual(traj: Trajectory, model: CrispModel) -> np.ndarray:
 
     phi(t) = <S>_t - S0 + <x>_t / delta1 + <y>_t / (delta1 * delta2); the
     weighted concentration averages must balance the nutrient supply up to a
-    term decaying like 1/t plus martingale fluctuations.
+    term decaying like 1/t plus martingale fluctuations.  A budget past the
+    float range is inf, without a warning.
     """
-    return (
-        traj.mean_S - model.S0
-        + traj.mean_x / model.delta1
-        + traj.mean_y / (model.delta1 * model.delta2)
-    )
+    with np.errstate(over="ignore", divide="ignore"):
+        return (
+            traj.mean_S - model.S0
+            + traj.mean_x / model.delta1
+            + traj.mean_y / (model.delta1 * model.delta2)
+        )
 
 
 def derive_path_seed(seed: int, path_index: int) -> int:

@@ -67,12 +67,13 @@ def kernel_cache(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def compiled(kernel_cache):
-    """The compiled log-Euler chunk kernel, which must load wherever Python's
-    C compiler is installed; a test that needs it is skipped elsewhere."""
+    """The compiled log-Euler window kernel's binder, which must load
+    wherever Python's C compiler is installed; a test that needs it is
+    skipped elsewhere."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip("no C compiler to build the log-Euler kernel with")
-    kernel = cl._compiled.log_euler_chunk()
+    kernel = cl._compiled.log_euler_window()
     assert kernel is not None, "the compiled log-Euler kernel did not load"
     return kernel
 

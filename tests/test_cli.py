@@ -480,7 +480,7 @@ def test_a_kernel_that_cannot_be_had_gives_the_same_bytes(tmp_path, capsys, monk
     _compiled._library.cache_clear()
     request.addfinalizer(_compiled._library.cache_clear)
     got = [run_outputs(argv, tmp_path / f"got{k}", capsys) for k, argv in enumerate(KERNEL_RUNS)]
-    assert _compiled.log_euler_chunk() is None and _compiled.float_rows() is None
+    assert _compiled.log_euler_window() is None and _compiled.float_rows() is None
     assert got == want
     assert [status for status, *_ in got] == [0] * len(KERNEL_RUNS)
     assert all(err == "" for _, _, err, _ in got)
@@ -727,6 +727,9 @@ def _argv(draw):
           "--t-end", "1", "--stride", "9223372036854775808"])
 @example(["ensemble", "--model", str(MODELS / "persistence.json"), "--p", "0.5",
           "--t-end", "1", "--paths", "2", "--stride", "9223372036854775808"])
+# a budget y/(delta1 delta2) past the float maximum, which must be inf without a warning
+@example(["ode", "--model", str(MODELS / "extinction.json"), "--p", "0", "--t-end", "1",
+          "--initial", "1,5e-324,4.49423283715579e307"])
 def test_any_argv_exits_0_1_or_2(tmp_path, monkeypatch, argv):
     """cli.main returns 0, 1 or 2, or argparse exits 2: never a traceback."""
     monkeypatch.chdir(tmp_path)

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chemlevy as cl
 from chemlevy import (
@@ -136,7 +138,7 @@ def test_log_euler_paths_run_compiled_and_the_others_in_python(monkeypatch, comp
                                                                 workers, scheme):
     """Each worker's group is one simulate_batch, whose log-Euler paths all
     run the compiled kernel and whose direct-Euler paths (and the RK4 path
-    of simulate_ode) run in Python, whatever the group's width: the chunk
+    of simulate_ode) run in Python, whatever the group's width: the window
     calls of each kernel are counted, with _linear's by the scheme whose
     step it was given."""
     monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
@@ -146,10 +148,10 @@ def test_log_euler_paths_run_compiled_and_the_others_in_python(monkeypatch, comp
     linear = cl.integrator._linear
 
     def counted(name, kernel):
-        def chunk(*args):
+        def window(*args):
             calls[name] += 1
             return kernel(*args)
-        return chunk
+        return window
 
     def tagged(name):
         make = getattr(cl.integrator, name)
@@ -164,7 +166,8 @@ def test_log_euler_paths_run_compiled_and_the_others_in_python(monkeypatch, comp
         calls[made[step]] += 1
         return linear(step, *args)
 
-    monkeypatch.setattr(cl._compiled, "log_euler_chunk", lambda: counted("compiled", compiled))
+    monkeypatch.setattr(cl._compiled, "log_euler_window",
+                        lambda: lambda *run: counted("compiled", compiled(*run)))
     monkeypatch.setattr(cl.integrator, "_log_euler",
                         counted("_log_euler", cl.integrator._log_euler))
     monkeypatch.setattr(cl.integrator, "_linear", counted_linear)
@@ -173,7 +176,7 @@ def test_log_euler_paths_run_compiled_and_the_others_in_python(monkeypatch, comp
     config = small_config(t_end=2.0, scheme=scheme)
     summary = ensemble(make_extinction(), config, n_paths, workers=workers)
     log_euler = scheme == cl.LOG_EULER
-    # every path of 100 steps is one chunk
+    # every path of 100 steps is one window
     assert calls == {"compiled": n_paths if log_euler else 0, "_log_euler": 0,
                      "_direct_euler": 0 if log_euler else n_paths, "_rk4": 0}
     assert list(summary.terminal["path"]) == list(range(n_paths))
@@ -271,6 +274,28 @@ def test_aggregate_equals_nan_reductions(shape):
             assert got[stat][1:].tobytes() == want[1:].tobytes()
             # nanmean sets the sign bit of an all-NaN column's NaN; both print nan
             assert [str(v) for v in got[stat].tolist()] == [str(v) for v in want.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), paths=st.integers(1, 259))
+def test_aggregate_percentiles_are_np_percentile(seed, paths):
+    """_aggregate's percentiles, from one sort, are np.percentile's bit for
+    bit on stacks with NaN columns, infinities, ties and zeros (no -0.0,
+    which no series holds, and which a sort and a partition may order
+    differently against 0.0)."""
+    rng = np.random.default_rng(seed)
+    cols = int(rng.integers(1, 40))
+    stack = rng.standard_normal((paths, cols)) * rng.uniform(1e-3, 1e3, cols)
+    pool = np.array([0.0, 1.0, 2.5, math.inf, -math.inf, 1e308])
+    special = rng.random((paths, cols)) < rng.uniform(0.0, 0.5)
+    stack[special] = rng.choice(pool, int(special.sum()))
+    stack[:, rng.random(cols) < 0.2] = math.nan
+    got = cl.harness._aggregate(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.percentile(stack, [5.0, 50.0, 95.0], axis=0)
+    for stat, expected in zip(("p5", "p50", "p95"), want):
+        assert got[stat].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("field", ["rate", "mean"])

@@ -1,5 +1,6 @@
 """Path integration: jump sampling, the log-space scheme, RK4, and statistics."""
 
+import collections
 import dataclasses
 import functools
 import math
@@ -74,6 +75,19 @@ def test_sample_jumps_mark_proportions():
     assert abs(frac - 0.25) <= 3.0 * sigma
 
 
+@pytest.mark.parametrize("spec, t_end",
+                         [(JumpSpec(), 100.0), (TWO_MARKS, 0.01), (TWO_MARKS, 500.0)])
+def test_sample_jumps_is_the_schedule_arrays_zipped(spec, t_end):
+    """sample_jumps's pairs are, from the same draws, the zip of the two
+    arrays the engine steps, and its len() is the event count."""
+    for seed in range(5):
+        times, marks = cl.integrator._jump_schedule(spec, t_end, rng_for(seed))
+        events = sample_jumps(spec, t_end, rng_for(seed))
+        assert events == list(zip(times.tolist(), marks.tolist()))
+        assert len(events) == len(times) == len(marks)
+        assert times.dtype == np.float64 and marks.dtype == np.intp
+
+
 def test_sample_jumps_sorted_within_window():
     spec = JumpSpec((JumpMark(1.5, 0.1, 0.1, 0.1),))
     events = sample_jumps(spec, 50.0, rng_for(3))
@@ -141,9 +155,15 @@ def test_jump_log_is_the_sampled_schedule(scheme):
     assert len(traj.jump_log) > 0
 
 
+def schedule(events):
+    """A list of (time, mark) events as the schedule's two arrays."""
+    return (np.array([t for t, _ in events], dtype=float),
+            np.array([mk for _, mk in events], dtype=np.intp))
+
+
 def full_mesh(t_end, dt, events, stride):
-    mesh = cl.integrator._Mesh(t_end, dt, stride, events)
-    return mesh.piece(0, mesh.n)
+    mesh = cl.integrator._Mesh(t_end, dt, stride)
+    return mesh.piece(0, mesh.n, *schedule(events))
 
 
 def test_event_at_origin_is_a_step():
@@ -180,13 +200,14 @@ def test_record_times_are_the_meshs_record_points():
         assert rows[rows >= 0].tolist() == list(range(1, len(expected)))
 
 
-def test_mesh_pieces_are_slices_of_the_woven_mesh():
-    """A piece from grid point a to grid point b is that slice of the whole
-    mesh, the linspace grid with every event inserted before the first grid
-    point at or after it, from grid point a (the origin's events included
-    when a is 0) to grid point b, for any cut and awkward (t_end, dt), with
-    events on grid points and on their neighbouring floats, at the origin
-    and at the end."""
+def test_mesh_pieces_are_slices_of_the_woven_mesh(monkeypatch):
+    """A piece from grid point a to grid point b, given the events in
+    (grid(a), grid(b)] (and from the origin those at t=0, too), is that
+    slice of the whole mesh, the linspace grid with every event inserted
+    before the first grid point at or after it, for any cut and awkward
+    (t_end, dt), with events on grid points and on their neighbouring
+    floats, at the origin and at the end; and a path's windows, at any
+    chunk size, are such cuts, end to end."""
     rng = np.random.default_rng(12)
     for t_end, dt, n in awkward_grids(rng, 300):
         grid = np.linspace(0.0, t_end, n + 1)
@@ -194,7 +215,7 @@ def test_mesh_pieces_are_slices_of_the_woven_mesh():
         ev_t = np.concatenate((rng.uniform(0.0, t_end, int(rng.integers(0, 12))), on,
                                np.nextafter(on, 0.0), np.nextafter(on, math.inf)))
         ev_t = np.sort(ev_t[ev_t <= t_end])
-        events = [(t, int(rng.integers(0, 3))) for t in ev_t.tolist()]
+        ev_mark = rng.integers(0, 3, len(ev_t)).astype(np.intp)
         stride = int(rng.integers(1, n + 3))
         pos = np.maximum(np.searchsorted(grid, ev_t, side="left"), 1)
         rec = np.zeros(n + 1, dtype=bool)
@@ -202,30 +223,47 @@ def test_mesh_pieces_are_slices_of_the_woven_mesh():
         rec[n] = True
         rows = np.where(rec, np.cumsum(rec), -1)
         whole = (np.insert(grid, pos, ev_t),
-                 np.insert(np.full(n + 1, -1), pos, [mk for _, mk in events]),
+                 np.insert(np.full(n + 1, -1), pos, ev_mark),
                  np.insert(rows, pos, -1))
         # each grid point's index in the whole mesh (no event precedes the origin)
         at = np.arange(n + 1) + np.searchsorted(pos, np.arange(n + 1), side="right")
-        mesh = cl.integrator._Mesh(t_end, dt, stride, events)
+        mesh = cl.integrator._Mesh(t_end, dt, stride)
         assert mesh.n == n
-        for _ in range(5):
-            a = int(rng.integers(0, n))
-            b = int(rng.integers(a + 1, n + 1))
-            for got, want in zip(mesh.piece(a, b), whole):
+
+        def events_in(a, b):
+            hi = int(np.searchsorted(ev_t, grid[b], side="right"))
+            return 0 if a == 0 else int(np.searchsorted(ev_t, grid[a], side="right")), hi
+
+        cuts = [(a, b) for a in rng.integers(0, n, 5).tolist()
+                for b in [int(rng.integers(a + 1, n + 1))]]
+        for chunk in (1, 7, cl.integrator._CHUNK_STEPS):
+            with monkeypatch.context() as mp:
+                mp.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
+                windows = np.array(list(mesh.windows(ev_t)))
+            a, b, lo, hi = windows.T
+            assert a[0] == 0 and (a[1:] == b[:-1]).all() and b[-1] == n
+            assert (hi == np.searchsorted(ev_t, grid[b], side="right")).all()
+            assert lo[0] == 0 and (lo[1:] == hi[:-1]).all()
+            cuts += [tuple(w) for w in windows[rng.integers(0, len(windows), 2), :2].tolist()]
+        for a, b in cuts:
+            lo, hi = events_in(a, b)
+            for got, want in zip(mesh.piece(a, b, ev_t[lo:hi], ev_mark[lo:hi]), whole):
                 assert got.tobytes() == want[at[a]:at[b] + 1].tobytes()
 
 
 def test_mesh_memory_does_not_grow_with_the_horizon():
-    """A mesh of 1e8 grid steps and its first and last chunk-sized pieces
-    stay under 1 MB: no array spans the horizon.  On a mesh with more
-    events than grid steps, the windows hold every mesh step once and none
-    holds much more than a chunk."""
-    events = [(0.5, 0), (5e7, 1), (5e7 + 0.5, 0), (1e8, 1)]
+    """A mesh of 1e8 grid steps, its windows and the pieces of its first
+    and last window stay under 1 MB: no array spans the horizon.  On a mesh
+    with more events than grid steps, the windows hold every mesh step once
+    and none holds much more than a chunk."""
+    ev_t, ev_mark = schedule([(0.5, 0), (5e7, 1), (5e7 + 0.5, 0), (1e8, 1)])
     tracemalloc.start()
     try:
-        mesh = cl.integrator._Mesh(1e8, 1.0, 1000, events)
-        first = mesh.piece(0, 4096)
-        last = mesh.piece(mesh.n - 4096, mesh.n)
+        mesh = cl.integrator._Mesh(1e8, 1.0, 1000)
+        windows = mesh.windows(ev_t)
+        pieces = [mesh.piece(a, b, ev_t[lo:hi], ev_mark[lo:hi])
+                  for a, b, lo, hi in (next(windows), collections.deque(windows, 1)[0])]
+        first, last = pieces
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,27 +273,33 @@ def test_mesh_memory_does_not_grow_with_the_horizon():
     assert last[2][-1] == 10**5
     assert peak < 2**20
     ev_t = np.sort(np.random.default_rng(13).uniform(0.0, 2e4, 5 * 10**4))
-    mesh = cl.integrator._Mesh(2e4, 1.0, 7, [(t, 0) for t in ev_t.tolist()])
-    steps = [len(mesh.piece(a, min(a + mesh.span, mesh.n))[0]) - 1
-             for a in range(0, mesh.n, mesh.span)]
+    ev_mark = np.zeros(len(ev_t), dtype=np.intp)
+    mesh = cl.integrator._Mesh(2e4, 1.0, 7)
+    steps = [len(mesh.piece(a, b, ev_t[lo:hi], ev_mark[lo:hi])[0]) - 1
+             for a, b, lo, hi in mesh.windows(ev_t)]
     assert sum(steps) == mesh.n + len(ev_t)
     assert max(steps) <= 1.1 * cl.integrator._CHUNK_STEPS
 
 
 def terminal_state(scheme, model, t, marks, g):
     """The state at the last of the mesh points t (after the origin) that a
-    path of a stochastic scheme steps to, in one chunk of the kernel the
+    path of a stochastic scheme steps to, in one window of the kernel the
     engine runs for it (for log-Euler the compiled kernel where it loads),
-    with the increments g and the mark index (-1 for none) of each step."""
-    config = SimConfig(initial=INITIAL, t_end=1.0, dt=0.5, scheme=scheme)
-    kernel, start = cl.integrator._kernel(model, config, stochastic=True)
-    column = np.empty((9, 2))
-    rows = np.full(len(t) + 1, -1, dtype=np.intp)
-    rows[-1] = 1
-    end = kernel(np.concatenate(([0.0], t)), np.diff(t, prepend=0.0), g,
-                 np.concatenate(([-1], marks)).astype(np.intp), rows, np.array(start), column)
+    with the increments g and the mark index (-1 for none) of each step.
+    The points without a mark are the uniform grid of [0, 1] and those with
+    one its events, woven in as the engine weaves them; the kernel is given
+    the normals that its scaling takes to g, up to rounding."""
+    event = marks >= 0
+    n = len(t) - int(event.sum())
+    config = SimConfig(initial=INITIAL, t_end=1.0, dt=1.0 / n, scheme=scheme)
+    mesh = cl.integrator._Mesh(config.t_end, config.dt, 1)
+    kernel, start = cl.integrator._kernel(model, config, mesh, stochastic=True)
+    scale = np.sqrt(np.diff(t, prepend=0.0))[:, None] * [model.sigma1, model.sigma2, model.sigma3]
+    z = np.divide(g, scale, out=np.zeros_like(g), where=scale > 0.0)
+    column = np.empty((9, n + 1))
+    end = kernel(0, n, t[event], marks[event].astype(np.intp), z, np.array(start), column)
     assert end == -1
-    return column[:3, 1]
+    return column[:3, n]
 
 
 def uniform_mesh(k):
@@ -539,56 +583,92 @@ def test_linear_kernels_abort_and_record_as_their_own_loops(chunk):
     assert zero_axis[-1][-1] == -math.inf
 
 
-def drive_path(compiled, model, initial, steps, chunk):
+def drive_path(compiled, model, initial, grid, events, z, chunk):
     """A log-Euler path's t=0 state, record block, floor times and carried
-    state, or its abort's type, message and time, with the steps (t, dt,
-    g1, g2, g3, mark, record) given chunk at a time to the compiled kernel,
-    or with compiled None to _log_euler.  The path records into the middle
-    path of a three-path block, so a write past its rows shows."""
-    t, dts, g, marks, rows = chunk_arrays(steps)
-    config = SimConfig(initial=initial, t_end=1.0, dt=0.5)
-    _, start = cl.integrator._kernel(model, config, stochastic=True)
-    kernel = functools.partial(compiled or cl.integrator._log_euler,
-                               *cl.integrator._log_drift(model))
-    block = np.full((9, 3, rows.max() + 1), np.nan)
+    state, or its abort's type, message and time, on the mesh of grid
+    (t_end, dt, stride) with the events (times, marks) woven in, given the
+    normals z window by window at _CHUNK_STEPS chunk (None for the
+    default) to the compiled window kernel, or with compiled None to
+    _stepped(_log_euler).  The path records into the middle path of a
+    three-path block, so a write past its rows shows."""
+    t_end, dt, stride = grid
+    ev_t, ev_mark = events
+    config = SimConfig(initial=initial, t_end=t_end, dt=dt, output_stride=stride)
+    mesh = cl.integrator._Mesh(t_end, dt, stride)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cl._compiled, "log_euler_window", lambda: compiled)
+        if chunk is not None:
+            mp.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
+        kernel, start = cl.integrator._kernel(model, config, mesh, stochastic=True)
+        windows = list(mesh.windows(ev_t))
+    block = np.full((9, 3, -(-mesh.n // mesh.stride) + 1), np.nan)
     s = np.array(start)
-    for a in range(0, len(dts), chunk):
-        b = a + chunk
-        end = kernel(t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1], rows[a:b + 1], s,
-                     block[:, 1])
+    used = 0
+    for a, b, lo, hi in windows:
+        size = b - a + hi - lo
+        end = kernel(a, b, ev_t[lo:hi], ev_mark[lo:hi], z[used:used + size], s, block[:, 1])
+        used += size
         if end >= 0:
-            exc = SimulationError("log-state overflow", float(t[a + end + 1]))
+            exc = SimulationError("log-state overflow", end)
             return type(exc), str(exc), exc.time
+    assert used == len(z)
     floors = [None if math.isnan(v) else v for v in s[12:].tolist()]
     return start[3:6], block.tobytes(), floors, s.tobytes()
+
+
+def awkward_path(rng):
+    """A random model with jumps and a mesh for it: (model, grid, events,
+    z), with events drawn uniformly, on grid points, at t=0 and at t_end,
+    sometimes more of them than grid steps, and a normal per mesh step."""
+    model = random_crisp_model(rng)
+    if not model.jumps:
+        model = dataclasses.replace(model, jumps=TWO_MARKS)
+    t_end, dt, n = next(awkward_grids(rng, 1))
+    n = min(n, 400)
+    dt = t_end / n
+    stride = int(rng.integers(1, n + 3))
+    grid = np.linspace(0.0, t_end, n + 1)
+    count = int(rng.integers(0, 3 * n if rng.random() < 0.3 else n // 4 + 2))
+    ev_t = np.sort(np.concatenate((rng.uniform(0.0, t_end, count),
+                                   rng.choice(grid, int(rng.integers(0, 4))), [0.0, t_end])))
+    ev_mark = rng.integers(0, len(model.jumps), len(ev_t)).astype(np.intp)
+    z = rng.standard_normal((n + len(ev_t), 3))
+    return model, (t_end, dt, stride), (ev_t, ev_mark), z
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_compiled_kernel_steps_as_log_euler(compiled, seed):
-    """The compiled chunk kernel is _log_euler bit for bit at any chunk
-    size: its records, t=0 state and floor times, and where a step pushes a
-    coordinate below the floor or past the ceiling, or turns it NaN."""
+    """The compiled window kernel is _stepped(_log_euler) bit for bit at
+    any window size, on real meshes (events on grid points, at t=0 and at
+    t_end, and more events than grid steps; the last window ends at
+    t_end): its records, t=0 state and floor times, and where a step
+    pushes a coordinate below the floor or past the ceiling, or turns it
+    NaN, aborting at that step's time."""
     rng = np.random.default_rng(seed)
-    model = random_crisp_model(rng)
-    steps = random_steps(rng, model, 300)
-    cases = [steps]
-    k = int(rng.integers(0, 300))
-    for g in ((0.0, -1e4, -1e4), (1e4, 0.0, 0.0), (0.0, math.nan, 0.0)):
-        bad = list(steps)
-        bad[k] = bad[k][:2] + g + bad[k][5:]
-        cases.append(bad)
+    model, grid, events, z = awkward_path(rng)
+    mesh = cl.integrator._Mesh(*grid)
+    mesh_t = mesh.piece(0, mesh.n, *events)[0]
+    # a step of positive size, whose normals scale to noise of their sign
+    k = int(rng.choice(np.flatnonzero(np.diff(mesh_t) > 0.0)))
+    cases = [z]
+    for bad in ((0.0, -1e300, -1e300), (1e300, 0.0, 0.0), (0.0, math.nan, 0.0)):
+        case = z.copy()
+        case[k] = bad
+        cases.append(case)
     outcomes = []
     for case in cases:
-        for chunk in (1, 7, 300):
-            want = drive_path(None, model, INITIAL, case, chunk)
-            assert drive_path(compiled, model, INITIAL, case, chunk) == want
+        want = drive_path(None, model, INITIAL, grid, events, case, None)
+        for chunk in (1, 7, None):
+            assert drive_path(compiled, model, INITIAL, grid, events, case, chunk) == want
         outcomes.append(want)
     # at step k (unless the path aborted before it) x and y pin, or the
-    # path aborts, the same way past the ceiling as at a NaN
-    pinned, overflow, nan = outcomes[1:]
+    # path aborts, the same way past the ceiling as at a NaN, at step k's
+    # time if the path had run through it
+    clean, pinned, overflow, nan = outcomes
     assert pinned[0] is SimulationError or None not in pinned[2][1:]
     assert overflow[0] is SimulationError and nan == overflow
+    assert overflow[2] == mesh_t[k + 1] or clean[0] is SimulationError
 
 
 def test_compiled_kernel_raises_where_math_exp_overflows(compiled):
@@ -597,37 +677,52 @@ def test_compiled_kernel_raises_where_math_exp_overflows(compiled):
     time, from the compiled kernel as from _log_euler."""
     model = make_persistence(jumps=JumpSpec((JumpMark(1.0, 0.0, 0.0, 1e6),)))
     initial = State(1.0, 0.5, math.exp(699.0))
-    steps = [(1e-9, 1e-9, 0.0, 0.0, 0.0, -1, True), (2e-9, 1e-9, 0.0, 0.0, 0.0, 0, True)]
-    want = drive_path(None, model, initial, steps, 2)
+    grid, events = (2e-9, 1e-9, 1), schedule([(2e-9, 0)])
+    z = np.zeros((3, 3))
+    want = drive_path(None, model, initial, grid, events, z, None)
     assert want == (SimulationError, "log-state overflow at t=2e-09", 2e-9)
-    assert drive_path(compiled, model, initial, steps, 2) == want
-    assert drive_path(compiled, model, initial, steps, 1) == want
+    assert drive_path(compiled, model, initial, grid, events, z, None) == want
+    assert drive_path(compiled, model, initial, grid, events, z, 1) == want
 
 
 def test_compiled_kernel_refuses_arrays_that_do_not_fit(compiled):
-    """The compiled wrapper refuses a record row past the path's rows, a
-    mark past the jump sizes, mesh arrays of unequal lengths, a carried state
-    of the wrong size or type, and rows too few or with strided records, with
-    a ValueError before the kernel runs: the rows and the carried state stay
-    as they were."""
+    """The compiled wrapper refuses a run's constants of the wrong shape,
+    and a window past the grid, a record row past the path's rows, a mark
+    past the jump sizes or below 0, an event slice past its marks, normals
+    of the wrong shape, a carried state of the wrong size or type, and rows
+    too few or with strided records, with a ValueError before the kernel
+    runs: the rows and the carried state stay as they were."""
     model = make_persistence(jumps=TWO_MARKS)
     k, jl = cl.integrator._log_drift(model)
-    t, dts, g, marks, rows = chunk_arrays(random_steps(np.random.default_rng(5), model, 20))
-    block = np.full((9, rows.max() + 1), 0.25)
-    strided = np.full((rows.max() + 1, 9), 0.25).T
+    sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
+    mesh = cl.integrator._Mesh(1.0, 0.05, 3)
+    run = (k, jl, sigmas, mesh.n, mesh.h, mesh.t_end, mesh.stride)
+    for misfit in ((k[:10], *run[1:]), (k, jl.ravel(), *run[2:]), (*run[:2], sigmas[:2], *run[3:]),
+                   (*run[:6], 0), (*run[:6], mesh.n + 1)):
+        with pytest.raises(ValueError, match="constants do not fit the compiled kernel"):
+            compiled(*misfit)
+    kernel = compiled(*run)
+    ev_t, ev_mark = np.array([0.1, 0.35, 0.35, 0.8]), np.array([0, 1, 0, 1], dtype=np.intp)
+    z = np.random.default_rng(5).standard_normal((mesh.n + len(ev_t), 3))
+    rows = -(-mesh.n // mesh.stride) + 1
+    block = np.full((9, rows), 0.25)
+    strided = np.full((rows, 9), 0.25).T
     s = np.arange(15.0)
-    good = dict(t=t, dt=dts, g=g, mark=marks, row=rows, s=s, out=block)
-    misfits = [dict(good, row=np.where(rows == rows.max(), rows.max() + 1, rows)),
-               dict(good, mark=np.where(np.arange(len(marks)) == 3, len(jl), marks)),
-               dict(good, t=t[:-1]), dict(good, mark=marks[:-1]), dict(good, row=rows[:-1]),
+    good = dict(a=0, b=mesh.n, ev_t=ev_t, ev_mark=ev_mark, z=z, s=s, out=block)
+    longer = np.vstack((z, z[:1]))
+    misfits = [dict(good, out=block[:, :-1]), dict(good, b=mesh.n + 1, z=longer),
+               dict(good, a=-1, z=longer), dict(good, a=3, b=3, z=z[:4]),
+               dict(good, ev_mark=np.where(ev_mark == 1, len(jl), ev_mark)),
+               dict(good, ev_mark=ev_mark - 1), dict(good, ev_mark=ev_mark[:-1]),
+               dict(good, z=z[:-1]), dict(good, z=z[:, :2]), dict(good, z=longer),
                dict(good, s=s[:14]), dict(good, s=s.astype(np.float32)),
                dict(good, out=block[:7]), dict(good, out=strided)]
     for misfit in misfits:
         with pytest.raises(ValueError, match="do not fit the compiled kernel"):
-            compiled(k, jl, **misfit)
+            kernel(**misfit)
         assert np.all(block == 0.25) and np.all(strided == 0.25)
         assert s.tolist() == list(range(15))
-    assert compiled(k, jl, **good) == -1
+    assert kernel(**good) == -1
 
 
 def test_driftless_log_brownian_mean():
@@ -740,7 +835,7 @@ def assert_compiled_is_python(model, config, seeds):
     compiled kernel) and with the kernel's loader made to return nothing
     (on the Python _log_euler), and every path comes out as the same bytes.
     Returns the first run's paths."""
-    assert cl._compiled.log_euler_chunk() is not None
+    assert cl._compiled.log_euler_window() is not None
     (series, paths), (want_series, want_paths) = (
         simulate_batch(model, config, seeds), python_kernel(simulate_batch, model, config, seeds))
     for i, (got, want) in enumerate(zip(paths, want_paths)):
@@ -751,7 +846,7 @@ def assert_compiled_is_python(model, config, seeds):
 def python_kernel(run, *args):
     """run(*args) with the compiled kernel's loader returning nothing."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cl._compiled, "log_euler_chunk", lambda: None)
+        mp.setattr(cl._compiled, "log_euler_window", lambda: None)
         return run(*args)
 
 
@@ -908,11 +1003,10 @@ def test_batch_is_each_path_alone_through_every_kind_of_step(monkeypatch, compil
     assert_batch_is_each_path_alone(model, config, WIDE)
     # every input exercises each kind of step: each path's mesh, as one
     # (paths, steps) table padded with -1 past its end
-    meshes = [cl.integrator._Mesh(config.t_end, config.dt, config.output_stride,
-                                  sample_jumps(model.jumps, config.t_end,
-                                               rng_for(derive_path_seed(config.seed, i))))
+    mesh = cl.integrator._Mesh(config.t_end, config.dt, config.output_stride)
+    pieces = [mesh.piece(0, mesh.n, *schedule(sample_jumps(
+                  model.jumps, config.t_end, rng_for(derive_path_seed(config.seed, i)))))[1:]
               for i in range(WIDE)]
-    pieces = [mesh.piece(0, mesh.n)[1:] for mesh in meshes]
     steps = [len(mark) - 1 for mark, _ in pieces]
     marks = np.full((WIDE, max(steps)), -1)
     rows = marks.copy()
@@ -966,10 +1060,10 @@ def test_direct_euler_agrees_with_log_scheme_weakly():
 
 def test_config_validation(monkeypatch):
     def no_draw(*args):
-        raise AssertionError("sample_jumps ran")
+        raise AssertionError("the jump schedule was drawn")
 
     # every refusal comes before the jump schedule is drawn
-    monkeypatch.setattr(cl.integrator, "sample_jumps", no_draw)
+    monkeypatch.setattr(cl.integrator, "_jump_schedule", no_draw)
     model = make_persistence()
     with pytest.raises(ValueError):
         simulate(model, short_config(t_end=-1.0))

@@ -1,16 +1,18 @@
-"""The compiled library: the log-Euler window kernel and the float formatter,
-built and loaded on first use.
+"""The compiled library: the window kernel of every scheme and the float
+formatter, built and loaded on first use.
 
-``_log_euler.c`` steps one window of one path's jump-adapted mesh: it
-weaves the window's events into its grid points, scales the window's raw
-normals into noise and steps ``integrator._log_euler`` over the result, bit
-for bit ``integrator._stepped(_log_euler)``.  ``log_euler_window`` binds a
-run's constants to it once and returns a function of the engine's window
-signature, which checks that a window's arrays fit before it passes their
-pointers.  ``_float_rows.c`` writes a float64 block as CSV lines whose cells
-are the floats' ``repr``, and ``float_rows`` wraps it in a function from a
-block to those bytes.  Its power-of-five tables are written by
-``_pow5_tables`` from exact integers, only when the library is built.
+``_window.c`` steps one window of one path's jump-adapted mesh: it weaves
+the window's events into its grid points, scales the window's raw normals
+into noise and steps a scheme over the result, bit for bit
+``integrator._stepped`` of the scheme's Python step loop.  The walker is
+shared, and each scheme (log-Euler, direct Euler, RK4) adds its step body.
+``window(scheme)`` returns a binder of a run's constants to the scheme's
+kernel, which returns a function of the engine's window signature; it
+checks that a window's arrays fit before it passes their pointers.
+``_float_rows.c`` writes a float64 block as CSV lines whose cells are the
+floats' ``repr``, and ``float_rows`` wraps it in a function from a block to
+those bytes.  Its power-of-five tables are written by ``_pow5_tables`` from
+exact integers, only when the library is built.
 
 Both sources are compiled into one library with the C compiler Python was
 built with (``sysconfig``'s ``CC``) at fixed flags, into a per-user cache
@@ -22,7 +24,7 @@ library is renamed into place, so processes that build at once never load
 half a file.  Nothing here runs at import: ``chemlevy`` starts without
 ``ctypes``, a compiler or the cache.  Any failure (no compiler, a cache that
 cannot be written, a library that does not load) makes both accessors
-return None, and the Python kernel and ``repr`` run instead, with the same
+return None, and the Python kernels and ``repr`` run instead, with the same
 bytes.
 """
 
@@ -32,19 +34,23 @@ import os
 from ._lazy import np
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
-_SOURCES = tuple(os.path.join(_HERE, name) for name in ("_log_euler.c", "_float_rows.c"))
+_SOURCES = tuple(os.path.join(_HERE, name) for name in ("_window.c", "_float_rows.c"))
 # never -ffast-math or -march: either may change the kernel's rounding
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # bytes a cell may take in _float_rows.c, its "," or "\n" included
 _CELL_BYTES = 25
+# each scheme's kernel in _window.c, and the length of its constants k
+_SCHEMES = {"log_euler": 11, "direct_euler": 9, "rk4": 9}
 
 
-def log_euler_window():
-    """A function from a run's constants (_log_drift's k and jl, the sigmas,
-    and the grid's n, h = t_end / n, t_end and stride) to its log-Euler
-    window kernel run in C, or None where it cannot be had."""
+def window(scheme: str):
+    """A function from a run's constants (the scheme's k and jump sizes jl,
+    as ``_window.c`` reads them, the sigmas, and the grid's n, h = t_end /
+    n, t_end and stride) to the scheme's window kernel run in C, or None
+    where it cannot be had.  scheme is "log_euler", "direct_euler" or
+    "rk4"."""
     library = _library()
-    return library and library[0]
+    return library and library[0][scheme]
 
 
 def float_rows():
@@ -111,40 +117,45 @@ def _load():
             os.replace(built, path)
     library = ctypes.CDLL(path)
     size, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    step = library.log_euler_window
-    step.argtypes = [ptr, ptr, ptr, size, real, real, size, size, size, ptr, ptr, size,
-                     ptr, ptr, ptr, size]
-    step.restype = real
     write = library.float_rows
     write.argtypes = [ptr, size, size, ptr]
     write.restype = size
 
-    def bind(k, jl, sigmas, n, h, t_end, stride):
-        k, jl, sigmas = (np.ascontiguousarray(a, np.float64) for a in (k, jl, sigmas))
-        if not (k.shape == (11,) and jl.ndim == 2 and jl.shape[1] == 3 and sigmas.shape == (3,)
-                and 1 <= stride <= n):
-            raise ValueError("a run's constants do not fit the compiled kernel")
-        constants = (k.ctypes.data, jl.ctypes.data, sigmas.ctypes.data, n, h, t_end, stride)
+    def binder(name, k_size):
+        step = getattr(library, f"{name}_window")
+        step.argtypes = [ptr, ptr, ptr, size, real, real, size, size, size, ptr, ptr, size,
+                         ptr, ptr, ptr, size, ctypes.POINTER(real)]
+        step.restype = ctypes.c_char_p
 
-        def window(a, b, ev_t, ev_mark, z, s, out):
-            ev_t, z = (np.ascontiguousarray(v, np.float64) for v in (ev_t, z))
-            ev_mark = np.ascontiguousarray(ev_mark, np.intp)
-            m = len(ev_t)
-            # everything the kernel reads, and writes in place, must be there
-            if not (0 <= a < b <= n and ev_t.shape == ev_mark.shape == (m,)
-                    and z.shape == (b - a + m, 3)
-                    and (m == 0 or 0 <= ev_mark.min() and ev_mark.max() < len(jl))
-                    and s.shape == (15,) and s.flags.c_contiguous and out.ndim == 2
-                    and len(out) >= 8 and -(-b // stride) < out.shape[1]
-                    and out.strides[1] == out.itemsize and s.dtype == out.dtype == np.float64):
-                raise ValueError("a window's arrays do not fit the compiled kernel")
-            return step(*constants, a, b, ev_t.ctypes.data, ev_mark.ctypes.data, m,
-                        z.ctypes.data, s.ctypes.data, out.ctypes.data,
-                        out.strides[0] // out.itemsize)
+        def bind(k, jl, sigmas, n, h, t_end, stride):
+            k, jl, sigmas = (np.ascontiguousarray(a, np.float64) for a in (k, jl, sigmas))
+            if not (k.shape == (k_size,) and jl.ndim == 2 and jl.shape[1] == 3
+                    and sigmas.shape == (3,) and 1 <= stride <= n):
+                raise ValueError("a run's constants do not fit the compiled kernel")
+            run = (k.ctypes.data, jl.ctypes.data, sigmas.ctypes.data, n, h, t_end, stride)
+            when = real()                       # the time of the step that stops a path
 
-        # the kernel reads the constants' arrays through their pointers
-        window.arrays = k, jl, sigmas
-        return window
+            def window(a, b, ev_t, ev_mark, z, s, out):
+                ev_t, z = (np.ascontiguousarray(v, np.float64) for v in (ev_t, z))
+                ev_mark = np.ascontiguousarray(ev_mark, np.intp)
+                m = len(ev_t)
+                # everything the kernel reads, and writes in place, must be there
+                if not (0 <= a < b <= n and ev_t.shape == ev_mark.shape == (m,)
+                        and z.shape == (b - a + m, 3)
+                        and (m == 0 or 0 <= ev_mark.min() and ev_mark.max() < len(jl))
+                        and s.shape == (15,) and s.flags.c_contiguous and out.ndim == 2
+                        and len(out) >= 8 and -(-b // stride) < out.shape[1]
+                        and out.strides[1] == out.itemsize and s.dtype == out.dtype == np.float64):
+                    raise ValueError("a window's arrays do not fit the compiled kernel")
+                why = step(*run, a, b, ev_t.ctypes.data, ev_mark.ctypes.data, m, z.ctypes.data,
+                           s.ctypes.data, out.ctypes.data, out.strides[0] // out.itemsize, when)
+                return why and (why.decode(), when.value)
+
+            # the kernel reads the constants' arrays through their pointers
+            window.arrays = k, jl, sigmas
+            return window
+
+        return bind
 
     def lines(block) -> bytes:
         if not (block.ndim == 2 and block.dtype == np.float64 and block.flags.c_contiguous):
@@ -153,4 +164,4 @@ def _load():
         buf = np.empty(rows * (cols * _CELL_BYTES + 1), np.uint8)
         return buf[:write(block.ctypes.data, rows, cols, buf.ctypes.data)].tobytes()
 
-    return bind, lines
+    return {name: binder(name, k_size) for name, k_size in _SCHEMES.items()}, lines

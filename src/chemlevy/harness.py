@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -189,9 +187,10 @@ def _path_records(models, config: SimConfig, n_paths: int, workers: int):
     # each loading them again; LazyLoader is also not thread-safe before
     # Python 3.12, and the pool's result thread unpickles arrays.
     np.random
-    _compiled.log_euler_window()
+    _compiled.window(config.scheme)
+    import tempfile
     with (tempfile.TemporaryDirectory(prefix="chemlevy-") as spill_dir,
-          ProcessPoolExecutor(max_workers=workers) as pool):
+          _pool(workers) as pool):
         files = [os.path.join(spill_dir, f"{k}.npy") for k in range(len(models))]
         for name in files:
             np.lib.format.open_memmap(name, "w+", shape=shape)
@@ -203,6 +202,15 @@ def _path_records(models, config: SimConfig, n_paths: int, workers: int):
             block = np.load(name, mmap_mode="r")
             os.unlink(name)  # the mapping outlives the name
             yield block, records
+
+
+def _pool(workers: int):
+    """A pool of that many forked worker processes.  The pool modules
+    (multiprocessing, pickle, socket, subprocess) are imported here, on
+    the first pooled run, so that a process that runs no pool never loads
+    them."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _check_args(n_paths, least: int, workers) -> None:

@@ -280,6 +280,7 @@ def drift(model: CrispModel, S: float, x: float, y: float) -> tuple:
 
     The right-hand side of the noise-free system, used by the RK4 and
     direct-Euler kernels; takes floats because RK4 calls it four times a step.
+    ``_window.c``'s drift is these expressions in this order: change both.
     """
     dS = model.D * (model.S0 - S) - model.m1 * S * x / model.delta1
     dx = model.m1 * S * x - model.D * x - model.m2 * x * y / model.delta2

@@ -36,8 +36,8 @@ TWO_MARKS = cl.JumpSpec((
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for and
-    runs its tasks serially, so no process is started."""
+    """Stands in for harness._pool: records the pool size asked for and runs
+    its tasks serially, so no process is started."""
 
     sizes = []
 
@@ -56,7 +56,7 @@ class RecordingPool:
 
 @pytest.fixture(scope="session", autouse=True)
 def kernel_cache(tmp_path_factory):
-    """Build the compiled library (the log-Euler kernel and the float
+    """Build the compiled library (the window kernels and the float
     formatter) into a cache of the test session's own (fresh processes
     inherit it), so the suite neither reads nor writes the user's cache."""
     with pytest.MonkeyPatch.context() as mp:
@@ -65,17 +65,20 @@ def kernel_cache(tmp_path_factory):
         yield
 
 
+SCHEMES = (cl.LOG_EULER, cl.DIRECT_EULER, "rk4")
+
+
 @pytest.fixture(scope="session")
 def compiled(kernel_cache):
-    """The compiled log-Euler window kernel's binder, which must load
-    wherever Python's C compiler is installed; a test that needs it is
-    skipped elsewhere."""
+    """_compiled.window, the accessor of the compiled window kernels'
+    binders, each of which must load wherever Python's C compiler is
+    installed; a test that needs them is skipped elsewhere."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler to build the log-Euler kernel with")
-    kernel = cl._compiled.log_euler_window()
-    assert kernel is not None, "the compiled log-Euler kernel did not load"
-    return kernel
+        pytest.skip("no C compiler to build the window kernels with")
+    for scheme in SCHEMES:
+        assert cl._compiled.window(scheme) is not None, f"the compiled {scheme} kernel did not load"
+    return cl._compiled.window
 
 
 def run_fresh(code: str) -> str:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chemlevy import _compiled, cli, harness
 from chemlevy.cli import main
-from conftest import RecordingPool, run_fresh
+from conftest import SCHEMES, RecordingPool, run_fresh
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -219,6 +219,42 @@ print(sorted(m for m in sys.modules if m.startswith("numpy.") or m == "ctypes"))
     assert not os.path.exists(cache)
 
 
+def test_commands_without_a_pool_never_load_the_pool_modules(tmp_path):
+    """A fresh import chemlevy, validate, thresholds, a threshold-only
+    sweep, simulate and ode load neither multiprocessing nor
+    concurrent.futures.process, which only a pooled run needs; the same
+    check sees them once the pool class is looked up."""
+    model = str(MODELS / "imprecise_jumps.json")
+    runs = [["validate", "--model", model],
+            ["thresholds", "--model", model, "--p", "0.5", "--out", str(tmp_path / "thr")],
+            ["sweep", "--model", model, "--p-grid", "0,0.5,1", "--out", str(tmp_path / "swp")],
+            ["simulate", "--model", model, "--p", "0.5", "--t-end", "2", "--out",
+             str(tmp_path / "sim")],
+            ["simulate", "--scheme", "direct_euler", "--model", model, "--p", "0.5", "--t-end", "2",
+             "--out", str(tmp_path / "direct")],
+            ["ode", "--model", model, "--p", "0.5", "--t-end", "2", "--out", str(tmp_path / "ode")]]
+    code = f"""
+import sys
+import chemlevy
+from chemlevy.cli import main
+
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process")
+
+print(pool_modules())
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+    print(pool_modules())
+import concurrent.futures
+concurrent.futures.ProcessPoolExecutor
+print(bool(pool_modules()))
+"""
+    lines = run_fresh(code).splitlines()
+    assert lines[-1] == "True"
+    assert [line for line in lines if line.startswith("[")] == ["[]"] * (len(runs) + 1)
+
+
 def test_simulate_writes_trajectory(tmp_path, capsys):
     path = write_model(tmp_path, JUMPY)
     out_dir = tmp_path / "run"
@@ -334,7 +370,7 @@ def test_a_jump_past_exps_range_aborts_an_ensemble_path(tmp_path, capsys, monkey
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     if pool == "recording":
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_pool", RecordingPool)
     code, files = _overflow_ensemble(tmp_path, "ens")
     assert RecordingPool.sizes == ([2] if pool == "recording" else [])
     assert (code, files) == serial
@@ -423,7 +459,7 @@ def test_monte_carlo_pool_follows_affinity(tmp_path, monkeypatch, affinity, cpu_
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     path = write_model(tmp_path, EXTINCTION)
     assert main(["ensemble", "--model", path, "--p", "0.5", "--t-end", "2", "--dt", "0.02",
@@ -432,7 +468,8 @@ def test_monte_carlo_pool_follows_affinity(tmp_path, monkeypatch, affinity, cpu_
 
 
 # a path with jumps, pins and records at an odd stride, a pooled ensemble,
-# and the two linear-space kernels' trajectories at stride 1
+# and the two linear-space kernels' trajectories at stride 1: each on its
+# scheme's compiled kernel and on its Python step loop
 KERNEL_RUNS = [
     ["simulate", "--model", str(MODELS / "imprecise_jumps.json"), "--p", "0.5",
      "--t-end", "50", "--stride", "7"],
@@ -458,10 +495,10 @@ def run_outputs(argv, out, capsys):
 def test_a_kernel_that_cannot_be_had_gives_the_same_bytes(tmp_path, capsys, monkeypatch,
                                                           request, compiled, failure):
     """Without a compiler, with a cache that cannot be written, or with a
-    library that does not load, the commands run on the Python kernel and
-    write their number tables through repr instead of the compiled
-    formatter: the same files and the same printout, and nothing said
-    about it."""
+    library that does not load, the commands run every scheme (log-Euler,
+    direct Euler and RK4) on its Python kernel and write their number
+    tables through repr instead of the compiled formatter: the same files
+    and the same printout, and nothing said about it."""
     assert _compiled.float_rows() is not None
     want = [run_outputs(argv, tmp_path / f"want{k}", capsys)
             for k, argv in enumerate(KERNEL_RUNS)]
@@ -480,7 +517,8 @@ def test_a_kernel_that_cannot_be_had_gives_the_same_bytes(tmp_path, capsys, monk
     _compiled._library.cache_clear()
     request.addfinalizer(_compiled._library.cache_clear)
     got = [run_outputs(argv, tmp_path / f"got{k}", capsys) for k, argv in enumerate(KERNEL_RUNS)]
-    assert _compiled.log_euler_window() is None and _compiled.float_rows() is None
+    assert all(_compiled.window(scheme) is None for scheme in SCHEMES)
+    assert _compiled.float_rows() is None
     assert got == want
     assert [status for status, *_ in got] == [0] * len(KERNEL_RUNS)
     assert all(err == "" for _, _, err, _ in got)
@@ -594,7 +632,7 @@ def test_sweep_with_paths_and_exit_code(tmp_path):
     ids=["short-horizon", "zero-dt", "huge-mesh", "empty-grid"])
 def test_sweep_refuses_a_bad_run_before_simulating(tmp_path, capsys, monkeypatch,
                                                    flags, message):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     path = write_model(tmp_path, INTERVAL_MODEL)
     out_dir = tmp_path / "swp"
@@ -733,7 +771,7 @@ def _argv(draw):
 def test_any_argv_exits_0_1_or_2(tmp_path, monkeypatch, argv):
     """cli.main returns 0, 1 or 2, or argparse exits 2: never a traceback."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     try:
         code = main(argv)

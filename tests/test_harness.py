@@ -1,5 +1,6 @@
 """Ensembles, claim verification, martingale diagnostics, and p-sweeps."""
 
+import collections
 import dataclasses
 import math
 import os
@@ -123,7 +124,7 @@ def test_path_alone_equals_path_in_pooled_ensemble(monkeypatch, n_paths):
 @pytest.mark.parametrize("n_paths, workers, pools", [
     (3, 64, [3]), (3, 2, [2]), (1, 64, []), (5, 1, [])])
 def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, pools):
-    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     summary = ensemble(make_extinction(), small_config(t_end=2.0), n_paths, workers=workers)
     assert RecordingPool.sizes == pools
@@ -136,14 +137,16 @@ def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, p
 ])
 def test_log_euler_paths_run_compiled_and_the_others_in_python(monkeypatch, compiled, n_paths,
                                                                 workers, scheme):
-    """Each worker's group is one simulate_batch, whose log-Euler paths all
-    run the compiled kernel and whose direct-Euler paths (and the RK4 path
-    of simulate_ode) run in Python, whatever the group's width: the window
-    calls of each kernel are counted, with _linear's by the scheme whose
-    step it was given."""
-    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    """Each worker's group is one simulate_batch, whose paths all run their
+    scheme's compiled kernel whatever the group's width, as the RK4 path of
+    simulate_ode does; with the kernels' loader made to return nothing,
+    log-Euler paths run _log_euler in Python and the others _linear, with
+    the same terminal rows.  The window calls of each kernel are counted,
+    the compiled ones by scheme and _linear's by the scheme whose step it
+    was given."""
+    monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    calls = {"compiled": 0, "_log_euler": 0, "_direct_euler": 0, "_rk4": 0}
+    calls = collections.Counter()
     made = {}                          # the scheme of each step _linear is given
     linear = cl.integrator._linear
 
@@ -166,29 +169,33 @@ def test_log_euler_paths_run_compiled_and_the_others_in_python(monkeypatch, comp
         calls[made[step]] += 1
         return linear(step, *args)
 
-    monkeypatch.setattr(cl._compiled, "log_euler_window",
-                        lambda: lambda *run: counted("compiled", compiled(*run)))
     monkeypatch.setattr(cl.integrator, "_log_euler",
                         counted("_log_euler", cl.integrator._log_euler))
     monkeypatch.setattr(cl.integrator, "_linear", counted_linear)
     for name in ("_direct_euler", "_rk4"):
         monkeypatch.setattr(cl.integrator, name, tagged(name))
     config = small_config(t_end=2.0, scheme=scheme)
-    summary = ensemble(make_extinction(), config, n_paths, workers=workers)
-    log_euler = scheme == cl.LOG_EULER
+    python_step = "_log_euler" if scheme == cl.LOG_EULER else "_direct_euler"
+    terminal = []
     # every path of 100 steps is one window
-    assert calls == {"compiled": n_paths if log_euler else 0, "_log_euler": 0,
-                     "_direct_euler": 0 if log_euler else n_paths, "_rk4": 0}
-    assert list(summary.terminal["path"]) == list(range(n_paths))
-    assert np.array_equal(summary.terminal["mean_S"], [
+    for loader, kernel in ((lambda s: lambda *run: counted(s, compiled(s)(*run)), scheme),
+                           (lambda s: None, python_step)):
+        monkeypatch.setattr(cl._compiled, "window", loader)
+        calls.clear()
+        summary = ensemble(make_extinction(), config, n_paths, workers=workers)
+        assert calls == {kernel: n_paths}
+        assert list(summary.terminal["path"]) == list(range(n_paths))
+        terminal.append(summary.terminal["mean_S"])
+        cl.simulate_ode(make_extinction(), config)
+        assert calls == {kernel: n_paths, "rk4" if kernel == scheme else "_rk4": 1}
+    assert terminal[0].tobytes() == terminal[1].tobytes()
+    assert np.array_equal(terminal[0], [
         simulate(make_extinction(), path_config(config, i)).mean_S[-1]
         for i in range(n_paths)])
-    cl.simulate_ode(make_extinction(), config)
-    assert calls["_rk4"] == 1
 
 
 def test_ensemble_refused_config_raises_before_any_pool(monkeypatch):
-    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     config = small_config(initial=State(-1.0, 0.5, 0.2))
     with pytest.raises(ValueError, match="initial state must be strictly positive"):
@@ -212,7 +219,7 @@ def test_ensemble_refused_config_raises_before_any_pool(monkeypatch):
 ])
 def test_bad_path_or_worker_count_raises_before_any_pool(monkeypatch, command, n_paths,
                                                           workers, message):
-    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     with pytest.raises(ValueError, match=re.escape(message)):
         if command == "ensemble":
@@ -245,7 +252,7 @@ class PoolBuilt(Exception):
 def pool(max_workers):
     raise PoolBuilt("numpy.random" in sys.modules, _compiled._library.cache_info().currsize)
 
-harness.ProcessPoolExecutor = pool
+harness._pool = pool
 model = CrispModel(S0=1.0, D=0.5, m1=0.4, delta1=0.5, sigma1=0.1,
                    m2=0.3, delta2=0.5, sigma2=0.1, sigma3=0.1)
 config = SimConfig(initial=State(1.0, 0.5, 0.2), t_end=1.0, dt=0.1)
@@ -532,7 +539,7 @@ def test_p_sweep_row_error_recorded_not_raised():
 
 
 def test_p_sweep_short_horizon_raises_before_any_pool(monkeypatch):
-    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     config = small_config(t_end=100.0)  # below min_horizon
     with pytest.raises(ValueError, match="horizon 100.0 is below min_horizon 500.0"):
@@ -547,7 +554,7 @@ def _rows(rows):
 
 
 def test_p_sweep_builds_one_pool_for_every_row(monkeypatch):
-    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     model = imprecise_extinction(m1=(0.3, 0.7))
     pooled = p_sweep(model, [0.0, 0.5, 1.0], small_config(), n_paths=2, workers=2)
@@ -589,7 +596,7 @@ def test_p_sweep_abort_stays_in_its_row():
 
 
 def test_p_sweep_refused_config_raises_before_any_pool(monkeypatch):
-    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     config = small_config(initial=State(-1.0, 0.5, 0.2))
     with pytest.raises(ValueError, match="initial state must be strictly positive"):

@@ -284,7 +284,7 @@ def test_mesh_memory_does_not_grow_with_the_horizon():
 def terminal_state(scheme, model, t, marks, g):
     """The state at the last of the mesh points t (after the origin) that a
     path of a stochastic scheme steps to, in one window of the kernel the
-    engine runs for it (for log-Euler the compiled kernel where it loads),
+    engine runs for it (the compiled kernel where it loads),
     with the increments g and the mark index (-1 for none) of each step.
     The points without a mark are the uniform grid of [0, 1] and those with
     one its events, woven in as the engine weaves them; the kernel is given
@@ -298,7 +298,7 @@ def terminal_state(scheme, model, t, marks, g):
     z = np.divide(g, scale, out=np.zeros_like(g), where=scale > 0.0)
     column = np.empty((9, n + 1))
     end = kernel(0, n, t[event], marks[event].astype(np.intp), z, np.array(start), column)
-    assert end == -1
+    assert end is None
     return column[:3, n]
 
 
@@ -512,7 +512,7 @@ def drive(step, initial, steps, chunk):
         for a in range(0, len(dts), chunk):
             b = a + chunk
             assert cl.integrator._linear(step, t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1],
-                                         rows[a:b + 1], s, column) == -1
+                                         rows[a:b + 1], s, column) is None
     except SimulationError as exc:
         return str(exc), exc.time
     return [(initial.S, initial.x, initial.y), *map(tuple, column[:8, 1:].T)]
@@ -583,33 +583,39 @@ def test_linear_kernels_abort_and_record_as_their_own_loops(chunk):
     assert zero_axis[-1][-1] == -math.inf
 
 
-def drive_path(compiled, model, initial, grid, events, z, chunk):
-    """A log-Euler path's t=0 state, record block, floor times and carried
-    state, or its abort's type, message and time, on the mesh of grid
-    (t_end, dt, stride) with the events (times, marks) woven in, given the
-    normals z window by window at _CHUNK_STEPS chunk (None for the
-    default) to the compiled window kernel, or with compiled None to
-    _stepped(_log_euler).  The path records into the middle path of a
-    three-path block, so a write past its rows shows."""
+def drive_path(compiled, model, initial, grid, events, z, chunk, scheme=cl.LOG_EULER):
+    """A path's t=0 state, record block, floor times and carried state, or
+    its abort's type, message and time, on the mesh of grid (t_end, dt,
+    stride) with the events (times, marks) woven in, given the normals z
+    window by window at _CHUNK_STEPS chunk (None for the default) to the
+    scheme's compiled window kernel (compiled is _compiled.window), or with
+    compiled None to _stepped of its Python step loop.  The scheme is
+    log_euler, direct_euler or rk4 (which ignores the noise and the marks).
+    The path records into the middle path of a three-path block, so a write
+    past its rows shows."""
     t_end, dt, stride = grid
     ev_t, ev_mark = events
-    config = SimConfig(initial=initial, t_end=t_end, dt=dt, output_stride=stride)
+    config = SimConfig(initial=initial, t_end=t_end, dt=dt, output_stride=stride,
+                       scheme=cl.LOG_EULER if scheme == "rk4" else scheme)
     mesh = cl.integrator._Mesh(t_end, dt, stride)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cl._compiled, "log_euler_window", lambda: compiled)
+        mp.setattr(cl._compiled, "window", compiled or (lambda scheme: None))
         if chunk is not None:
             mp.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
-        kernel, start = cl.integrator._kernel(model, config, mesh, stochastic=True)
+        kernel, start = cl.integrator._kernel(model, config, mesh, stochastic=scheme != "rk4")
         windows = list(mesh.windows(ev_t))
     block = np.full((9, 3, -(-mesh.n // mesh.stride) + 1), np.nan)
     s = np.array(start)
     used = 0
     for a, b, lo, hi in windows:
         size = b - a + hi - lo
-        end = kernel(a, b, ev_t[lo:hi], ev_mark[lo:hi], z[used:used + size], s, block[:, 1])
+        try:
+            end = kernel(a, b, ev_t[lo:hi], ev_mark[lo:hi], z[used:used + size], s, block[:, 1])
+        except SimulationError as exc:      # _linear raises its own
+            return type(exc), str(exc), exc.time
         used += size
-        if end >= 0:
-            exc = SimulationError("log-state overflow", end)
+        if end is not None:
+            exc = SimulationError(*end)
             return type(exc), str(exc), exc.time
     assert used == len(z)
     floors = [None if math.isnan(v) else v for v in s[12:].tolist()]
@@ -671,6 +677,54 @@ def test_compiled_kernel_steps_as_log_euler(compiled, seed):
     assert overflow[2] == mesh_t[k + 1] or clean[0] is SimulationError
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_compiled_linear_kernels_step_as_their_loops(compiled, seed):
+    """The compiled direct-Euler and RK4 window kernels are _stepped(_linear)
+    of their steps bit for bit at any window size: direct Euler on the
+    meshes of test_compiled_kernel_steps_as_log_euler, with its jumps, and
+    where a step leaves a nonpositive state or a NaN, aborting with that
+    reason at that step's time; RK4 on the same meshes without noise, from
+    a zero axis, whose log it records as -inf, and through a huge step that
+    blows it up."""
+    rng = np.random.default_rng(seed)
+    model, grid, events, z = awkward_path(rng)
+    mesh = cl.integrator._Mesh(*grid)
+    mesh_t = mesh.piece(0, mesh.n, *events)[0]
+    # a step of positive size, whose normals scale to noise of their sign
+    k = int(rng.choice(np.flatnonzero(np.diff(mesh_t) > 0.0)))
+    cases = []
+    for bad in (None, (-1e300, 0.0, 0.0), (0.0, math.nan, 0.0)):
+        case = z.copy()
+        if bad is not None:
+            case[k] = bad
+        cases.append((DIRECT_EULER, INITIAL, grid, events, case))
+    none = schedule([])
+    cases += [("rk4", INITIAL, grid, events, np.zeros_like(z)),
+              ("rk4", State(1.0, 0.5, 0.0), (2.0, 0.02, 3), none, np.zeros((100, 3))),
+              ("rk4", INITIAL, (1e6, 1e5, 1), none, np.zeros((10, 3)))]
+    outcomes = []
+    for scheme, initial, path_grid, path_events, case in cases:
+        want = drive_path(None, model, initial, path_grid, path_events, case, None, scheme)
+        for chunk in (1, 7, None):
+            got = drive_path(compiled, model, initial, path_grid, path_events, case, chunk, scheme)
+            assert got == want
+        outcomes.append(want)
+    clean, nonpositive, nan, _, zero_axis, blown = outcomes
+    # a path that runs through step k aborts there, and one that aborts
+    # before it aborts as it did
+    t_k = mesh_t[k + 1]
+    for outcome, reason in ((nonpositive, "direct Euler scheme produced a nonpositive state"),
+                            (nan, "non-finite state")):
+        if clean[0] is not SimulationError:
+            assert outcome == (SimulationError, f"{reason} at t={t_k:.6g}", t_k)
+        elif clean[2] < t_k:
+            assert outcome == clean
+    assert zero_axis[0] is not SimulationError
+    assert np.all(np.frombuffer(zero_axis[1]).reshape(9, 3, -1)[7, 1, 1:] == -math.inf)
+    assert blown[:2] == (SimulationError, f"non-finite state at t={blown[2]:.6g}")
+
+
 def test_compiled_kernel_raises_where_math_exp_overflows(compiled):
     """A jump from below the ceiling past exp's range, where math.exp raises
     OverflowError, aborts the path as a log-state overflow at the step's
@@ -686,43 +740,47 @@ def test_compiled_kernel_raises_where_math_exp_overflows(compiled):
 
 
 def test_compiled_kernel_refuses_arrays_that_do_not_fit(compiled):
-    """The compiled wrapper refuses a run's constants of the wrong shape,
-    and a window past the grid, a record row past the path's rows, a mark
-    past the jump sizes or below 0, an event slice past its marks, normals
-    of the wrong shape, a carried state of the wrong size or type, and rows
-    too few or with strided records, with a ValueError before the kernel
-    runs: the rows and the carried state stay as they were."""
+    """Every scheme's compiled wrapper refuses a run's constants of the
+    wrong shape, and a window past the grid, a record row past the path's
+    rows, a mark past the jump sizes or below 0, an event slice past its
+    marks, normals of the wrong shape, a carried state of the wrong size or
+    type, and rows too few or with strided records, with a ValueError
+    before the kernel runs: the rows and the carried state stay as they
+    were."""
     model = make_persistence(jumps=TWO_MARKS)
-    k, jl = cl.integrator._log_drift(model)
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
     mesh = cl.integrator._Mesh(1.0, 0.05, 3)
-    run = (k, jl, sigmas, mesh.n, mesh.h, mesh.t_end, mesh.stride)
-    for misfit in ((k[:10], *run[1:]), (k, jl.ravel(), *run[2:]), (*run[:2], sigmas[:2], *run[3:]),
-                   (*run[:6], 0), (*run[:6], mesh.n + 1)):
-        with pytest.raises(ValueError, match="constants do not fit the compiled kernel"):
-            compiled(*misfit)
-    kernel = compiled(*run)
-    ev_t, ev_mark = np.array([0.1, 0.35, 0.35, 0.8]), np.array([0, 1, 0, 1], dtype=np.intp)
-    z = np.random.default_rng(5).standard_normal((mesh.n + len(ev_t), 3))
-    rows = -(-mesh.n // mesh.stride) + 1
-    block = np.full((9, rows), 0.25)
-    strided = np.full((rows, 9), 0.25).T
-    s = np.arange(15.0)
-    good = dict(a=0, b=mesh.n, ev_t=ev_t, ev_mark=ev_mark, z=z, s=s, out=block)
-    longer = np.vstack((z, z[:1]))
-    misfits = [dict(good, out=block[:, :-1]), dict(good, b=mesh.n + 1, z=longer),
-               dict(good, a=-1, z=longer), dict(good, a=3, b=3, z=z[:4]),
-               dict(good, ev_mark=np.where(ev_mark == 1, len(jl), ev_mark)),
-               dict(good, ev_mark=ev_mark - 1), dict(good, ev_mark=ev_mark[:-1]),
-               dict(good, z=z[:-1]), dict(good, z=z[:, :2]), dict(good, z=longer),
-               dict(good, s=s[:14]), dict(good, s=s.astype(np.float32)),
-               dict(good, out=block[:7]), dict(good, out=strided)]
-    for misfit in misfits:
-        with pytest.raises(ValueError, match="do not fit the compiled kernel"):
-            kernel(**misfit)
-        assert np.all(block == 0.25) and np.all(strided == 0.25)
-        assert s.tolist() == list(range(15))
-    assert kernel(**good) == -1
+    linear = cl.integrator._linear_constants(model)
+    for scheme, (k, jl) in ((cl.LOG_EULER, cl.integrator._log_drift(model)),
+                            (DIRECT_EULER, linear), ("rk4", linear)):
+        run = (k, jl, sigmas, mesh.n, mesh.h, mesh.t_end, mesh.stride)
+        for misfit in ((k[:-1], *run[1:]), (np.append(k, 1.0), *run[1:]),
+                       (k, jl.ravel(), *run[2:]), (*run[:2], sigmas[:2], *run[3:]),
+                       (*run[:6], 0), (*run[:6], mesh.n + 1)):
+            with pytest.raises(ValueError, match="constants do not fit the compiled kernel"):
+                compiled(scheme)(*misfit)
+        kernel = compiled(scheme)(*run)
+        ev_t, ev_mark = np.array([0.1, 0.35, 0.35, 0.8]), np.array([0, 1, 0, 1], dtype=np.intp)
+        z = np.random.default_rng(5).standard_normal((mesh.n + len(ev_t), 3))
+        rows = -(-mesh.n // mesh.stride) + 1
+        block = np.full((9, rows), 0.25)
+        strided = np.full((rows, 9), 0.25).T
+        s = np.arange(15.0)
+        good = dict(a=0, b=mesh.n, ev_t=ev_t, ev_mark=ev_mark, z=z, s=s, out=block)
+        longer = np.vstack((z, z[:1]))
+        misfits = [dict(good, out=block[:, :-1]), dict(good, b=mesh.n + 1, z=longer),
+                   dict(good, a=-1, z=longer), dict(good, a=3, b=3, z=z[:4]),
+                   dict(good, ev_mark=np.where(ev_mark == 1, len(jl), ev_mark)),
+                   dict(good, ev_mark=ev_mark - 1), dict(good, ev_mark=ev_mark[:-1]),
+                   dict(good, z=z[:-1]), dict(good, z=z[:, :2]), dict(good, z=longer),
+                   dict(good, s=s[:14]), dict(good, s=s.astype(np.float32)),
+                   dict(good, out=block[:7]), dict(good, out=strided)]
+        for misfit in misfits:
+            with pytest.raises(ValueError, match="do not fit the compiled kernel"):
+                kernel(**misfit)
+            assert np.all(block == 0.25) and np.all(strided == 0.25)
+            assert s.tolist() == list(range(15))
+        assert kernel(**good) is None
 
 
 def test_driftless_log_brownian_mean():
@@ -831,11 +889,11 @@ def assert_same_path(got, want, got_phi=None, want_phi=None):
 
 
 def assert_compiled_is_python(model, config, seeds):
-    """simulate_batch of seeds runs twice, as is (its log-Euler paths on the
-    compiled kernel) and with the kernel's loader made to return nothing
-    (on the Python _log_euler), and every path comes out as the same bytes.
-    Returns the first run's paths."""
-    assert cl._compiled.log_euler_window() is not None
+    """simulate_batch of seeds runs twice, as is (on the scheme's compiled
+    kernel) and with the kernels' loader made to return nothing (on its
+    Python step loop), and every path comes out as the same bytes.  Returns
+    the first run's paths."""
+    assert cl._compiled.window(config.scheme) is not None
     (series, paths), (want_series, want_paths) = (
         simulate_batch(model, config, seeds), python_kernel(simulate_batch, model, config, seeds))
     for i, (got, want) in enumerate(zip(paths, want_paths)):
@@ -844,9 +902,10 @@ def assert_compiled_is_python(model, config, seeds):
 
 
 def python_kernel(run, *args):
-    """run(*args) with the compiled kernel's loader returning nothing."""
+    """run(*args) with the compiled kernels' loader returning nothing, so
+    every scheme runs its Python step loop."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cl._compiled, "log_euler_window", lambda: None)
+        mp.setattr(cl._compiled, "window", lambda scheme: None)
         return run(*args)
 
 
@@ -893,15 +952,13 @@ DENSE = make_persistence(jumps=JumpSpec((JumpMark(50.0, -0.01, -0.01, -0.01),
         "batch-dense-stride3"])
 def test_chunk_size_does_not_change_the_path(monkeypatch, compiled, n_paths, model, config):
     """At chunks of 1 and 7 steps a path is what it is at the default chunk
-    size, and a log-Euler path is, too, on the Python kernel."""
+    size, and it is, too, on the Python kernel, for every scheme."""
     reference = path_of(n_paths, model, config)
-    log_euler = n_paths and config.scheme != DIRECT_EULER
     for chunk in (None, 1, 7):
         if chunk is not None:
             monkeypatch.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
             assert_same_path(path_of(n_paths, model, config), reference)
-        if log_euler:
-            assert_same_path(python_kernel(path_of, n_paths, model, config), reference)
+        assert_same_path(python_kernel(path_of, n_paths, model, config), reference)
     # every input exercises a pin, a jump, an abort or a -inf rate
     assert (isinstance(reference, SimulationError) or reference.floor_times[2] is not None
             or reference.jump_log or reference.lny_over_t[-1] == -math.inf)
@@ -912,7 +969,7 @@ def test_brownian_sum_is_the_cumsum_of_the_paths_own_noise(monkeypatch, compiled
     """A jump-free path's Brownian martingale M(T) is, bit for bit, the last
     row of the cumsum of sigma_i dB_i drawn on the uniform grid from the
     path's own seed, at chunks of 1, 7 and the default size, and for
-    log-Euler from the compiled and the Python kernel."""
+    from the compiled and the Python kernel."""
     model = make_persistence()
     config = short_config(t_end=2.0, seed=11, scheme=scheme)
     n = 200
@@ -929,11 +986,11 @@ def test_brownian_sum_is_the_cumsum_of_the_paths_own_noise(monkeypatch, compiled
             assert traj.brownian.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n_paths", [1, WIDE], ids=["simulate", "batched"])
+@pytest.mark.parametrize("n_paths", [0, 1, WIDE], ids=["ode", "simulate", "batched"])
 def test_a_stride_past_int64_records_as_stride_n_does(compiled, n_paths):
     """Any stride of at least the step count n (here 1000) records t_end
     alone, bit for bit as stride n does, even one too large for int64, on
-    either log-Euler kernel."""
+    either kernel of log-Euler and of RK4."""
     model = make_persistence(jumps=TWO_MARKS)
     want = path_of(n_paths, model, short_config(t_end=10.0, output_stride=1000))
     assert want.times.tolist() == [0.0, 10.0]
@@ -945,8 +1002,8 @@ def test_a_stride_past_int64_records_as_stride_n_does(compiled, n_paths):
 def assert_batch_is_each_path_alone(model, config, n_paths):
     """simulate_batch equals simulate of each path alone, bit for bit: every
     record, the budget residual, both martingales, the jump log, the floor
-    times, and the abort message and time; and log-Euler paths are the same
-    bytes on either kernel.  Returns the per-path outcomes."""
+    times, and the abort message and time; and paths are the same bytes on
+    either kernel.  Returns the per-path outcomes."""
     seeds = [derive_path_seed(config.seed, i) for i in range(n_paths)]
     series, paths = simulate_batch(model, config, seeds)
     assert series.shape == (9, n_paths, len(cl.integrator.record_times(
@@ -961,8 +1018,7 @@ def assert_batch_is_each_path_alone(model, config, n_paths):
                          None if isinstance(want, SimulationError)
                          else conservation_residual(want, model))
         alone.append(want)
-    if config.scheme == cl.LOG_EULER:
-        assert_compiled_is_python(model, config, seeds)
+    assert_compiled_is_python(model, config, seeds)
     return alone
 
 
@@ -1019,9 +1075,9 @@ def test_batch_is_each_path_alone_through_every_kind_of_step(monkeypatch, compil
     assert len(set(steps)) > 1
 
 
-def test_batch_of_direct_euler_paths_is_each_path_alone():
+def test_batch_of_direct_euler_paths_is_each_path_alone(compiled):
     """simulate_batch steps direct-Euler seeds path by path, each as
-    simulate steps it alone, aborts included."""
+    simulate steps it alone, aborts included, on either kernel."""
     assert_batch_is_each_path_alone(
         make_persistence(jumps=TWO_MARKS),
         short_config(t_end=20.0, output_stride=3, scheme=DIRECT_EULER), WIDE)
@@ -1082,7 +1138,7 @@ def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         simulate(model, short_config(scheme="heun"))
     # a seed that is not an integer >= 0 is refused before any draw or pool
-    monkeypatch.setattr(cl.harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     point = [cl.IntervalNumber(getattr(model, f), getattr(model, f)) for f in _PARAM_FIELDS]
     imprecise = cl.ImpreciseModel(model.S0, *point)

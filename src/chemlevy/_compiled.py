@@ -1,14 +1,15 @@
 """The compiled library: the window kernel of every scheme and the float
 formatter, built and loaded on first use.
 
-``_window.c`` steps one window of one path's jump-adapted mesh: it weaves
-the window's events into its grid points, scales the window's raw normals
-into noise and steps a scheme over the result, bit for bit
-``integrator._stepped`` of the scheme's Python step loop.  The walker is
-shared, and each scheme (log-Euler, direct Euler, RK4) adds its step body.
-``window(scheme)`` returns a binder of a run's constants to the scheme's
-kernel, which returns a function of the engine's window signature; it
-checks that a window's arrays fit before it passes their pointers.
+``_window.c`` steps a window of a path's jump-adapted mesh, a count of mesh
+steps from the path's resume point, which it moves on: it weaves the
+window's events into its grid points, scales its raw normals into noise
+and steps a scheme over the result, bit for bit ``integrator._walker`` of
+the scheme's Python step loop.  The walker is shared, and each scheme
+(log-Euler, direct Euler, RK4) adds its step body.  ``window(scheme)``
+returns a binder of a run's constants to the scheme's kernel, which
+returns a function of the engine's window signature; it checks that what
+a window is given fits, reading nothing else, before it passes pointers.
 ``_float_rows.c`` writes a float64 block as CSV lines whose cells are the
 floats' ``repr``, and ``float_rows`` wraps it in a function from a block to
 those bytes.  Its power-of-five tables are written by ``_pow5_tables`` from
@@ -123,8 +124,8 @@ def _load():
 
     def binder(name, k_size):
         step = getattr(library, f"{name}_window")
-        step.argtypes = [ptr, ptr, ptr, size, real, real, size, size, size, ptr, ptr, size,
-                         ptr, ptr, ptr, size, ctypes.POINTER(real)]
+        step.argtypes = [ptr, ptr, ptr, size, real, real, size, ctypes.POINTER(size),
+                         ctypes.POINTER(real), size, ptr, ptr, size, ptr, ptr, ptr, size]
         step.restype = ctypes.c_char_p
 
         def bind(k, jl, sigmas, n, h, t_end, stride):
@@ -133,23 +134,31 @@ def _load():
                     and sigmas.shape == (3,) and 1 <= stride <= n):
                 raise ValueError("a run's constants do not fit the compiled kernel")
             run = (k.ctypes.data, jl.ctypes.data, sigmas.ctypes.data, n, h, t_end, stride)
-            when = real()                       # the time of the step that stops a path
+            # the resume point as the kernel reads and moves it: grid point and event,
+            # then the time (set to the stopping step's if the path stops)
+            place, now = (size * 2)(), real()
 
-            def window(a, b, ev_t, ev_mark, z, s, out):
+            def window(at, ev_t, ev_mark, z, s, out):
+                u, i, t = at
                 ev_t, z = (np.ascontiguousarray(v, np.float64) for v in (ev_t, z))
                 ev_mark = np.ascontiguousarray(ev_mark, np.intp)
-                m = len(ev_t)
-                # everything the kernel reads, and writes in place, must be there
-                if not (0 <= a < b <= n and ev_t.shape == ev_mark.shape == (m,)
-                        and z.shape == (b - a + m, 3)
+                m, steps = len(ev_t), len(z)
+                # everything the kernel reads, and writes in place, must be there; each
+                # check reads the window's arrays alone, never the path's whole schedule
+                if not (1 <= u <= n + 1 and 0 <= i and ev_t.shape == ev_mark.shape == (m,)
+                        and z.shape == (steps, 3) and m <= steps <= n + 1 - u + m
                         and (m == 0 or 0 <= ev_mark.min() and ev_mark.max() < len(jl))
                         and s.shape == (15,) and s.flags.c_contiguous and out.ndim == 2
-                        and len(out) >= 8 and -(-b // stride) < out.shape[1]
+                        and len(out) >= 8 and -(-n // stride) < out.shape[1]
                         and out.strides[1] == out.itemsize and s.dtype == out.dtype == np.float64):
                     raise ValueError("a window's arrays do not fit the compiled kernel")
-                why = step(*run, a, b, ev_t.ctypes.data, ev_mark.ctypes.data, m, z.ctypes.data,
-                           s.ctypes.data, out.ctypes.data, out.strides[0] // out.itemsize, when)
-                return why and (why.decode(), when.value)
+                place[:], now.value = (u, i), t
+                why = step(*run, place, now, steps, ev_t.ctypes.data, ev_mark.ctypes.data, m,
+                           z.ctypes.data, s.ctypes.data, out.ctypes.data,
+                           out.strides[0] // out.itemsize)
+                if not why:
+                    at[:] = *place, now.value
+                return why and (why.decode(), now.value)
 
             # the kernel reads the constants' arrays through their pointers
             window.arrays = k, jl, sigmas

@@ -1,21 +1,23 @@
 /* One window of one path for each scheme of the window engine, bit for bit
- * integrator._stepped of the scheme's Python step loop: the mesh and the
- * noise as integrator._Mesh.piece and integrator._stepped build them, then
- * the step loop's expressions in the same order, and libm's exp and log,
- * which math.exp and math.log call.  Build it with -ffp-contract=off (no
- * fused multiply-adds) and no flag that relaxes IEEE arithmetic.
+ * integrator._walker of the scheme's Python step loop: the mesh and the
+ * noise as _walker builds them, then the step loop's expressions in the
+ * same order, and libm's exp and log, which math.exp and math.log call.
+ * Build it with -ffp-contract=off (no fused multiply-adds) and no flag that
+ * relaxes IEEE arithmetic.
  *
- * The window runs from grid point a to grid point b of the uniform grid of
- * n steps of h = t_end / n, grid point u at u * h (t_end at u = n), with
- * the m events ev_t (in time order) and their marks ev_mark woven in: each
- * event before the first grid point at or after it, and never before the
- * origin.  Step j ends at the next mesh time, after a step of dt, the
- * difference of the two mesh times, with noise g_i = (sqrt(dt) * sigma_i) *
- * z[3j + i]; z holds b - a + m rows of normals, one per step.  Grid point u > 0 is a
- * record point when stride divides it or it is n, and records into row
- * ceil(u / stride).  The walker that does all this is shared; each scheme
- * adds its step body, and the walker is specialised per scheme at compile
- * time, so nothing asks for the scheme once per step.
+ * The mesh is the uniform grid of n steps of h = t_end / n, grid point u
+ * at u * h (t_end at u = n), with the path's events woven in, each before
+ * the first grid point at or after it.  A window runs `steps` mesh steps
+ * from the resume point (at[0] the next grid point u, at[1] the next event
+ * and *now the mesh time reached), given the m events ev_t (in time order)
+ * and their marks ev_mark from that event on.  Past grid point n only
+ * events are taken, so a window of at most n + 1 - u + m steps never steps
+ * to a grid point past n.  Step j ends at the next mesh time, after a step
+ * of dt, the difference of the two mesh times, with noise g_i = (sqrt(dt)
+ * * sigma_i) * z[3j + i].  Grid point u is a record point when stride
+ * divides it or it is n, and records into row ceil(u / stride).  The
+ * walker is shared and specialised per scheme at compile time, so nothing
+ * asks for the scheme once per step.
  *
  * The state s (l1 l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3: log-states,
  * states, their integrals, the Brownian sums and the first pin times, NaN
@@ -33,9 +35,9 @@
  * (marks, 3) jump sizes gamma_ik; RK4 reads neither the compensators nor
  * the marks.
  *
- * Each returns NULL once every step has run, or the reason its Python loop
- * gives for the step that stopped the path, with that step's time in
- * *when; s is then left unwritten.
+ * Each returns NULL once every step has run and at and *now are moved on,
+ * or the reason its Python loop gives for the step that stopped the path,
+ * with that step's time in *now and s and at left unwritten.
  */
 #include <math.h>
 #include <stddef.h>
@@ -132,19 +134,19 @@ static inline const char *rk4_step(const double *k, double *e, double dt)
 
 static inline __attribute__((always_inline)) const char *
 walk(enum scheme scheme, const double *k, const double *jl, const double *sigma, ptrdiff_t n,
-     double h, double t_end, ptrdiff_t stride, ptrdiff_t a, ptrdiff_t b, const double *ev_t,
-     const intptr_t *ev_mark, ptrdiff_t m, const double *z, double *s, double *out,
-     ptrdiff_t s0, double *when)
+     double h, double t_end, ptrdiff_t stride, ptrdiff_t *at, double *now, ptrdiff_t steps,
+     const double *ev_t, const intptr_t *ev_mark, ptrdiff_t m, const double *z, double *s,
+     double *out, ptrdiff_t s0)
 {
     double l[3] = {s[0], s[1], s[2]}, e[3] = {s[3], s[4], s[5]}, in[3] = {s[6], s[7], s[8]};
     double br[3] = {s[9], s[10], s[11]}, pin[3] = {s[12], s[13], s[14]};
-    double t = a == n ? t_end : (double)a * h;
-    ptrdiff_t u = a + 1, i = 0;
+    double t = *now;
+    ptrdiff_t u = at[0], i = 0;
     double grid = u == n ? t_end : (double)u * h;
-    for (const double *zj = z; u <= b; zj += 3) {
+    for (const double *zj = z; zj < z + 3 * steps; zj += 3) {
         double tj;
         intptr_t mk = -1, r = -1;
-        if (i < m && ev_t[i] <= grid) {
+        if (i < m && (u > n || ev_t[i] <= grid)) {
             tj = ev_t[i], mk = ev_mark[i++];
         } else {
             tj = grid;
@@ -161,7 +163,7 @@ walk(enum scheme scheme, const double *k, const double *jl, const double *sigma,
                           : scheme == DIRECT_EULER ? direct_euler_step(k, jl, e, g, dt, mk)
                           : rk4_step(k, e, dt);
         if (why) {
-            *when = tj;
+            *now = tj;
             return why;
         }
         for (int q = 0; q < 3; q++) {
@@ -180,17 +182,18 @@ walk(enum scheme scheme, const double *k, const double *jl, const double *sigma,
     }
     for (int q = 0; q < 3; q++)
         s[q] = l[q], s[3 + q] = e[q], s[6 + q] = in[q], s[9 + q] = br[q], s[12 + q] = pin[q];
+    at[0] = u, at[1] += i, *now = t;
     return NULL;
 }
 
-#define WINDOW(name, scheme)                                                                 \
-    const char *name(const double *k, const double *jl, const double *sigma, ptrdiff_t n,  \
-                     double h, double t_end, ptrdiff_t stride, ptrdiff_t a, ptrdiff_t b,   \
-                     const double *ev_t, const intptr_t *ev_mark, ptrdiff_t m,             \
-                     const double *z, double *s, double *out, ptrdiff_t s0, double *when)  \
-    {                                                                                        \
-        return walk(scheme, k, jl, sigma, n, h, t_end, stride, a, b, ev_t, ev_mark, m, z, s, \
-                    out, s0, when);                                                          \
+#define WINDOW(name, scheme)                                                                   \
+    const char *name(const double *k, const double *jl, const double *sigma, ptrdiff_t n,      \
+                     double h, double t_end, ptrdiff_t stride, ptrdiff_t *at, double *now,     \
+                     ptrdiff_t steps, const double *ev_t, const intptr_t *ev_mark,             \
+                     ptrdiff_t m, const double *z, double *s, double *out, ptrdiff_t s0)       \
+    {                                                                                          \
+        return walk(scheme, k, jl, sigma, n, h, t_end, stride, at, now, steps, ev_t, ev_mark,  \
+                    m, z, s, out, s0);                                                         \
     }
 
 WINDOW(log_euler_window, LOG_EULER)

@@ -9,27 +9,28 @@ A naive linear-space Euler scheme ("direct_euler") is kept purely as a
 diagnostic of why that guarantee matters.
 
 Both schemes and the RK4 solver of the noise-free system are kernels of one
-window engine, which steps every path alone and calls the run's kernel once
-per window of its mesh.  Every kernel is a plain function of one signature
-after what a run binds once (its constants, the grid and the sigmas): a
-window's first and last grid points a and b, its slices of the path's event
-times and marks, its raw normals z (a row per mesh step), then the path's
-carried state s and its row out of the record block.  s has 15 slots, l1
-l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3: log-states, states, their
-trapezoid integrals, the Brownian sums and the first pin times (NaN until
-set).  A kernel writes S, x, y, the integrals, ln x and ln y into the rows
-its record points name, and returns None, or the reason and the time of
-the step that stopped the path (the Python ``_linear`` raises that
-SimulationError itself).  Every scheme runs the compiled kernel
-(``_window.c``) where it loads, which weaves the window's mesh and scales
-its noise itself; elsewhere ``_stepped`` builds the window's mesh times,
-step sizes, noise, marks and record rows in numpy and hands them to a step
-loop: ``_log_euler``, or ``_linear``, whose step functions are direct
-Euler and RK4, each bit for bit its compiled kernel.  On one core of a
-shared 2-vCPU x86-64 machine a step of the compiled kernel costs about
-50-65 ns for log-Euler, 25 ns for direct Euler and 95 ns for RK4 (whose
-drift divides eight times a step, as model.drift does), against about
-0.8, 2.3 and 3.4 us in Python.
+window engine, which steps every path alone and cuts its mesh into windows
+of _CHUNK_STEPS mesh steps.  Every kernel is a plain function of one
+signature after what a run binds once (its constants, the grid and the
+sigmas): the path's resume point at = [u, i, t] (its next grid point, its
+next event and the mesh time it has reached), the schedule's slice from
+event i on, the window's raw normals z (a row per mesh step), then the
+path's carried state s and its row out of the record block.  s has 15
+slots, l1 l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3: log-states, states,
+their trapezoid integrals, the Brownian sums and the first pin times (NaN
+until set).  A kernel runs len(z) mesh steps, writes S, x, y, the
+integrals, ln x and ln y into the rows its record points name, moves at
+on, and returns None, or the reason and the time of the step that stopped
+the path, which the engine makes the path's SimulationError.
+Every scheme runs the compiled kernel (``_window.c``) where it loads,
+which weaves the window's mesh and scales its noise itself; elsewhere
+``_walker`` does both in numpy and hands the result to a step loop:
+``_log_euler``, or ``_linear``, whose step functions are direct Euler and
+RK4, each bit for bit its compiled kernel.  On one core of a shared
+2-vCPU x86-64 machine a step of the compiled kernel costs about 50-65 ns
+for log-Euler, 25 ns for direct Euler and 95 ns for RK4 (whose drift
+divides eight times a step, as model.drift does), against about 0.8, 2.3
+and 3.4 us in Python.
 
 Each trajectory also accumulates, on the full fine mesh, the running time
 averages of S, x, y (trapezoid rule), the exponential-rate statistics
@@ -57,11 +58,11 @@ FLOOR_LOG = -700.0
 _FLOOR_LIN = math.exp(FLOOR_LOG)
 _CEIL_LOG = 700.0
 
-# Mesh steps a kernel advances per window, on average: a window is a run of
-# grid steps with their events, sized by the path's mean event density.
+# Mesh steps a kernel advances per window: a path's mesh, grid steps and
+# jump events alike, is cut every this many steps, mid grid step included.
 # Noise, step sizes and the kernel's per-step lists exist for one window at
-# a time, so beyond its jump events a path's memory does not grow with its
-# horizon.
+# a time, so beyond its jump events a path's memory grows neither with its
+# horizon nor with how densely its events fall.
 _CHUNK_STEPS = 4096
 
 # Largest mesh (uniform steps plus expected jump events) a path may ask for,
@@ -223,17 +224,12 @@ def _jump_schedule(jumps: JumpSpec, t_end: float, rng: np.random.Generator) -> t
 
 
 class _Mesh:
-    """A run's uniform grid of n steps of about dt on [0, t_end], and each
-    path's jump-adapted mesh on it: the grid with the path's jump events
-    woven in, cut into windows of grid steps and built a window at a time,
-    never whole, so a path's memory grows with its jump count, not the
-    horizon.
-
-    An event falling exactly on a grid point is placed before it, so
-    recorded states are right-continuous (post-jump).  The origin is
-    recorded up front by the caller, never as a step target.  Records are
-    taken at every stride-th grid point and at t_end, into rows 1, 2, ...
-    """
+    """A run's uniform grid of n steps of about dt on [0, t_end], into which
+    each path's walker weaves its jump events, an event falling exactly on
+    a grid point before it, so recorded states are right-continuous
+    (post-jump).  The origin is recorded up front by the caller, never as a
+    step target.  Records are taken at every stride-th grid point and at
+    t_end, into rows 1, 2, ..."""
 
     def __init__(self, t_end: float, dt: float, stride: int):
         # t_end is divided into whole steps of size ~dt (exact when divisible)
@@ -245,38 +241,6 @@ class _Mesh:
     def grid(self, u: np.ndarray) -> np.ndarray:
         """Grid points u, bit for bit np.linspace(0, t_end, n + 1)[u]."""
         return np.where(u == self.n, self.t_end, u * self.h)
-
-    def windows(self, ev_t: np.ndarray):
-        """Yield (a, b, lo, hi) for each window of a path with the event
-        times ev_t, in order: grid points a to b and the events ev_t[lo:hi],
-        those in (grid(a), grid(b)] and from the origin those at t=0, too.
-        A window spans about _CHUNK_STEPS mesh steps at the path's mean
-        event density."""
-        span = max(1, _CHUNK_STEPS * self.n // (self.n + len(ev_t)))
-        lo = 0
-        for a in range(0, self.n, span):
-            b = min(a + span, self.n)
-            hi = int(ev_t.searchsorted(self.grid(b), "right"))
-            yield a, b, lo, hi
-            lo = hi
-
-    def piece(self, a: int, b: int, ev_t: np.ndarray, ev_mark: np.ndarray) -> tuple:
-        """Times, mark index (-1 on grid points) and record row (-1 off
-        record points) of the mesh from grid point a to grid point b, with
-        the window's events ev_t and their marks ev_mark woven in."""
-        u = np.arange(a, b + 1)
-        times = self.grid(u)
-        marks = np.full(len(u), -1, dtype=np.intp)
-        rec = ((u % self.stride == 0) & (u > 0)) | (u == self.n)
-        rows = np.where(rec, -(-u // self.stride), -1)
-        if len(ev_t):
-            # before an equal grid point and after the origin; events at one
-            # position keep their order
-            at = np.maximum(np.searchsorted(times, ev_t), 1)
-            times = np.insert(times, at, ev_t)
-            marks = np.insert(marks, at, ev_mark)
-            rows = np.insert(rows, at, -1)
-        return times, marks, rows
 
 
 def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
@@ -309,7 +273,7 @@ def _log_euler(k, jl, t, dt, g, mark, row, s, out):
     """The step loop of the log-space Euler-Maruyama scheme with exact
     multiplicative jumps over one window of one path, statement for
     statement ``_window.c``'s log-Euler step, given _log_drift's constants
-    k and log jump sizes jl and _stepped's window arrays.  It carries all
+    k and log jump sizes jl and _walker's window arrays.  It carries all
     15 slots of s.  A log-state leaves the range above the ceiling, as NaN,
     or where a jump takes it past exp's range: the loop then returns
     ("log-state overflow", that step's time) and leaves s unwritten."""
@@ -319,8 +283,8 @@ def _log_euler(k, jl, t, dt, g, mark, row, s, out):
     exp, isnan = math.exp, math.isnan
     recs, rows = [], []
     try:
-        for tj, dtj, g1, g2, g3, mk, r in zip(t[1:].tolist(), dt.tolist(), *g.T.tolist(),
-                                              mark[1:].tolist(), row[1:].tolist()):
+        for tj, dtj, g1, g2, g3, mk, r in zip(t.tolist(), dt.tolist(), *g.T.tolist(),
+                                              mark.tolist(), row.tolist()):
             p1, p2, p3 = e1, e2, e3
             l1 += (dso / e1 - m1d1 * e2 - c1) * dtj + g1
             l2 += (m1 * e1 - m2d2 * e3 - c2) * dtj + g2
@@ -368,35 +332,44 @@ def _log_euler(k, jl, t, dt, g, mark, row, s, out):
     return None
 
 
-def _linear(step, t, dt, g, mark, row, s, out) -> None:
+class _Stop(Exception):
+    """A linear-space step's abort, whose argument is its reason."""
+
+
+def _linear(step, t, dt, g, mark, row, s, out):
     """The linear-space step loop, of _log_euler's signature after step:
-    each step's state is step(S, x, y, t, dt, g1, g2, g3, mark), which may
-    raise its own SimulationError, as a non-finite state does.  It carries
-    only slots 3 to 11 of s (S x y iS ix iy b1 b2 b3), leaves the pin times
-    NaN and records the log of a zero coordinate as -inf."""
+    each step's state is step(S, x, y, dt, g1, g2, g3, mark), which may
+    raise _Stop with its reason, as a non-finite state does; the loop then
+    returns (that reason, that step's time) and leaves s unwritten.  It
+    carries slots 3 to 11 of s (S x y iS ix iy b1 b2 b3), leaves the pin
+    times NaN and records the log of a zero coordinate as -inf."""
     isfinite, log = math.isfinite, math.log
     ninf = float("-inf")
     S, x, y, iS, ix, iy, b1, b2, b3 = s[3:12].tolist()
     recs, rows = [], []
-    for tj, dtj, g1, g2, g3, mk, r in zip(t[1:].tolist(), dt.tolist(), *g.T.tolist(),
-                                          mark[1:].tolist(), row[1:].tolist()):
-        pS, px, py = S, x, y
-        S, x, y = step(S, x, y, tj, dtj, g1, g2, g3, mk)
-        if not (isfinite(S) and isfinite(x) and isfinite(y)):
-            raise SimulationError("non-finite state", tj)
-        h = 0.5 * dtj
-        iS += (pS + S) * h
-        ix += (px + x) * h
-        iy += (py + y) * h
-        b1 += g1
-        b2 += g2
-        b3 += g3
-        if r >= 0:
-            recs.append((S, x, y, iS, ix, iy,
-                         log(x) if x > 0.0 else ninf, log(y) if y > 0.0 else ninf))
-            rows.append(r)
+    try:
+        for tj, dtj, g1, g2, g3, mk, r in zip(t.tolist(), dt.tolist(), *g.T.tolist(),
+                                              mark.tolist(), row.tolist()):
+            pS, px, py = S, x, y
+            S, x, y = step(S, x, y, dtj, g1, g2, g3, mk)
+            if not (isfinite(S) and isfinite(x) and isfinite(y)):
+                raise _Stop("non-finite state")
+            h = 0.5 * dtj
+            iS += (pS + S) * h
+            ix += (px + x) * h
+            iy += (py + y) * h
+            b1 += g1
+            b2 += g2
+            b3 += g3
+            if r >= 0:
+                recs.append((S, x, y, iS, ix, iy,
+                             log(x) if x > 0.0 else ninf, log(y) if y > 0.0 else ninf))
+                rows.append(r)
+    except _Stop as stop:
+        return stop.args[0], tj
     s[3:12] = S, x, y, iS, ix, iy, b1, b2, b3
     out[:8, rows] = np.array(recs).reshape(-1, 8).T
+    return None
 
 
 def _direct_euler(model: CrispModel):
@@ -405,7 +378,7 @@ def _direct_euler(model: CrispModel):
     comp1, comp2, comp3 = (model.jumps.gamma_intensity(i) for i in (1, 2, 3))
     marks = model.jumps.marks
 
-    def step(S, x, y, t, dt, g1, g2, g3, mk):
+    def step(S, x, y, dt, g1, g2, g3, mk):
         dS, dx, dy = drift(model, S, x, y)
         S = S + (dS - comp1 * S) * dt + S * g1
         x = x + (dx - comp2 * x) * dt + x * g2
@@ -416,7 +389,7 @@ def _direct_euler(model: CrispModel):
             x *= 1.0 + mark.gamma2
             y *= 1.0 + mark.gamma3
         if S <= 0.0 or x <= 0.0 or y <= 0.0:
-            raise SimulationError("direct Euler scheme produced a nonpositive state", t)
+            raise _Stop("direct Euler scheme produced a nonpositive state")
         return S, x, y
 
     return step
@@ -426,7 +399,7 @@ def _rk4(model: CrispModel):
     """The step of classical fourth-order Runge-Kutta for the noise-free
     system; its steps carry zero noise and no mark, which it ignores."""
 
-    def step(S, x, y, t, dt, *_):
+    def step(S, x, y, dt, *_):
         k1 = drift(model, S, x, y)
         k2 = drift(model, S + 0.5 * dt * k1[0], x + 0.5 * dt * k1[1], y + 0.5 * dt * k1[2])
         k3 = drift(model, S + 0.5 * dt * k2[0], x + 0.5 * dt * k2[1], y + 0.5 * dt * k2[2])
@@ -438,15 +411,29 @@ def _rk4(model: CrispModel):
     return step
 
 
-def _stepped(loop, mesh: _Mesh, sigmas: np.ndarray):
-    """The window kernel of a step loop, in numpy: each window's mesh
-    piece, its step sizes and its Brownian increments (sqrt(dt) sigma_i)
-    z_i, handed to loop with the carried state and the path's row of the
-    record block."""
-    def kernel(a, b, ev_t, ev_mark, z, s, out):
-        t, mark, row = mesh.piece(a, b, ev_t, ev_mark)
-        dt = np.diff(t)
-        return loop(t, dt, np.sqrt(dt)[:, None] * sigmas * z, mark, row, s, out)
+def _walker(loop, mesh: _Mesh, sigmas: np.ndarray):
+    """The window kernel of a step loop, in numpy: from the resume point
+    at = [u, i, t] it weaves the events from i on into the grid points from
+    u on, each before the first grid point at or after it, and hands the
+    first len(z) mesh steps' times, marks (-1 on grid points), record rows
+    (-1 off record points), step sizes and noise (sqrt(dt) sigma_i) z_i to
+    loop, then moves at past them, unless loop stopped the path."""
+    def kernel(at, ev_t, ev_mark, z, s, out):
+        (u, i, t), steps = at, len(z)
+        grid = np.arange(u, min(u + steps, mesh.n + 1))
+        times, marks = mesh.grid(grid), np.full(len(grid), -1, dtype=np.intp)
+        rows = np.where((grid % mesh.stride == 0) | (grid == mesh.n), -(-grid // mesh.stride), -1)
+        if len(ev_t):
+            # events at one position keep their order
+            pos = np.searchsorted(times, ev_t)
+            times, marks, rows = (np.insert(a, pos, v)[:steps] for a, v in
+                                  ((times, ev_t), (marks, ev_mark), (rows, -1)))
+        dt = times - np.concatenate(([t], times[:-1]))
+        end = loop(times, dt, np.sqrt(dt)[:, None] * sigmas * z, marks, rows, s, out)
+        if end is None:
+            on_grid = int(np.count_nonzero(marks < 0))
+            at[:] = u + on_grid, i + steps - on_grid, times[-1].item()
+        return end
     return kernel
 
 
@@ -497,7 +484,7 @@ def _kernel(model: CrispModel, config: SimConfig, mesh: _Mesh, stochastic: bool)
         start = [math.nan] * 3 + first + sums_pins
     compiled = _compiled.window(scheme)
     kernel = (compiled(k, jl, sigmas, mesh.n, mesh.h, mesh.t_end, mesh.stride) if compiled
-              else _stepped(loop, mesh, sigmas))
+              else _walker(loop, mesh, sigmas))
     return kernel, start
 
 
@@ -533,24 +520,24 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None, out=None) -> tu
             ev_t, ev_mark = np.empty(0), np.empty(0, dtype=np.intp)
             normals = np.zeros
         s = np.array(start)
+        at = [1, 0, 0.0]        # the resume point: next grid point, next event, mesh time
         out = series[:, i]      # S .. lny_over_t, in Trajectory's field order, then phi
         # the t=0 record: a time average is the initial value, a rate is 0/0
         out[:8, 0] = (*start[3:6], *start[3:6], math.nan, math.nan)
-        try:
-            for a, b, lo, hi in mesh.windows(ev_t):
-                end = kernel(a, b, ev_t[lo:hi], ev_mark[lo:hi], normals((b - a + hi - lo, 3)),
-                             s, out)
-                if end is not None:
-                    raise SimulationError(*end)
-        except SimulationError as exc:
-            paths.append(exc)
-            continue
-        out[3:8, 1:] /= times[1:]
-        comp_jump = _comp_jump(model, ev_mark, config.t_end) if stochastic else np.zeros(3)
-        floor_times = tuple(None if math.isnan(v) else v for v in s[12:].tolist())
-        traj = Trajectory(times, *out[:8], s[9:12], comp_jump, ev_t, ev_mark, floor_times)
-        out[8] = conservation_residual(traj, model)
-        paths.append(traj)
+        left = mesh.n + len(ev_t)
+        for done in range(0, left, _CHUNK_STEPS):
+            steps, e = min(_CHUNK_STEPS, left - done), at[1]
+            end = kernel(at, ev_t[e:e + steps], ev_mark[e:e + steps], normals((steps, 3)), s, out)
+            if end is not None:
+                paths.append(SimulationError(*end))
+                break
+        else:
+            out[3:8, 1:] /= times[1:]
+            comp_jump = _comp_jump(model, ev_mark, config.t_end) if stochastic else np.zeros(3)
+            floor_times = tuple(None if math.isnan(v) else v for v in s[12:].tolist())
+            traj = Trajectory(times, *out[:8], s[9:12], comp_jump, ev_t, ev_mark, floor_times)
+            out[8] = conservation_residual(traj, model)
+            paths.append(traj)
     return series, paths
 
 

@@ -1,6 +1,5 @@
 """Path integration: jump sampling, the log-space scheme, RK4, and statistics."""
 
-import collections
 import dataclasses
 import functools
 import math
@@ -161,14 +160,33 @@ def schedule(events):
             np.array([mk for _, mk in events], dtype=np.intp))
 
 
-def full_mesh(t_end, dt, events, stride):
-    mesh = cl.integrator._Mesh(t_end, dt, stride)
-    return mesh.piece(0, mesh.n, *schedule(events))
+def walk(mesh, at, events, steps):
+    """The mesh times, step sizes, marks and record rows of steps mesh
+    steps of the Python walker on mesh from the resume point at, which it
+    moves on, given the schedule events' slice from at's event on, as the
+    engine gives it."""
+    ev_t, ev_mark = events
+    seen = []
+    kernel = cl.integrator._walker(lambda t, dt, g, mark, row, s, out: seen.append(
+        (t, dt, mark, row)), mesh, np.zeros(3))
+    i = at[1]
+    assert kernel(at, ev_t[i:i + steps], ev_mark[i:i + steps], np.zeros((steps, 3)),
+                  None, None) is None
+    return seen[0]
+
+
+def woven(grid, events):
+    """The times, marks and record rows of the whole mesh of grid (t_end,
+    dt, stride) with the events (times, marks) woven in, the origin first,
+    as the Python walker steps it in one window."""
+    mesh = cl.integrator._Mesh(*grid)
+    t, _, mark, row = walk(mesh, [1, 0, 0.0], events, mesh.n + len(events[0]))
+    return np.append(0.0, t), np.append(-1, mark), np.append(-1, row)
 
 
 def test_event_at_origin_is_a_step():
     # an event drawn at exactly t=0 goes after the origin, never before it
-    mesh_t, mesh_mark, rows = full_mesh(1.0, 0.5, [(0.0, 1), (0.25, 0)], 1)
+    mesh_t, mesh_mark, rows = woven((1.0, 0.5, 1), schedule([(0.0, 1), (0.25, 0)]))
     assert mesh_t.tolist() == [0.0, 0.0, 0.25, 0.5, 1.0]
     assert mesh_mark.tolist() == [-1, 1, 0, -1, -1]
     assert rows.tolist() == [-1, -1, -1, 1, 2]
@@ -195,19 +213,22 @@ def test_record_times_are_the_meshs_record_points():
         u = np.arange(n + 1)
         expected = np.linspace(0.0, t_end, n + 1)[(u % stride == 0) | (u == n)]
         assert cl.integrator.record_times(t_end, dt, stride).tobytes() == expected.tobytes()
-        mesh_t, _, rows = full_mesh(t_end, dt, [], stride)
+        mesh_t, _, rows = woven((t_end, dt, stride), schedule([]))
         assert mesh_t[rows >= 0].tobytes() == expected[1:].tobytes()
         assert rows[rows >= 0].tolist() == list(range(1, len(expected)))
 
 
-def test_mesh_pieces_are_slices_of_the_woven_mesh(monkeypatch):
-    """A piece from grid point a to grid point b, given the events in
-    (grid(a), grid(b)] (and from the origin those at t=0, too), is that
-    slice of the whole mesh, the linspace grid with every event inserted
-    before the first grid point at or after it, for any cut and awkward
+def test_mesh_pieces_are_slices_of_the_woven_mesh():
+    """A window of the Python walker, of any count of steps from any resume
+    point (mid grid step included), given the schedule's slice from the
+    resume point's event on, is that slice of the whole mesh, the linspace
+    grid with every event inserted before the first grid point at or after
+    it, with the differences of its times as step sizes, for awkward
     (t_end, dt), with events on grid points and on their neighbouring
-    floats, at the origin and at the end; and a path's windows, at any
-    chunk size, are such cuts, end to end."""
+    floats, at the origin and at the end; the walker leaves the resume
+    point of the window's end; and a path's windows, at chunks of 1 and 7
+    steps on meshes of up to 400 steps and at the default on every mesh,
+    are such cuts, end to end."""
     rng = np.random.default_rng(12)
     for t_end, dt, n in awkward_grids(rng, 300):
         grid = np.linspace(0.0, t_end, n + 1)
@@ -222,63 +243,77 @@ def test_mesh_pieces_are_slices_of_the_woven_mesh(monkeypatch):
         rec[stride::stride] = True
         rec[n] = True
         rows = np.where(rec, np.cumsum(rec), -1)
-        whole = (np.insert(grid, pos, ev_t),
-                 np.insert(np.full(n + 1, -1), pos, ev_mark),
-                 np.insert(rows, pos, -1))
-        # each grid point's index in the whole mesh (no event precedes the origin)
-        at = np.arange(n + 1) + np.searchsorted(pos, np.arange(n + 1), side="right")
+        times, marks, rows = (np.insert(grid, pos, ev_t),
+                              np.insert(np.full(n + 1, -1), pos, ev_mark),
+                              np.insert(rows, pos, -1))
+        steps = n + len(ev_t)
+        # the resume point after mesh step j (0 the origin): the next grid
+        # point, the next event and the time reached
+        grid_seen, events_seen = np.cumsum(marks < 0), np.cumsum(marks >= 0)
+
+        def resume(j):
+            return [int(grid_seen[j]), int(events_seen[j]), float(times[j])]
+
+        def window(j, size):
+            return (times[j + 1:j + size + 1], np.diff(times)[j:j + size],
+                    marks[j + 1:j + size + 1], rows[j + 1:j + size + 1])
+
         mesh = cl.integrator._Mesh(t_end, dt, stride)
         assert mesh.n == n
-
-        def events_in(a, b):
-            hi = int(np.searchsorted(ev_t, grid[b], side="right"))
-            return 0 if a == 0 else int(np.searchsorted(ev_t, grid[a], side="right")), hi
-
-        cuts = [(a, b) for a in rng.integers(0, n, 5).tolist()
-                for b in [int(rng.integers(a + 1, n + 1))]]
-        for chunk in (1, 7, cl.integrator._CHUNK_STEPS):
-            with monkeypatch.context() as mp:
-                mp.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
-                windows = np.array(list(mesh.windows(ev_t)))
-            a, b, lo, hi = windows.T
-            assert a[0] == 0 and (a[1:] == b[:-1]).all() and b[-1] == n
-            assert (hi == np.searchsorted(ev_t, grid[b], side="right")).all()
-            assert lo[0] == 0 and (lo[1:] == hi[:-1]).all()
-            cuts += [tuple(w) for w in windows[rng.integers(0, len(windows), 2), :2].tolist()]
-        for a, b in cuts:
-            lo, hi = events_in(a, b)
-            for got, want in zip(mesh.piece(a, b, ev_t[lo:hi], ev_mark[lo:hi]), whole):
-                assert got.tobytes() == want[at[a]:at[b] + 1].tobytes()
+        cuts = [(j, int(rng.integers(1, steps - j + 1))) for j in rng.integers(0, steps, 5)]
+        # a walker call costs tens of microseconds, so small chunks walk short meshes only
+        for chunk in (1, 7, cl.integrator._CHUNK_STEPS)[0 if steps <= 400 else 2:]:
+            at = resume(0)
+            parts = []
+            for done in range(0, steps, chunk):
+                size = min(chunk, steps - done)
+                parts.append(walk(mesh, at, (ev_t, ev_mark), size))
+                assert at == resume(done + size)
+            for got, want in zip(map(np.concatenate, zip(*parts)), window(0, steps)):
+                assert got.tobytes() == want.tobytes()
+            cuts += [(done, min(chunk, steps - done))
+                     for done in rng.choice(range(0, steps, chunk), 2).tolist()]
+        for j, size in cuts:
+            at = resume(j)
+            for got, want in zip(walk(mesh, at, (ev_t, ev_mark), size), window(j, size)):
+                assert got.tobytes() == want.tobytes()
+            assert at == resume(j + size)
 
 
 def test_mesh_memory_does_not_grow_with_the_horizon():
-    """A mesh of 1e8 grid steps, its windows and the pieces of its first
-    and last window stay under 1 MB: no array spans the horizon.  On a mesh
-    with more events than grid steps, the windows hold every mesh step once
-    and none holds much more than a chunk."""
+    """On a mesh of 1e8 grid steps, the Python walker's first and last
+    windows stay under 1 MB: no array spans the horizon.  On a mesh with
+    more events than grid steps, the windows hold every mesh step once
+    and none holds more than a chunk."""
     ev_t, ev_mark = schedule([(0.5, 0), (5e7, 1), (5e7 + 0.5, 0), (1e8, 1)])
+    chunk = cl.integrator._CHUNK_STEPS
     tracemalloc.start()
     try:
         mesh = cl.integrator._Mesh(1e8, 1.0, 1000)
-        windows = mesh.windows(ev_t)
-        pieces = [mesh.piece(a, b, ev_t[lo:hi], ev_mark[lo:hi])
-                  for a, b, lo, hi in (next(windows), collections.deque(windows, 1)[0])]
-        first, last = pieces
+        steps = mesh.n + len(ev_t)
+        first = walk(mesh, [1, 0, 0.0], (ev_t, ev_mark), chunk)
+        # the last window starts past the first three events, at a grid point
+        done = (steps - 1) // chunk * chunk
+        at = [done - 2, 3, done - 3.0]
+        last = walk(mesh, at, (ev_t, ev_mark), steps - done)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert mesh.n == 10**8
-    assert first[0][:3].tolist() == [0.0, 0.5, 1.0]
+    assert first[0][:2].tolist() == [0.5, 1.0]
     assert last[0][-3:].tolist() == [1e8 - 1, 1e8, 1e8]
-    assert last[2][-1] == 10**5
+    assert last[3][-1] == 10**5
+    assert at == [10**8 + 1, 4, 1e8]
     assert peak < 2**20
     ev_t = np.sort(np.random.default_rng(13).uniform(0.0, 2e4, 5 * 10**4))
     ev_mark = np.zeros(len(ev_t), dtype=np.intp)
     mesh = cl.integrator._Mesh(2e4, 1.0, 7)
-    steps = [len(mesh.piece(a, b, ev_t[lo:hi], ev_mark[lo:hi])[0]) - 1
-             for a, b, lo, hi in mesh.windows(ev_t)]
+    at, total = [1, 0, 0.0], mesh.n + len(ev_t)
+    steps = [len(walk(mesh, at, (ev_t, ev_mark), min(chunk, total - done))[0])
+             for done in range(0, total, chunk)]
     assert sum(steps) == mesh.n + len(ev_t)
-    assert max(steps) <= 1.1 * cl.integrator._CHUNK_STEPS
+    assert max(steps) <= chunk
+    assert at == [mesh.n + 1, len(ev_t), 2e4]
 
 
 def terminal_state(scheme, model, t, marks, g):
@@ -297,7 +332,7 @@ def terminal_state(scheme, model, t, marks, g):
     scale = np.sqrt(np.diff(t, prepend=0.0))[:, None] * [model.sigma1, model.sigma2, model.sigma3]
     z = np.divide(g, scale, out=np.zeros_like(g), where=scale > 0.0)
     column = np.empty((9, n + 1))
-    end = kernel(0, n, t[event], marks[event].astype(np.intp), z, np.array(start), column)
+    end = kernel([1, 0, 0.0], t[event], marks[event].astype(np.intp), z, np.array(start), column)
     assert end is None
     return column[:3, n]
 
@@ -493,13 +528,10 @@ def drive_reference(kernel, model, initial, steps, chunk):
 
 def chunk_arrays(steps):
     """Steps (t, dt, g1, g2, g3, mark, record) as a kernel's arrays: mesh
-    times, step sizes, noise, marks and record rows 1, 2, ..., with the
-    origin (t=0, no mark, no record) first."""
+    times, step sizes, noise, marks and record rows 1, 2, ..."""
     t, dts, g1, g2, g3, marks, rec = (np.array(c) for c in zip(*steps))
     rows = np.where(rec, np.cumsum(rec), -1)
-    return (np.concatenate(([0.0], t)), dts, np.stack((g1, g2, g3), axis=1),
-            np.concatenate(([-1], marks)).astype(np.intp),
-            np.concatenate(([-1], rows)).astype(np.intp))
+    return t, dts, np.stack((g1, g2, g3), axis=1), marks.astype(np.intp), rows.astype(np.intp)
 
 
 def drive(step, initial, steps, chunk):
@@ -508,13 +540,13 @@ def drive(step, initial, steps, chunk):
     t, dts, g, marks, rows = chunk_arrays(steps)
     s = np.array([math.nan] * 3 + [initial.S, initial.x, initial.y] + [0.0] * 6 + [math.nan] * 3)
     column = np.full((9, rows.max() + 1), math.nan)
-    try:
-        for a in range(0, len(dts), chunk):
-            b = a + chunk
-            assert cl.integrator._linear(step, t[a:b + 1], dts[a:b], g[a:b], marks[a:b + 1],
-                                         rows[a:b + 1], s, column) is None
-    except SimulationError as exc:
-        return str(exc), exc.time
+    for a in range(0, len(dts), chunk):
+        b = a + chunk
+        end = cl.integrator._linear(step, t[a:b], dts[a:b], g[a:b], marks[a:b], rows[a:b], s,
+                                    column)
+        if end is not None:
+            exc = SimulationError(*end)
+            return str(exc), exc.time
     return [(initial.S, initial.x, initial.y), *map(tuple, column[:8, 1:].T)]
 
 
@@ -587,9 +619,10 @@ def drive_path(compiled, model, initial, grid, events, z, chunk, scheme=cl.LOG_E
     """A path's t=0 state, record block, floor times and carried state, or
     its abort's type, message and time, on the mesh of grid (t_end, dt,
     stride) with the events (times, marks) woven in, given the normals z
-    window by window at _CHUNK_STEPS chunk (None for the default) to the
-    scheme's compiled window kernel (compiled is _compiled.window), or with
-    compiled None to _stepped of its Python step loop.  The scheme is
+    window by window, in windows of chunk mesh steps (None for
+    _CHUNK_STEPS) cut as the engine cuts them, to the scheme's compiled
+    window kernel (compiled is _compiled.window), or with compiled None to
+    _walker of its Python step loop.  The scheme is
     log_euler, direct_euler or rk4 (which ignores the noise and the marks).
     The path records into the middle path of a three-path block, so a write
     past its rows shows."""
@@ -600,24 +633,18 @@ def drive_path(compiled, model, initial, grid, events, z, chunk, scheme=cl.LOG_E
     mesh = cl.integrator._Mesh(t_end, dt, stride)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cl._compiled, "window", compiled or (lambda scheme: None))
-        if chunk is not None:
-            mp.setattr(cl.integrator, "_CHUNK_STEPS", chunk)
         kernel, start = cl.integrator._kernel(model, config, mesh, stochastic=scheme != "rk4")
-        windows = list(mesh.windows(ev_t))
     block = np.full((9, 3, -(-mesh.n // mesh.stride) + 1), np.nan)
     s = np.array(start)
-    used = 0
-    for a, b, lo, hi in windows:
-        size = b - a + hi - lo
-        try:
-            end = kernel(a, b, ev_t[lo:hi], ev_mark[lo:hi], z[used:used + size], s, block[:, 1])
-        except SimulationError as exc:      # _linear raises its own
-            return type(exc), str(exc), exc.time
-        used += size
+    at, chunk = [1, 0, 0.0], chunk or cl.integrator._CHUNK_STEPS
+    for done in range(0, len(z), chunk):
+        steps, i = min(chunk, len(z) - done), at[1]
+        end = kernel(at, ev_t[i:i + steps], ev_mark[i:i + steps], z[done:done + steps], s,
+                     block[:, 1])
         if end is not None:
             exc = SimulationError(*end)
             return type(exc), str(exc), exc.time
-    assert used == len(z)
+    assert at == [mesh.n + 1, len(ev_t), t_end]
     floors = [None if math.isnan(v) else v for v in s[12:].tolist()]
     return start[3:6], block.tobytes(), floors, s.tobytes()
 
@@ -645,7 +672,7 @@ def awkward_path(rng):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_compiled_kernel_steps_as_log_euler(compiled, seed):
-    """The compiled window kernel is _stepped(_log_euler) bit for bit at
+    """The compiled window kernel is _walker(_log_euler) bit for bit at
     any window size, on real meshes (events on grid points, at t=0 and at
     t_end, and more events than grid steps; the last window ends at
     t_end): its records, t=0 state and floor times, and where a step
@@ -653,8 +680,7 @@ def test_compiled_kernel_steps_as_log_euler(compiled, seed):
     NaN, aborting at that step's time."""
     rng = np.random.default_rng(seed)
     model, grid, events, z = awkward_path(rng)
-    mesh = cl.integrator._Mesh(*grid)
-    mesh_t = mesh.piece(0, mesh.n, *events)[0]
+    mesh_t = woven(grid, events)[0]
     # a step of positive size, whose normals scale to noise of their sign
     k = int(rng.choice(np.flatnonzero(np.diff(mesh_t) > 0.0)))
     cases = [z]
@@ -680,7 +706,7 @@ def test_compiled_kernel_steps_as_log_euler(compiled, seed):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_compiled_linear_kernels_step_as_their_loops(compiled, seed):
-    """The compiled direct-Euler and RK4 window kernels are _stepped(_linear)
+    """The compiled direct-Euler and RK4 window kernels are _walker(_linear)
     of their steps bit for bit at any window size: direct Euler on the
     meshes of test_compiled_kernel_steps_as_log_euler, with its jumps, and
     where a step leaves a nonpositive state or a NaN, aborting with that
@@ -689,8 +715,7 @@ def test_compiled_linear_kernels_step_as_their_loops(compiled, seed):
     blows it up."""
     rng = np.random.default_rng(seed)
     model, grid, events, z = awkward_path(rng)
-    mesh = cl.integrator._Mesh(*grid)
-    mesh_t = mesh.piece(0, mesh.n, *events)[0]
+    mesh_t = woven(grid, events)[0]
     # a step of positive size, whose normals scale to noise of their sign
     k = int(rng.choice(np.flatnonzero(np.diff(mesh_t) > 0.0)))
     cases = []
@@ -741,12 +766,14 @@ def test_compiled_kernel_raises_where_math_exp_overflows(compiled):
 
 def test_compiled_kernel_refuses_arrays_that_do_not_fit(compiled):
     """Every scheme's compiled wrapper refuses a run's constants of the
-    wrong shape, and a window past the grid, a record row past the path's
-    rows, a mark past the jump sizes or below 0, an event slice past its
-    marks, normals of the wrong shape, a carried state of the wrong size or
-    type, and rows too few or with strided records, with a ValueError
-    before the kernel runs: the rows and the carried state stay as they
-    were."""
+    wrong shape, and a resume point before the first grid point or past
+    the last or at an event below 0, more steps than are left from the
+    resume point, a record row past the path's rows, a mark past the jump
+    sizes or below 0, an event slice past its marks or longer than the
+    window, normals of the wrong shape, a carried state of the wrong size
+    or type, and rows too few or with strided records, with a ValueError
+    before the kernel runs: the rows, the carried state and the resume
+    point stay as they were.  Each check reads only the window's slice."""
     model = make_persistence(jumps=TWO_MARKS)
     sigmas = np.array([model.sigma1, model.sigma2, model.sigma3])
     mesh = cl.integrator._Mesh(1.0, 0.05, 3)
@@ -766,13 +793,19 @@ def test_compiled_kernel_refuses_arrays_that_do_not_fit(compiled):
         block = np.full((9, rows), 0.25)
         strided = np.full((rows, 9), 0.25).T
         s = np.arange(15.0)
-        good = dict(a=0, b=mesh.n, ev_t=ev_t, ev_mark=ev_mark, z=z, s=s, out=block)
+        start = [1, 0, 0.0]
+        good = dict(at=start, ev_t=ev_t, ev_mark=ev_mark, z=z, s=s, out=block)
         longer = np.vstack((z, z[:1]))
-        misfits = [dict(good, out=block[:, :-1]), dict(good, b=mesh.n + 1, z=longer),
-                   dict(good, a=-1, z=longer), dict(good, a=3, b=3, z=z[:4]),
+        # before the last grid point, past every event: one step is left
+        late = dict(good, at=[mesh.n, 4, (mesh.n - 1) * mesh.h], ev_t=ev_t[4:],
+                    ev_mark=ev_mark[4:])
+        misfits = [dict(good, out=block[:, :-1]), dict(good, at=[0, 0, 0.0], z=longer),
+                   dict(good, at=[mesh.n + 2, 4, 1.0], ev_t=ev_t[:0], ev_mark=ev_mark[:0],
+                        z=z[:0]),
+                   dict(good, at=[1, -1, 0.0]), dict(late, z=z[:2]), dict(good, z=z[:3]),
                    dict(good, ev_mark=np.where(ev_mark == 1, len(jl), ev_mark)),
                    dict(good, ev_mark=ev_mark - 1), dict(good, ev_mark=ev_mark[:-1]),
-                   dict(good, z=z[:-1]), dict(good, z=z[:, :2]), dict(good, z=longer),
+                   dict(good, z=z[:, :2]), dict(good, z=longer),
                    dict(good, s=s[:14]), dict(good, s=s.astype(np.float32)),
                    dict(good, out=block[:7]), dict(good, out=strided)]
         for misfit in misfits:
@@ -780,7 +813,12 @@ def test_compiled_kernel_refuses_arrays_that_do_not_fit(compiled):
                 kernel(**misfit)
             assert np.all(block == 0.25) and np.all(strided == 0.25)
             assert s.tolist() == list(range(15))
+            assert start == [1, 0, 0.0]
         assert kernel(**good) is None
+        assert start == [mesh.n + 1, 4, 1.0]
+        end = list(late["at"])
+        assert kernel(**dict(late, at=end, z=z[:1])) is None
+        assert end == [mesh.n + 1, 4, 1.0]
 
 
 def test_driftless_log_brownian_mean():
@@ -964,6 +1002,34 @@ def test_chunk_size_does_not_change_the_path(monkeypatch, compiled, n_paths, mod
             or reference.jump_log or reference.lny_over_t[-1] == -math.inf)
 
 
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+def test_a_dense_path_runs_no_window_over_a_chunk(monkeypatch, compiled, kernel):
+    """A path of about 1e6 jump events in 4 grid steps runs every mesh step
+    once, in windows of at most _CHUNK_STEPS mesh steps, on either kernel:
+    a grid step's events are cut into windows as any other steps are."""
+    model = make_persistence(jumps=JumpSpec((JumpMark(1.25e7, -0.001, -0.001, -0.001),
+                                             JumpMark(1.25e7, 0.001, 0.001, 0.001))))
+    config = short_config(t_end=0.04, dt=0.01, seed=3)
+    sizes = []
+    engine_kernel = cl.integrator._kernel
+
+    def counted(*args):
+        window, start = engine_kernel(*args)
+
+        def counted_window(*window_args):
+            sizes.append(len(window_args[-3]))      # the window's normals, a row per step
+            return window(*window_args)
+        return counted_window, start
+
+    monkeypatch.setattr(cl.integrator, "_kernel", counted)
+    if kernel == "python":
+        monkeypatch.setattr(cl._compiled, "window", lambda scheme: None)
+    traj = simulate(model, config)
+    assert 0.99e6 < len(traj.jump_times) < 1.01e6
+    assert sum(sizes) == 4 + len(traj.jump_times)
+    assert max(sizes) <= cl.integrator._CHUNK_STEPS
+
+
 @pytest.mark.parametrize("scheme", [cl.LOG_EULER, DIRECT_EULER])
 def test_brownian_sum_is_the_cumsum_of_the_paths_own_noise(monkeypatch, compiled, scheme):
     """A jump-free path's Brownian martingale M(T) is, bit for bit, the last
@@ -1059,8 +1125,8 @@ def test_batch_is_each_path_alone_through_every_kind_of_step(monkeypatch, compil
     assert_batch_is_each_path_alone(model, config, WIDE)
     # every input exercises each kind of step: each path's mesh, as one
     # (paths, steps) table padded with -1 past its end
-    mesh = cl.integrator._Mesh(config.t_end, config.dt, config.output_stride)
-    pieces = [mesh.piece(0, mesh.n, *schedule(sample_jumps(
+    grid = (config.t_end, config.dt, config.output_stride)
+    pieces = [woven(grid, schedule(sample_jumps(
                   model.jumps, config.t_end, rng_for(derive_path_seed(config.seed, i)))))[1:]
               for i in range(WIDE)]
     steps = [len(mark) - 1 for mark, _ in pieces]

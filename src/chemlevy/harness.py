@@ -7,14 +7,14 @@ statistics.  ``verify`` compares those statistics against the regime
 predictions of a ThresholdReport and returns one pass/fail claim per
 applicable prediction.  Paths are embarrassingly parallel: each worker's
 contiguous group of them is one task, which writes its paths' rows of the
-run's one record block in place, and aggregation is a deterministic fold in
-path-index order, so results are identical for any worker count.
+run's one record block in place, in memory a forked worker shares with the
+parent, and aggregation is a deterministic fold in path-index order, so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -145,18 +145,23 @@ def _terminal(traj, series: np.ndarray) -> np.ndarray:
 
 def _run_paths(model: CrispModel, config: SimConfig, lo: int, hi: int, block) -> list:
     """Step paths lo..hi-1 into their rows block[:, lo:hi] of a run's record
-    block, or of the .npy file block names, and return their records.
+    block and return their records.
 
     A path's record is (index, None, terminal), terminal being _terminal's
     row, or (index, error message, None) for a failed path.
     """
-    if isinstance(block, str):
-        block = np.load(block, mmap_mode="r+")
     seeds = [derive_path_seed(config.seed, i) for i in range(lo, hi)]
     _, paths = _integrate(model, config, seeds, block[:, lo:hi])
     return [(i, str(traj), None) if isinstance(traj, SimulationError)
             else (i, None, _terminal(traj, block[:, i]))
             for i, traj in enumerate(paths, lo)]
+
+
+def _shared_block(shape) -> np.ndarray:
+    """A float array of that shape in anonymous shared memory: the pages
+    forked children write are the pages the parent reads."""
+    import mmap
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
 
 
 def _path_records(models, config: SimConfig, n_paths: int, workers: int):
@@ -165,52 +170,45 @@ def _path_records(models, config: SimConfig, n_paths: int, workers: int):
     its paths' records in path order.
 
     Each run's paths are split into min(workers, n_paths) contiguous
-    groups, one _run_paths task each.  The tasks run in a pool of
-    min(workers, tasks) forked processes, where a run's block is one .npy
-    file in a temporary directory, which the parent maps and unlinks once
-    the run's tasks are in; or serially and lazily when that is one, into
-    an array.  The caller has checked the config: a path's SimulationError
-    is its record's error, and anything else a path raises, or a broken
-    pool, ends the stream.
+    groups, one _run_paths task each.  With one group the runs go serially
+    and lazily, each into an array of its own.  Otherwise the tasks go, run
+    after run, to a pool of one forked process per group, which write into
+    two blocks of shared memory made before the fork, run k into block
+    k mod 2: the pool starts a run's tasks once the previous run has been
+    asked for, so a block yielded is overwritten once the next run is
+    asked for, and the next run is stepped while the caller reads this one.
+    The caller has checked the config: a path's SimulationError is its
+    record's error, and anything else a path raises, or a broken pool,
+    ends the stream.
     """
-    split = min(workers, n_paths)
-    groups = [(n_paths * k // split, n_paths * (k + 1) // split) for k in range(split)]
+    workers = min(workers, n_paths)
+    groups = [(n_paths * k // workers, n_paths * (k + 1) // workers) for k in range(workers)]
     shape = (9, n_paths, len(record_times(config.t_end, config.dt, config.output_stride)))
-    workers = min(workers, len(models) * split)
     if workers == 1:
         for model in models:
             block = np.empty(shape)
-            yield block, [r for lo, hi in groups for r in _run_paths(model, config, lo, hi, block)]
+            yield block, _run_paths(model, config, 0, n_paths, block)
         return
     # Load numpy, numpy.random (which numpy imports on first access) and the
     # compiled kernel before forking, so the workers inherit them instead of
-    # each loading them again; LazyLoader is also not thread-safe before
-    # Python 3.12, and the pool's result thread unpickles arrays.
+    # each loading them again.
     np.random
     _compiled.window(config.scheme)
-    import tempfile
-    with (tempfile.TemporaryDirectory(prefix="chemlevy-") as spill_dir,
-          _pool(workers) as pool):
-        files = [os.path.join(spill_dir, f"{k}.npy") for k in range(len(models))]
-        for name in files:
-            np.lib.format.open_memmap(name, "w+", shape=shape)
-        tasks = [(model, config, lo, hi, name)
-                 for model, name in zip(models, files) for lo, hi in groups]
+    blocks = [_shared_block(shape) for _ in models[:2]]
+    tasks = [(model, config, lo, hi, blocks[k % 2])
+             for k, model in enumerate(models) for lo, hi in groups]
+    with _pool(workers) as pool:
         results = pool.map(_run_paths, *zip(*tasks))
-        for name in files:
-            records = [r for _ in groups for r in next(results)]
-            block = np.load(name, mmap_mode="r")
-            os.unlink(name)  # the mapping outlives the name
-            yield block, records
+        for k in range(len(models)):
+            yield blocks[k % 2], [r for _ in groups for r in next(results)]
 
 
 def _pool(workers: int):
-    """A pool of that many forked worker processes.  The pool modules
-    (multiprocessing, pickle, socket, subprocess) are imported here, on
-    the first pooled run, so that a process that runs no pool never loads
-    them."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
+    """A pool of that many forked worker processes (_fork.Pool), whose
+    module is loaded on the first pooled run, so that a process that runs
+    no pool never compiles or loads it."""
+    from ._fork import Pool
+    return Pool(workers)
 
 
 def _check_args(n_paths, least: int, workers) -> None:

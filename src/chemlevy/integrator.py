@@ -422,14 +422,20 @@ def _walker(loop, mesh: _Mesh, sigmas: np.ndarray):
         (u, i, t), steps = at, len(z)
         grid = np.arange(u, min(u + steps, mesh.n + 1))
         times, marks = mesh.grid(grid), np.full(len(grid), -1, dtype=np.intp)
-        rows = np.where((grid % mesh.stride == 0) | (grid == mesh.n), -(-grid // mesh.stride), -1)
+        # rows at the record points alone: every stride-th grid point from
+        # the first at or after u, and grid point n, when the window has it
+        rows, first = np.full(len(grid), -1, dtype=np.intp), -(-u // mesh.stride)
+        on = rows[first * mesh.stride - u::mesh.stride]
+        on[:] = np.arange(first, first + len(on))
+        rows[mesh.n - u:] = -(-mesh.n // mesh.stride)
         if len(ev_t):
             # events at one position keep their order
             pos = np.searchsorted(times, ev_t)
             times, marks, rows = (np.insert(a, pos, v)[:steps] for a, v in
                                   ((times, ev_t), (marks, ev_mark), (rows, -1)))
         dt = times - np.concatenate(([t], times[:-1]))
-        end = loop(times, dt, np.sqrt(dt)[:, None] * sigmas * z, marks, rows, s, out)
+        # each series' noise in one row, (sqrt(dt) sigma_i) z_i as _window.c's
+        end = loop(times, dt, ((np.sqrt(dt) * sigmas[:, None]) * z.T).T, marks, rows, s, out)
         if end is None:
             on_grid = int(np.count_nonzero(marks < 0))
             at[:] = u + on_grid, i + steps - on_grid, times[-1].item()

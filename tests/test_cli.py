@@ -222,8 +222,9 @@ print(sorted(m for m in sys.modules if m.startswith("numpy.") or m == "ctypes"))
 def test_commands_without_a_pool_never_load_the_pool_modules(tmp_path):
     """A fresh import chemlevy, validate, thresholds, a threshold-only
     sweep, simulate and ode load neither multiprocessing nor
-    concurrent.futures.process, which only a pooled run needs; the same
-    check sees them once the pool class is looked up."""
+    concurrent.futures, and nor do a library ensemble and p_sweep on two
+    workers, whose pool forks its workers itself; the same check sees them
+    once ProcessPoolExecutor is looked up."""
     model = str(MODELS / "imprecise_jumps.json")
     runs = [["validate", "--model", model],
             ["thresholds", "--model", model, "--p", "0.5", "--out", str(tmp_path / "thr")],
@@ -240,19 +241,26 @@ from chemlevy.cli import main
 
 def pool_modules():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process")
+                  if m.split(".")[0] in ("multiprocessing", "concurrent"))
 
 print(pool_modules())
 for argv in {runs!r}:
     assert main(argv) == 0, argv
     print(pool_modules())
+model = chemlevy.load_model({model!r})
+config = chemlevy.SimConfig(initial=chemlevy.State(1.0, 0.5, 0.2), t_end=500.0, dt=0.1)
+assert not chemlevy.ensemble(chemlevy.crispify(model, 0.5), config, 4, workers=2).aborted
+print(pool_modules())
+rows = chemlevy.p_sweep(model, [0.0, 1.0], config, 4, workers=2)
+assert [row.verdict is not None for row in rows] == [True, True], rows
+print(pool_modules())
 import concurrent.futures
 concurrent.futures.ProcessPoolExecutor
 print(bool(pool_modules()))
 """
     lines = run_fresh(code).splitlines()
     assert lines[-1] == "True"
-    assert [line for line in lines if line.startswith("[")] == ["[]"] * (len(runs) + 1)
+    assert [line for line in lines if line.startswith("[")] == ["[]"] * (len(runs) + 3)
 
 
 def test_simulate_writes_trajectory(tmp_path, capsys):

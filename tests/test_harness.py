@@ -5,7 +5,9 @@ import dataclasses
 import math
 import os
 import re
+import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -627,16 +629,102 @@ def test_p_sweep_broken_pool_fails_the_rows_it_did_not_finish(monkeypatch):
         assert row.stats is None
 
 
-def test_pooled_runs_leave_no_files_behind(monkeypatch, tmp_path):
-    """A pooled run's record block is a file in a temporary directory, gone
-    when the run returns, also when its pool broke."""
-    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_a_pooled_run(monkeypatch):
+    """Every child of a pool is killed and reaped when its run ends: after
+    an ensemble, after a sweep whose worker died or whose worker raised, and
+    after a stream closed, or interrupted, after its first row."""
+    assert_no_child_left()
     ensemble(make_extinction(), small_config(t_end=2.0), 5, workers=2)
-    assert list(tmp_path.iterdir()) == []
+    assert_no_child_left()
+    grid, config = [0.0, 0.5, 1.0], small_config(dt=0.5)
+    with monkeypatch.context() as patch:
+        kill_worker_at_p_half(patch)
+        rows = p_sweep(imprecise_extinction(), grid, config, n_paths=2, workers=2)
+        assert "terminated abruptly" in rows[1].error
+    assert_no_child_left()
+    real_integrate = cl.harness._integrate
+
+    def raises_at_p_half(model, config, seeds, out):
+        if model.p == 0.5:
+            raise ValueError("boom")
+        return real_integrate(model, config, seeds, out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cl.harness, "_integrate", raises_at_p_half)
+        rows = p_sweep(imprecise_extinction(), grid, config, n_paths=2, workers=2)
+    assert rows[0].error is None
+    assert [row.error for row in rows[1:]] == ["boom", "boom"]
+    assert_no_child_left()
+    models = [crispify(imprecise_extinction(), p) for p in grid]
+    for end in ("close", "interrupt"):
+        stream = cl.harness._path_records(models, config, 2, 2)
+        block, records = next(stream)
+        assert [i for i, _, _ in records] == [0, 1]
+        if end == "close":
+            stream.close()
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                stream.throw(KeyboardInterrupt)
+        assert_no_child_left()
+
+
+def test_a_sweep_holds_two_record_blocks(monkeypatch):
+    """A pooled stride-1 sweep of 4 rows steps them through two blocks of
+    shared memory, and each row still equals its own serial ensemble: no
+    worker starts a row before the block it reuses is read, even when each
+    row is slow to read."""
+    live, most = [], []
+    make = cl.harness._shared_block
+
+    def counted(shape):
+        block = make(shape)
+        live.append(1)
+        weakref.finalize(block, live.pop)
+        most.append(len(live))
+        return block
+
+    summaries = []
+    summarise = cl.harness._summarise
+
+    def slow(block, records, times):
+        time.sleep(0.2)
+        summaries.append(summarise(block, records, times))
+        return summaries[-1]
+
+    monkeypatch.setattr(cl.harness, "_shared_block", counted)
+    monkeypatch.setattr(cl.harness, "_summarise", slow)
+    model = imprecise_extinction(m1=(0.3, 0.7))
+    grid, config = [0.0, 1 / 3, 2 / 3, 1.0], small_config(dt=0.5, output_stride=1)
+    rows = p_sweep(model, grid, config, n_paths=4, workers=2)
+    assert all(row.error is None for row in rows)
+    assert max(most) == 2 and not live
+    monkeypatch.setattr(cl.harness, "_summarise", summarise)
+    for p, pooled in zip(grid, summaries):
+        alone = ensemble(crispify(model, p), config, 4, workers=1)
+        for name in alone.series:
+            for stat in alone.series[name]:
+                assert np.array_equal(pooled.series[name][stat], alone.series[name][stat],
+                                      equal_nan=True), (p, name, stat)
+        assert np.array_equal(pooled.extinct_y_frac, alone.extinct_y_frac)
+
+
+def test_pooled_runs_leave_no_files_behind(monkeypatch, tmp_path):
+    """A pooled run's record block is in shared memory: with the temporary
+    directory missing, a pooled ensemble and sweep run, also when a worker
+    dies, and make no file anywhere."""
+    missing = tmp_path / "missing"
+    monkeypatch.setattr("tempfile.tempdir", str(missing))
+    monkeypatch.chdir(tmp_path)
+    ensemble(make_extinction(), small_config(t_end=2.0), 5, workers=2)
     config = small_config(dt=0.5)
     rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], config, n_paths=3, workers=2)
     assert all(row.error is None for row in rows)
-    assert list(tmp_path.iterdir()) == []
     kill_worker_at_p_half(monkeypatch)
     rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], config, n_paths=3, workers=2)
     assert "terminated abruptly" in rows[1].error
@@ -646,13 +734,14 @@ def test_pooled_runs_leave_no_files_behind(monkeypatch, tmp_path):
 def test_serial_runs_need_no_temp_dir(monkeypatch, tmp_path):
     """One worker keeps a run's record block in memory: with the temporary
     directory missing, a serial ensemble and p_sweep still run, and make no
-    file anywhere there."""
+    file anywhere."""
     missing = tmp_path / "missing"
     monkeypatch.setattr("tempfile.tempdir", str(missing))
+    monkeypatch.chdir(tmp_path)
     ensemble(make_extinction(), small_config(t_end=2.0), 5, workers=1)
-    rows = p_sweep(imprecise_extinction(), [0.0, 1.0], small_config(dt=0.5), n_paths=3)
+    rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], small_config(dt=0.5), n_paths=3)
     assert all(row.error is None for row in rows)
-    assert not missing.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_p_sweep_empty_grid_rejected():

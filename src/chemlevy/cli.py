@@ -43,9 +43,9 @@ _THRESHOLD_HEADER = ["p", *_PARAM_ORDER, *_REPORT_FIELDS, "regime"]
 # ---------------------------------------------------------------------------
 
 def _write_rows(path, header, rows) -> None:
-    # for the tables that hold strings or empty cells: csv quotes a string
-    # where it must, and writes None as an empty cell and anything else as
-    # str(v), which for a float is its shortest round-trip repr
+    # for the tables with an int, bool, string or empty cell: csv quotes a
+    # string where it must, and writes None as an empty cell and anything
+    # else as str(v), which for a float is its shortest round-trip repr
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -53,16 +53,8 @@ def _write_rows(path, header, rows) -> None:
 
 
 def _line(row) -> str:
-    # the cells csv would write for floats, ints and bools, none of which it
-    # quotes: repr is str for all three
+    # a row of floats as the CSV line csv would write, which quotes none
     return ",".join(map(repr, row)) + "\n"
-
-
-def _write_lines(path, header, rows) -> None:
-    """Write rows of floats, ints and bools as the CSV lines csv would."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(_line, rows))
 
 
 # rows formatted at a time: the writer's memory is a block this long, not the file
@@ -98,7 +90,7 @@ def write_jumps_csv(traj, path) -> None:
     t, mark = traj.jump_times, traj.jump_marks
     blocks = (zip(t[a:a + _BLOCK_ROWS].tolist(), mark[a:a + _BLOCK_ROWS].tolist())
               for a in range(0, len(t), _BLOCK_ROWS))
-    _write_lines(path, ["t", "mark"], (row for block in blocks for row in block))
+    _write_rows(path, ["t", "mark"], (row for block in blocks for row in block))
 
 
 def write_ensemble_csv(summary, path) -> None:
@@ -123,7 +115,7 @@ def write_terminal_csv(summary, path) -> None:
                                            "rate_x", "rate_y", "phi")]
                + term["brownian_over_t"].T.tolist() + term["comp_jump_over_t"].T.tolist()
                + [term["extinct_x"].tolist(), term["extinct_y"].tolist()])
-    _write_lines(path, header, zip(*columns))
+    _write_rows(path, header, zip(*columns))
 
 
 def write_verdict_csv(verdict, path) -> None:

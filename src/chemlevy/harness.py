@@ -15,7 +15,7 @@ results are identical for any worker count.
 from __future__ import annotations
 
 import math
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 
 from . import _compiled
@@ -170,35 +170,33 @@ def _path_records(models, config: SimConfig, n_paths: int, workers: int):
     its paths' records in path order.
 
     Each run's paths are split into min(workers, n_paths) contiguous
-    groups, one _run_paths task each.  With one group the runs go serially
-    and lazily, each into an array of its own.  Otherwise the tasks go, run
-    after run, to a pool of one forked process per group, which write into
-    two blocks of shared memory made before the fork, run k into block
-    k mod 2: the pool starts a run's tasks once the previous run has been
-    asked for, so a block yielded is overwritten once the next run is
-    asked for, and the next run is stepped while the caller reads this one.
-    The caller has checked the config: a path's SimulationError is its
-    record's error, and anything else a path raises, or a broken pool,
-    ends the stream.
+    groups, one _run_paths task each, and run k writes into block k mod 2
+    of two, so a block yielded is the caller's until it asks for the next
+    run.  With one group the tasks run lazily in this process, each run
+    when it is asked for, into arrays.  Otherwise they go to a pool of one
+    forked process per group, which write into blocks of shared memory made
+    before the fork: the pool starts a run's tasks once the previous run
+    has been asked for, so the next run is stepped while the caller reads
+    this one.  The caller has checked the config: a path's SimulationError
+    is its record's error, and anything else a path raises, or a broken
+    pool, ends the stream.
     """
     workers = min(workers, n_paths)
     groups = [(n_paths * k // workers, n_paths * (k + 1) // workers) for k in range(workers)]
     shape = (9, n_paths, len(record_times(config.t_end, config.dt, config.output_stride)))
-    if workers == 1:
-        for model in models:
-            block = np.empty(shape)
-            yield block, _run_paths(model, config, 0, n_paths, block)
-        return
-    # Load numpy, numpy.random (which numpy imports on first access) and the
-    # compiled kernel before forking, so the workers inherit them instead of
-    # each loading them again.
-    np.random
-    _compiled.window(config.scheme)
-    blocks = [_shared_block(shape) for _ in models[:2]]
+    make, pool = np.empty, None
+    if workers > 1:
+        # Load numpy, numpy.random (which numpy imports on first access) and
+        # the compiled kernel before forking, so the workers inherit them
+        # instead of each loading them again.
+        np.random
+        _compiled.window(config.scheme)
+        make, pool = _shared_block, _pool(workers)
+    blocks = [make(shape) for _ in models[:2]]
     tasks = [(model, config, lo, hi, blocks[k % 2])
              for k, model in enumerate(models) for lo, hi in groups]
-    with _pool(workers) as pool:
-        results = pool.map(_run_paths, *zip(*tasks))
+    with pool or nullcontext():
+        results = (pool.map if pool else map)(_run_paths, *zip(*tasks))
         for k in range(len(models)):
             yield blocks[k % 2], [r for _ in groups for r in next(results)]
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _compiled
@@ -75,6 +76,9 @@ _CHUNK_STEPS = 4096
 _MAX_MESH_STEPS = 10**8
 _MAX_JUMP_EVENTS = 5 * 10**6
 _MAX_PATH_RECORDS = 15 * 10**6
+# Least grid step t_end/n: |ln c| < 745 for every positive double c, so from
+# it on ln c/t stays finite and the trapezoid sums stay out of subnormals.
+_MIN_GRID_STEP = 745.0 / sys.float_info.max
 
 
 class SimulationError(RuntimeError):
@@ -175,6 +179,8 @@ def _check_config(config: SimConfig, positive_initial: bool,
     check_integer("seed", config.seed, 0)
     # records counted, not allocated
     mesh = _Mesh(config.t_end, config.dt, config.output_stride)
+    if not mesh.h >= _MIN_GRID_STEP:
+        raise ValueError(f"grid step t_end/n = {mesh.h!r} is below 745/DBL_MAX: ln c/t overflows")
     records = -(-mesh.n // mesh.stride) + 1
     if not paths * records <= _MAX_PATH_RECORDS:
         raise ValueError(f"{paths} path(s) of {records} records are above the cap of "
@@ -508,7 +514,7 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None, out=None) -> tu
     (9, paths, records) block, at its mesh's record points.  Each path runs
     to its end before the next starts, and ends as a Trajectory, whose
     brownian and floor_times are slots of its carried state, or as the
-    SimulationError that aborted it.
+    SimulationError that aborted it, its rows then filled with NaN.
     """
     stochastic = seeds is not None
     mesh = _Mesh(config.t_end, config.dt, config.output_stride)
@@ -535,6 +541,7 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None, out=None) -> tu
             steps, e = min(_CHUNK_STEPS, left - done), at[1]
             end = kernel(at, ev_t[e:e + steps], ev_mark[e:e + steps], normals((steps, 3)), s, out)
             if end is not None:
+                out[:] = math.nan
                 paths.append(SimulationError(*end))
                 break
         else:
@@ -566,7 +573,8 @@ def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
     of S, x, y, mean_S, mean_x, mean_y, lnx_over_t, lny_over_t and the
     conservation residual phi over the record times; the kernels write
     their records into it.  paths[i] is path i's Trajectory, whose series
-    are views of series[:, i], or the SimulationError that aborted it.
+    are views of series[:, i], or the SimulationError that aborted it,
+    whose rows series[:, i] are then NaN.
     """
     seeds = list(seeds)
     check_path_config(model, config, len(seeds))

@@ -567,6 +567,8 @@ def test_simulate_non_finite_horizon_is_usage_error(tmp_path, capsys, flag, valu
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--t-end", "1e300", "--dt", "1e-10"], "cap"),
     (["simulate", "--t-end", "10", "--dt", "1e-320"], "cap"),
+    # ln c/t past the float maximum at the first grid point
+    (["simulate", "--t-end", "1e-320", "--dt", "1e-321"], "grid step"),
     (["simulate", "--initial", "inf,1,1"], "finite"),
     (["ode", "--initial", "nan,1,1"], "finite"),
     # record blocks of 7.2 GB, 7.2 GB and 28.8 GB, refused before they are allocated
@@ -574,13 +576,25 @@ def test_simulate_non_finite_horizon_is_usage_error(tmp_path, capsys, flag, valu
     (["ode", "--t-end", "1e6", "--dt", "0.01", "--stride", "1"], "path-records"),
     (["ensemble", "--t-end", "20000", "--dt", "0.01", "--stride", "1", "--paths", "200"],
      "path-records"),
-], ids=["huge-t-end", "subnormal-dt", "simulate-inf-initial", "ode-nan-initial",
-        "simulate-record-block", "ode-record-block", "ensemble-record-block"])
+], ids=["huge-t-end", "subnormal-dt", "subnormal-grid-step", "simulate-inf-initial",
+        "ode-nan-initial", "simulate-record-block", "ode-record-block", "ensemble-record-block"])
 def test_unbounded_mesh_or_non_finite_initial_is_usage_error(tmp_path, capsys, argv, message):
     path = write_model(tmp_path, EXTINCTION)
     assert main(argv + ["--model", path, "--p", "0", "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_tiny_grid_step_above_the_overflow_bound_runs(tmp_path, capsys):
+    """A grid step of 1e-301 is above 745/DBL_MAX: the path runs, and every
+    number it records is finite but ln x/t and ln y/t at t=0."""
+    path = write_model(tmp_path, PERSISTENCE)
+    assert main(["simulate", "--model", path, "--p", "0", "--t-end", "1e-300",
+                 "--dt", "1e-301", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    cells = [float(c) for row in rows for c in row.split(",")]
+    assert sum(not math.isfinite(c) for c in cells) == 2
 
 
 @pytest.mark.parametrize("flag", ["--tol-mean", "--tol-rate"])

@@ -929,13 +929,16 @@ def assert_same_path(got, want, got_phi=None, want_phi=None):
 def assert_compiled_is_python(model, config, seeds):
     """simulate_batch of seeds runs twice, as is (on the scheme's compiled
     kernel) and with the kernels' loader made to return nothing (on its
-    Python step loop), and every path comes out as the same bytes.  Returns
-    the first run's paths."""
+    Python step loop), and every path comes out as the same bytes, an
+    aborted path's rows of the series as NaN on both.  Returns the first
+    run's paths."""
     assert cl._compiled.window(config.scheme) is not None
     (series, paths), (want_series, want_paths) = (
         simulate_batch(model, config, seeds), python_kernel(simulate_batch, model, config, seeds))
     for i, (got, want) in enumerate(zip(paths, want_paths)):
         assert_same_path(got, want, series[8, i], want_series[8, i])
+        if isinstance(want, SimulationError):
+            assert np.isnan(series[:, i]).all() and np.isnan(want_series[:, i]).all(), i
     return paths
 
 
@@ -1243,6 +1246,12 @@ def test_config_validation(monkeypatch):
     with pytest.raises(ValueError, match="above the cap of 5e[+]06 events per path"):
         cl.ensemble(over, short_config(t_end=100.0), 2, workers=2)
     _check_config(short_config(t_end=1e3, dt=1.0), True, _MAX_JUMP_EVENTS / 1e3)  # at the cap
+    # a grid step below 745/DBL_MAX, at which ln c/t would overflow at the
+    # first grid point and the trapezoid sums would run in subnormals
+    for run in (simulate, simulate_ode):
+        with pytest.raises(ValueError, match="grid step"):
+            run(model, short_config(t_end=1e-320, dt=1e-321))
+    _check_config(short_config(t_end=1e-300, dt=1e-301), True)
 
 
 _float = st.floats() | st.sampled_from([1e300, 1e-320, 5e-324, -0.0, 1e-10])

@@ -7,63 +7,41 @@ their predicted long-run behavior (``classify``), integrate paths of the
 jump-diffusion system (``simulate``) or its noise-free counterpart
 (``simulate_ode``), and check the predictions against Monte Carlo ensembles
 (``ensemble`` / ``verify`` / ``p_sweep``).
+
+Each public name loads its module on first access, so ``import chemlevy``
+loads none of them, and a program that only classifies never compiles the
+integrator or the harness.
 """
 
-from .interval import (
-    IntervalNumber,
-    add,
-    divide,
-    interval_value,
-    multiply,
-    scalar_mul,
-    subtract,
-)
-from .model import (
-    CrispModel,
-    H3Report,
-    ImpreciseModel,
-    JumpMark,
-    JumpSpec,
-    State,
-    ValidationReport,
-    check_H3,
-    crispify,
-    drift,
-    load_model,
-    model_from_dict,
-    validate,
-)
-from .thresholds import (
-    PredictedAsymptotics,
-    Regime,
-    ThresholdReport,
-    beta,
-    classify,
-    r0s,
-    r1s,
-)
-from .integrator import (
-    DIRECT_EULER,
-    FLOOR_LOG,
-    LOG_EULER,
-    SimConfig,
-    SimulationError,
-    Trajectory,
-    conservation_residual,
-    sample_jumps,
-    simulate,
-    simulate_ode,
-)
-from .harness import (
-    EXTINCTION_THRESHOLD,
-    Claim,
-    EnsembleSummary,
-    SweepRow,
-    Verdict,
-    VerifyTolerances,
-    ensemble,
-    p_sweep,
-    verify,
-)
+import importlib
+
+# every public name, by the module that defines it; each module is one too
+_EXPORTS = {
+    "interval": "IntervalNumber add divide interval_value multiply scalar_mul subtract",
+    "model": "CrispModel H3Report ImpreciseModel JumpMark JumpSpec State ValidationReport "
+             "check_H3 crispify drift load_model model_from_dict validate "
+             "DIRECT_EULER LOG_EULER",
+    "thresholds": "PredictedAsymptotics Regime SweepRow ThresholdReport VerifyTolerances "
+                  "beta classify r0s r1s",
+    "integrator": "FLOOR_LOG SimConfig SimulationError Trajectory conservation_residual "
+                  "sample_jumps simulate simulate_ode",
+    "harness": "EXTINCTION_THRESHOLD Claim EnsembleSummary Verdict ensemble p_sweep verify",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names.split())}
+__all__ = [name for name in _HOME if name not in _EXPORTS]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name, its module loaded on its first access (PEP 562)."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = globals()[name] = module if name == home else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -19,14 +19,15 @@ Both sources are compiled into one library with the C compiler Python was
 built with (``sysconfig``'s ``CC``) at fixed flags, into a per-user cache
 (``$XDG_CACHE_HOME/chemlevy``, else ``~/.cache/chemlevy``) keyed by the
 SHA-256 of the two sources and of this file (the table generator), the
-compiler command, the flags and the machine, and loaded once with
-``ctypes``.  A build goes to a temporary directory in the cache and its
-library is renamed into place, so processes that build at once never load
-half a file.  Nothing here runs at import: ``chemlevy`` starts without
-``ctypes``, a compiler or the cache.  Any failure (no compiler, a cache that
-cannot be written, a library that does not load) makes both accessors
-return None, and the Python kernels and ``repr`` run instead, with the same
-bytes.
+compiler command, the flags and the machine (``os.uname().machine``, which
+``platform.machine()`` reads), and loaded once with ``ctypes``.  A build goes
+to a temporary directory in the cache and its library is renamed into place,
+so processes that build at once never load half a file.  Only a build
+imports ``subprocess`` and ``tempfile``.  Nothing here runs at import, and
+the CLI loads this module only for a command that steps a path or writes a
+number table.  Any failure (no compiler, a cache that cannot be written, a
+library that does not load) makes both accessors return None, and the
+Python kernels and ``repr`` run instead, with the same bytes.
 """
 
 import functools
@@ -90,11 +91,8 @@ def _pow5_tables() -> str:
 def _load():
     import ctypes
     import hashlib
-    import platform
     import shlex
-    import subprocess
     import sysconfig
-    import tempfile
 
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc:
@@ -103,11 +101,15 @@ def _load():
     for name in (*_SOURCES, __file__):
         with open(name, "rb") as f:
             sources.append(f.read())
-    key = hashlib.sha256(repr((sources, cc, _FLAGS, platform.machine())).encode()).hexdigest()
+    # the machine as platform.machine() names it, without importing platform
+    key = hashlib.sha256(repr((sources, cc, _FLAGS, os.uname().machine)).encode()).hexdigest()
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                          or os.path.join(os.path.expanduser("~"), ".cache"), "chemlevy")
     path = os.path.join(cache, f"chemlevy-{key[:32]}.so")
     if not os.path.exists(path):
+        import subprocess
+        import tempfile
+
         os.makedirs(cache, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=cache) as build:
             with open(os.path.join(build, "_pow5.h"), "w", encoding="ascii") as f:

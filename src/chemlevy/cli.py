@@ -17,20 +17,14 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import _compiled
-from ._lazy import np
-from .harness import VerifyTolerances, check_horizon, ensemble, p_sweep, verify
-from .integrator import (
-    DIRECT_EULER,
-    LOG_EULER,
-    SimConfig,
-    SimulationError,
-    conservation_residual,
-    simulate,
-    simulate_ode,
-)
-from .model import _PARAM_FIELDS, State, check_H3, crispify, load_model, validate
-from .thresholds import classify
+from ._lazy import lazy_import, np
+from .model import (_PARAM_FIELDS, DIRECT_EULER, LOG_EULER, State, check_H3, crispify,
+                    load_model, validate)
+from .thresholds import VerifyTolerances, classify, sweep_rows
+
+# the engine, loaded by the first command that steps a path or writes numbers
+_compiled, harness, integrator = (lazy_import(f"{__package__}.{name}")
+                                  for name in ("_compiled", "harness", "integrator"))
 
 _PARAM_ORDER = ("S0",) + _PARAM_FIELDS
 _REPORT_FIELDS = ("beta1", "beta2", "beta3", "R0s", "R1s")
@@ -81,7 +75,7 @@ def write_trajectory_csv(traj, model, path) -> None:
     header = ["t", "S", "x", "y", "meanS", "meanx", "meany",
               "lnx_over_t", "lny_over_t", "phi"]
     columns = [traj.times, traj.S, traj.x, traj.y, traj.mean_S, traj.mean_x, traj.mean_y,
-               traj.lnx_over_t, traj.lny_over_t, conservation_residual(traj, model)]
+               traj.lnx_over_t, traj.lny_over_t, integrator.conservation_residual(traj, model)]
     _write_numbers(path, header, columns)
 
 
@@ -146,22 +140,15 @@ def write_sweep_csv(rows, path) -> None:
         "median_mean_S", "median_mean_x", "median_mean_y",
         "median_rate_x", "median_rate_y", "extinct_x_frac", "extinct_y_frac",
         "claims_passed", "claims_total", "all_pass", "error"]
+    stats = ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y", "extinct_x_frac", "extinct_y_frac")
     out = []
     for row in rows:
-        cells = _threshold_cells(row.crisp, row.report)
-        if row.stats is not None:
-            cells += [row.stats[k] for k in
-                      ("mean_S", "mean_x", "mean_y", "rate_x", "rate_y",
-                       "extinct_x_frac", "extinct_y_frac")]
-        else:
-            cells += [None] * 7
-        if row.verdict is not None:
-            cells += [sum(c.passed for c in row.verdict.claims),
-                      len(row.verdict.claims), row.verdict.all_passed]
-        else:
-            cells += [None, None, None]
-        cells.append(row.error)
-        out.append(cells)
+        verdict = row.verdict
+        out.append(_threshold_cells(row.crisp, row.report)
+                   + [(row.stats or {}).get(k) for k in stats]
+                   + ([sum(c.passed for c in verdict.claims), len(verdict.claims),
+                       verdict.all_passed] if verdict else [None] * 3)
+                   + [row.error])
     _write_rows(path, header, out)
 
 
@@ -280,12 +267,12 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _make_config(args, model, scheme=LOG_EULER, seed=0) -> SimConfig:
+def _make_config(args, model, scheme=LOG_EULER, seed=0):
     initial = args.initial
     if initial is None:
         initial = State(model.S0, 0.1 * model.S0, 0.1 * model.S0)
-    return SimConfig(initial=initial, t_end=args.t_end, dt=args.dt,
-                     seed=seed, output_stride=args.stride, scheme=scheme)
+    return integrator.SimConfig(initial=initial, t_end=args.t_end, dt=args.dt,
+                                seed=seed, output_stride=args.stride, scheme=scheme)
 
 
 def _print_thresholds(crisp, report) -> None:
@@ -363,10 +350,10 @@ def _cmd_simulate(args, deterministic: bool) -> int:
     crisp = crispify(model, args.p)
     if deterministic:
         config = _make_config(args, crisp)
-        traj = simulate_ode(crisp, config)
+        traj = integrator.simulate_ode(crisp, config)
     else:
         config = _make_config(args, crisp, scheme=args.scheme, seed=args.seed)
-        traj = simulate(crisp, config)
+        traj = integrator.simulate(crisp, config)
     out = _out_dir(args, default_to_cwd=True)
     write_trajectory_csv(traj, crisp, out / "trajectory.csv")
     written = [out / "trajectory.csv"]
@@ -384,15 +371,16 @@ def _cmd_ensemble(args) -> int:
     model = _require_valid(args)
     crisp = crispify(model, args.p)
     config = _make_config(args, crisp, seed=args.seed)
-    summary = ensemble(crisp, config, args.paths, workers=_workers())
+    summary = harness.ensemble(crisp, config, args.paths, workers=_workers())
     out = _out_dir(args, default_to_cwd=True)
     write_ensemble_csv(summary, out / "ensemble_summary.csv")
     write_terminal_csv(summary, out / "ensemble_terminal.csv")
     term = summary.terminal
     print(f"{args.paths} paths to t={summary.horizon:g} "
           f"({len(summary.aborted)} aborted)")
-    print(f"terminal medians: <S>={np.median(term['mean_S']):.6g} "
-          f"<x>={np.median(term['mean_x']):.6g} <y>={np.median(term['mean_y']):.6g}")
+    median = harness._median
+    print(f"terminal medians: <S>={median(term['mean_S']):.6g} "
+          f"<x>={median(term['mean_x']):.6g} <y>={median(term['mean_y']):.6g}")
     print(f"extinct fractions: x={term['extinct_x'].mean():.3f} "
           f"y={term['extinct_y'].mean():.3f}")
     print(f"wrote {out / 'ensemble_summary.csv'}")
@@ -406,9 +394,9 @@ def _cmd_verify(args) -> int:
     config = _make_config(args, crisp, seed=args.seed)
     report = classify(crisp)
     tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)
-    check_horizon(args.t_end)  # refused before anything is simulated
-    summary = ensemble(crisp, config, args.paths, workers=_workers())
-    verdict = verify(report, summary, tol)
+    harness.check_horizon(args.t_end)  # refused before anything is simulated
+    summary = harness.ensemble(crisp, config, args.paths, workers=_workers())
+    verdict = harness.verify(report, summary, tol)
     _print_verdict(verdict)
     out = _out_dir(args, default_to_cwd=True)
     write_verdict_csv(verdict, out / "verdict.csv")
@@ -420,9 +408,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = _require_valid(args)
-    config = _make_config(args, model, seed=args.seed)
-    tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)
-    rows = p_sweep(model, args.p_grid, config, args.paths, workers=_workers(), tol=tol)
+    tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)  # refused even without paths
+    if args.paths:
+        config = _make_config(args, model, seed=args.seed)
+        rows = harness.p_sweep(model, args.p_grid, config, args.paths, workers=_workers(),
+                               tol=tol)
+    else:  # the thresholds alone, without loading the engine
+        rows = sweep_rows(model, args.p_grid)
     out = _out_dir(args, default_to_cwd=True)
     write_sweep_csv(rows, out / "sweep.csv")
     print(f"{'p':<10}{'R0s':>12}{'R1s':>12}  regime")
@@ -448,7 +440,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    except SimulationError as exc:
+    except integrator.SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
@@ -457,6 +449,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # numpy's OpenBLAS starts a pool of threads that spin while numpy loads,
+    # and nothing here calls BLAS: one thread, unless the user chose a count
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

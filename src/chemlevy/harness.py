@@ -29,8 +29,8 @@ from .integrator import (
     derive_path_seed,
     record_times,
 )
-from .model import CrispModel, ImpreciseModel, crispify
-from .thresholds import Regime, ThresholdReport, classify
+from .model import CrispModel, ImpreciseModel
+from .thresholds import Regime, ThresholdReport, VerifyTolerances, sweep_rows
 
 # Reporting threshold for "this population has died out": distinct from the
 # integrator's hard pin near 1e-304, which exists only to keep the state
@@ -64,25 +64,6 @@ _REGIME_CLAIMS = {
     Regime.PREY_ONLY: ("S_mean_limit", "x_mean_limit", "y_lyapunov_bound"),
     Regime.PERSISTENT: ("y_mean_lower_bound",),
 }
-
-
-@dataclass(frozen=True)
-class VerifyTolerances:
-    """Finite-horizon slack for asymptotic claims.
-
-    rate: absolute slack on exponential-rate (ln c(t)/t) bounds.
-    mean: relative slack on time-average limits and lower bounds.
-    """
-
-    rate: float = 0.02
-    mean: float = 0.05
-
-    def __post_init__(self):
-        for name in ("rate", "mean"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(
-                    f"tolerance {name} must be finite and nonnegative, got {value!r}")
 
 
 def check_horizon(horizon: float) -> None:
@@ -216,39 +197,53 @@ def _check_args(n_paths, least: int, workers) -> None:
     check_integer("workers", workers, 1)
 
 
+def _quantile(ordered, q: float):
+    """np.percentile's value at quantile q of values sorted along their
+    first axis, bit for bit.  numpy's linear rule reads the sorted values a
+    and b at the floor and next of the virtual index (n - 1) q, clipped to
+    the ends, as a + (b - a) g, or b - (b - a) (1 - g) where g >= 0.5; and
+    where the values hold a NaN, it returns their last after the sort."""
+    n = len(ordered)
+    virtual = (n - 1) * q
+    # past the last index numpy reads the last value, from index -1, and its
+    # g is then virtual + 1
+    lo = math.floor(virtual) if virtual < n - 1 else -1
+    a, b = ordered[lo], ordered[lo + 1 if lo >= 0 else -1]
+    gamma = virtual - lo
+    value = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+    return np.where(np.isnan(ordered[-1]), ordered[-1], value)
+
+
 def _aggregate(stack: np.ndarray) -> dict:
     """Cross-path mean and 5/50/95 percentiles of a (paths, times) stack.
 
     The percentiles are np.percentile's bit for bit, from one sort instead
-    of a partition per column: numpy's linear rule reads the sorted values
-    a and b at the floor and next of the virtual index (n - 1) q, clipped
-    to the ends, as a + (b - a) g, or b - (b - a) (1 - g) where g >= 0.5.
-    Only a tie of 0.0 with -0.0 may sort otherwise, and no series holds
-    -0.0 (S, x, y and their means are positive; ln x/t, ln y/t and phi are
-    never -0.0).  A column holds NaN only where every path does (the rate
-    series are 0/0 at t=0), so the plain reductions equal nanmean and
-    nanpercentile there too.  A mean of paths near the float maximum
-    overflows to inf, and a percentile between infinities is NaN, without
-    a word.
+    of a partition per column (_quantile).  Only a tie of 0.0 with -0.0 may
+    sort otherwise, and no series holds -0.0 (S, x, y and their means are
+    positive; ln x/t, ln y/t and phi are never -0.0).  A column holds NaN
+    only where every path does (the rate series are 0/0 at t=0), so the
+    plain reductions equal nanmean and nanpercentile there too.  A mean of
+    paths near the float maximum overflows to inf, and a percentile between
+    infinities is NaN, without a word.
     """
-    n = len(stack)
     ordered = np.sort(stack, axis=0)
-    stats = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        stats["mean"] = stack.mean(axis=0)
-        for name, q in _PERCENTILES.items():
-            virtual = (n - 1) * q
-            # past the last index numpy reads the last value, from index -1,
-            # and its g is then virtual + 1
-            lo = math.floor(virtual) if virtual < n - 1 else -1
-            a, b = ordered[lo], ordered[lo + 1 if lo >= 0 else -1]
-            gamma = virtual - lo
-            stats[name] = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
-    # numpy's NaN for a column with a NaN: its last value after the sort
-    nan = np.isnan(ordered[-1])
-    for name in _PERCENTILES:
-        stats[name][nan] = ordered[-1][nan]
+        stats = {"mean": stack.mean(axis=0)}
+        stats.update((name, _quantile(ordered, q)) for name, q in _PERCENTILES.items())
     return stats
+
+
+def _median(values: np.ndarray):
+    """np.median of a 1-D array, bit for bit, without the numpy.ma it
+    imports: the middle of the sorted values, or np.mean of the middle two,
+    unless the last of them is NaN, which is then the median.  A sort and
+    numpy's partition order only a tie of 0.0 with -0.0 otherwise, and no
+    terminal series holds -0.0 (the means are positive, and ln x/t and
+    ln y/t are never -0.0)."""
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    middle = ordered[mid] if len(ordered) % 2 else np.mean(ordered[mid - 1:mid + 1])
+    return ordered[-1] if np.isnan(ordered[-1]) else middle
 
 
 def _summarise(block: np.ndarray, records, times) -> EnsembleSummary:
@@ -327,7 +322,8 @@ def verify(report: ThresholdReport, summary: EnsembleSummary,
     for claim_id in _REGIME_CLAIMS.get(report.regime, ()):
         name, stat, comparison = _CLAIMS[claim_id]
         values = summary.terminal[name]
-        observed = float(np.median(values) if stat == "median" else np.percentile(values, 5.0))
+        observed = float(_median(values) if stat == "median"
+                         else _quantile(np.sort(values), _PERCENTILES[stat]))
         predicted = getattr(report.predictions, claim_id)
         slack = tol.rate if comparison == "upper" else tol.mean * abs(predicted)
         passed = {"upper": observed <= predicted + slack,
@@ -335,16 +331,6 @@ def verify(report: ThresholdReport, summary: EnsembleSummary,
                   "within": abs(observed - predicted) <= slack}[comparison]
         claims.append(Claim(claim_id, predicted, observed, slack, comparison, passed))
     return Verdict(regime=report.regime, claims=tuple(claims))
-
-
-@dataclass
-class SweepRow:
-    p: float
-    crisp: CrispModel
-    report: ThresholdReport
-    stats: dict | None = None
-    verdict: Verdict | None = None
-    error: str | None = None
 
 
 def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
@@ -360,17 +346,11 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     a row is summarised and verified as soon as its records are in; an
     exception the stream raises (a broken pool) is the error of its row and
     of every later row.
-    n_paths=0 skips the Monte Carlo part and produces threshold-only rows:
-    crispify and classify at each level, nothing else.
+    n_paths=0 skips the Monte Carlo part: the rows are sweep_rows', crispified
+    and classified at each level, nothing else.
     """
     _check_args(n_paths, 0, workers)
-    grid = sorted(float(p) for p in p_grid)
-    if not grid:
-        raise ValueError("p_grid must be nonempty")
-    rows = []
-    for p in grid:
-        crisp = crispify(model, p)
-        rows.append(SweepRow(p=p, crisp=crisp, report=classify(crisp)))
+    rows = sweep_rows(model, p_grid)
     if n_paths < 1:
         return rows
 
@@ -390,15 +370,10 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
                     broken = exc
                     raise
                 summary = _summarise(block, records, times)
-                row.stats = {
-                    "mean_S": float(np.median(summary.terminal["mean_S"])),
-                    "mean_x": float(np.median(summary.terminal["mean_x"])),
-                    "mean_y": float(np.median(summary.terminal["mean_y"])),
-                    "rate_x": float(np.median(summary.terminal["rate_x"])),
-                    "rate_y": float(np.median(summary.terminal["rate_y"])),
-                    "extinct_x_frac": float(summary.terminal["extinct_x"].mean()),
-                    "extinct_y_frac": float(summary.terminal["extinct_y"].mean()),
-                }
+                term = summary.terminal
+                row.stats = {name: float(_median(term[name])) for name in _TERMINAL[:5]}
+                row.stats["extinct_x_frac"] = float(term["extinct_x"].mean())
+                row.stats["extinct_y_frac"] = float(term["extinct_y"].mean())
                 row.verdict = verify(row.report, summary, tol)
             except (RuntimeError, ValueError) as exc:
                 row.error = str(exc)

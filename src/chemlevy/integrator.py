@@ -47,10 +47,7 @@ from dataclasses import dataclass
 
 from . import _compiled
 from ._lazy import np
-from .model import CrispModel, JumpSpec, State, drift
-
-LOG_EULER = "log_euler"
-DIRECT_EULER = "direct_euler"
+from .model import DIRECT_EULER, LOG_EULER, CrispModel, JumpSpec, State, drift
 
 # Below this log-concentration (state ~ 1e-304) a coordinate is flagged
 # numerically extinct and pinned, so extinction runs keep a finite state

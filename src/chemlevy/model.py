@@ -18,6 +18,10 @@ from .interval import IntervalNumber, interval_value, number
 
 _PARAM_FIELDS = ("D", "m1", "delta1", "sigma1", "m2", "delta2", "sigma2", "sigma3")
 
+# the integrator's stochastic schemes, here so that the CLI offers them without loading it
+LOG_EULER = "log_euler"
+DIRECT_EULER = "direct_euler"
+
 
 @dataclass(frozen=True)
 class JumpMark:

@@ -5,13 +5,15 @@ Each component i carries a noise penalty
 that lowers its effective growth.  The prey invasion number
 ``R0s = S0 * m1 / (D + beta2)`` and the predator invasion number ``R1s``
 separate three long-run regimes: both populations extinct, prey-only, and
-persistent (predator time-average bounded away from zero).
+persistent (predator time-average bounded away from zero).  A threshold-only
+sweep (``sweep_rows``) classifies each level of an imprecision grid.
 """
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .model import CrispModel
+from .model import CrispModel, ImpreciseModel, crispify
 
 _BOUNDARY_TOL = 1e-9  # a threshold this close to 1 is the Boundary regime
 
@@ -129,3 +131,45 @@ def classify(model: CrispModel) -> ThresholdReport:
         beta1=b1, beta2=b2, beta3=b3, R0s=R0, R1s=R1,
         regime=regime, predictions=preds,
     )
+
+
+@dataclass(frozen=True)
+class VerifyTolerances:
+    """Finite-horizon slack for asymptotic claims.
+
+    rate: absolute slack on exponential-rate (ln c(t)/t) bounds.
+    mean: relative slack on time-average limits and lower bounds.
+    """
+
+    rate: float = 0.02
+    mean: float = 0.05
+
+    def __post_init__(self):
+        for name in ("rate", "mean"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"tolerance {name} must be finite and nonnegative, got {value!r}")
+
+
+@dataclass
+class SweepRow:
+    """One level of a sweep: its crisp model and thresholds, then, once its
+    paths ran, their median terminal statistics and verdict, or an error."""
+
+    p: float
+    crisp: CrispModel
+    report: ThresholdReport
+    stats: dict | None = None
+    verdict: "harness.Verdict | None" = None
+    error: str | None = None
+
+
+def sweep_rows(model: ImpreciseModel, p_grid) -> list:
+    """A SweepRow per level of p_grid, in order of p: crispified and
+    classified, nothing else.  An empty p_grid raises ValueError."""
+    grid = sorted(float(p) for p in p_grid)
+    if not grid:
+        raise ValueError("p_grid must be nonempty")
+    return [SweepRow(p=p, crisp=crisp, report=classify(crisp))
+            for p, crisp in ((p, crispify(model, p)) for p in grid)]

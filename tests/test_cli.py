@@ -194,7 +194,8 @@ def test_readme_threshold_commands_print_what_they_always_printed(tmp_path, caps
 
 def test_threshold_commands_never_load_numpy(tmp_path):
     """A fresh import chemlevy, validate, thresholds and a threshold-only
-    sweep load neither numpy nor ctypes, and never touch the compiled
+    sweep load neither numpy nor ctypes, never execute the integrator, the
+    harness or the compiled library's module, and never touch the compiled
     kernel's cache."""
     models = sorted(str(p) for p in MODELS.glob("*.json"))
     thr, swp = str(tmp_path / "thr"), str(tmp_path / "swp")
@@ -202,29 +203,44 @@ def test_threshold_commands_never_load_numpy(tmp_path):
     code = f"""
 import os
 import sys
+import types
 os.environ["XDG_CACHE_HOME"] = {cache!r}
+
+def loaded():
+    # a lazy module's type is ModuleType only once it has run
+    engine = [m for m in ("chemlevy.integrator", "chemlevy.harness", "chemlevy._compiled")
+              if type(sys.modules.get(m)) is types.ModuleType]
+    return sorted(m for m in sys.modules if m.startswith("numpy.") or m == "ctypes") + engine
+
 import chemlevy
-print(sorted(m for m in sys.modules if m.startswith("numpy.") or m == "ctypes"))
+print(loaded())
 from chemlevy.cli import main
 for path in {models!r}:
     assert main(["validate", "--model", path]) == 0
     assert main(["thresholds", "--model", path, "--p", "0.5", "--theta", "3",
                  "--out", {thr!r}]) == 0
     assert main(["sweep", "--model", path, "--p-grid", "0,0.5,1", "--out", {swp!r}]) == 0
-print(sorted(m for m in sys.modules if m.startswith("numpy.") or m == "ctypes"))
+print(loaded())
+chemlevy.harness.ensemble
+print(loaded())
 """
     assert models
     lines = run_fresh(code).splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert (lines[0], lines[-2]) == ("[]", "[]")
+    # the check sees the engine once it has run
+    assert {"'chemlevy.integrator'", "'chemlevy.harness'"} <= set(lines[-1][1:-1].split(", "))
     assert not os.path.exists(cache)
 
 
 def test_commands_without_a_pool_never_load_the_pool_modules(tmp_path):
     """A fresh import chemlevy, validate, thresholds, a threshold-only
     sweep, simulate and ode load neither multiprocessing nor
-    concurrent.futures, and nor do a library ensemble and p_sweep on two
-    workers, whose pool forks its workers itself; the same check sees them
-    once ProcessPoolExecutor is looked up."""
+    concurrent.futures, and nor do a pilot-size ensemble and verify, or a
+    library ensemble and p_sweep, on two workers, whose pool forks its
+    workers itself; the same check sees them once ProcessPoolExecutor is
+    looked up.  No run loads numpy.ma, which np.median and np.percentile
+    import, and once the compiled library is cached no run loads
+    subprocess, which only its build needs."""
     model = str(MODELS / "imprecise_jumps.json")
     runs = [["validate", "--model", model],
             ["thresholds", "--model", model, "--p", "0.5", "--out", str(tmp_path / "thr")],
@@ -233,34 +249,58 @@ def test_commands_without_a_pool_never_load_the_pool_modules(tmp_path):
              str(tmp_path / "sim")],
             ["simulate", "--scheme", "direct_euler", "--model", model, "--p", "0.5", "--t-end", "2",
              "--out", str(tmp_path / "direct")],
-            ["ode", "--model", model, "--p", "0.5", "--t-end", "2", "--out", str(tmp_path / "ode")]]
+            ["ode", "--model", model, "--p", "0.5", "--t-end", "2", "--out", str(tmp_path / "ode")],
+            ["ensemble", "--model", model, "--p", "0.5", "--t-end", "2", "--paths", "4",
+             "--out", str(tmp_path / "ens")],
+            ["verify", "--model", str(MODELS / "extinction.json"), "--p", "0.5", "--t-end", "500",
+             "--dt", "0.5", "--paths", "4", "--out", str(tmp_path / "ver")]]
+    # the library, built here if it must be, so that the runs below load it from the cache
+    watched = ("multiprocessing", "concurrent", "numpy.ma")
+    if _compiled.float_rows() is not None:
+        watched += ("subprocess",)
     code = f"""
 import sys
 import chemlevy
 from chemlevy.cli import main
 
-def pool_modules():
+def watched_modules():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("multiprocessing", "concurrent"))
+                  if any(m == w or m.startswith(w + ".") for w in {watched!r}))
 
-print(pool_modules())
+print(watched_modules())
 for argv in {runs!r}:
     assert main(argv) == 0, argv
-    print(pool_modules())
+    print(watched_modules())
 model = chemlevy.load_model({model!r})
 config = chemlevy.SimConfig(initial=chemlevy.State(1.0, 0.5, 0.2), t_end=500.0, dt=0.1)
 assert not chemlevy.ensemble(chemlevy.crispify(model, 0.5), config, 4, workers=2).aborted
-print(pool_modules())
+print(watched_modules())
 rows = chemlevy.p_sweep(model, [0.0, 1.0], config, 4, workers=2)
 assert [row.verdict is not None for row in rows] == [True, True], rows
-print(pool_modules())
+print(watched_modules())
+import numpy
+numpy.median([1.0, 2.0])
+print(watched_modules())
 import concurrent.futures
 concurrent.futures.ProcessPoolExecutor
-print(bool(pool_modules()))
+print(bool(watched_modules()))
 """
     lines = run_fresh(code).splitlines()
     assert lines[-1] == "True"
-    assert [line for line in lines if line.startswith("[")] == ["[]"] * (len(runs) + 3)
+    assert lines[-2].startswith("['numpy.ma'")
+    assert [line for line in lines[:-2] if line.startswith("[")] == ["[]"] * (len(runs) + 3)
+
+
+def test_entrypoint_starts_one_blas_thread_unless_told_otherwise(monkeypatch):
+    """entrypoint() sets OPENBLAS_NUM_THREADS to 1 before main runs where it
+    is unset, and leaves a user's own count alone."""
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")))
+    for environ in ({}, {"OPENBLAS_NUM_THREADS": "4"}):
+        monkeypatch.setattr(os, "environ", environ)
+        with pytest.raises(SystemExit):
+            cli.entrypoint()
+    assert seen == ["1", "4"]
 
 
 def test_simulate_writes_trajectory(tmp_path, capsys):
@@ -420,7 +460,7 @@ def test_verify_refuses_short_horizon(tmp_path, capsys, monkeypatch):
     def no_ensemble(*args, **kwargs):
         raise AssertionError("simulated before refusing the horizon")
 
-    monkeypatch.setattr(cli, "ensemble", no_ensemble)
+    monkeypatch.setattr(harness, "ensemble", no_ensemble)
     path = write_model(tmp_path, EXTINCTION)
     code = main(["verify", "--model", path, "--p", "0.5", "--t-end", "100",
                  "--dt", "0.02", "--seed", "1", "--paths", "4",

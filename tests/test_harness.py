@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chemlevy as cl
@@ -305,6 +305,40 @@ def test_aggregate_percentiles_are_np_percentile(seed, paths):
         want = np.percentile(stack, [5.0, 50.0, 95.0], axis=0)
     for stat, expected in zip(("p5", "p50", "p95"), want):
         assert got[stat].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 500), nan=st.booleans())
+@example(seed=0, n=1, nan=False)
+@example(seed=1, n=2, nan=True)
+@example(seed=2, n=500, nan=False)
+@example(seed=3, n=499, nan=True)
+def test_median_and_verify_percentile_are_numpys(seed, n, nan):
+    """_median is np.median, and verify's observed statistics are np.median
+    and np.percentile(v, 5.0), bit for bit, for odd and even n from 1 to 500
+    with ties, infinities of both signs and one NaN.  No -0.0 is drawn: a
+    sort and numpy's partition may order it against 0.0 differently, and no
+    terminal series holds it (the means are positive, and ln x/t and ln y/t
+    are never -0.0)."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
+    special = rng.random(n) < rng.uniform(0.0, 0.5)
+    values[special] = rng.choice([0.0, 1.0, 2.5, math.inf, -math.inf], int(special.sum()))
+    if nan:
+        values[rng.integers(n)] = math.nan
+    summary = cl.EnsembleSummary(n_paths=n, horizon=500.0, times=None, series={},
+                                 extinct_x_frac=None, extinct_y_frac=None,
+                                 terminal=dict.fromkeys(cl.harness._TERMINAL, values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        median, p5 = np.median(values), np.percentile(values, 5.0)
+        got = [(cl.harness._median(values), median)]
+        for model in (make_extinction(), make_persistence()):
+            for claim in verify(classify(model), summary).claims:
+                got.append((claim.observed, p5 if claim.comparison == "lower" else median))
+    assert len(got) == 5
+    for value, want in got:
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("field", ["rate", "mean"])

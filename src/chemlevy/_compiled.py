@@ -12,17 +12,18 @@ returns a function of the engine's window signature; it checks that what
 a window is given fits, reading nothing else, before it passes pointers.
 ``_float_rows.c`` writes a float64 block as CSV lines whose cells are the
 floats' ``repr``, and ``float_rows`` wraps it in a function from a block to
-those bytes.  Its power-of-five tables are written by ``_pow5_tables`` from
-exact integers, only when the library is built.
+those bytes.  Its power-of-five tables are generated by ``_pow5_tables``
+from exact integers, and written to a header only when the library is built.
 
 Both sources are compiled into one library with the C compiler Python was
 built with (``sysconfig``'s ``CC``) at fixed flags, into a per-user cache
 (``$XDG_CACHE_HOME/chemlevy``, else ``~/.cache/chemlevy``) keyed by the
-SHA-256 of the two sources and of this file (the table generator), the
-compiler command, the flags and the machine (``os.uname().machine``, which
-``platform.machine()`` reads), and loaded once with ``ctypes``.  A build goes
-to a temporary directory in the cache and its library is renamed into place,
-so processes that build at once never load half a file.  Only a build
+SHA-256 of what the compiler reads (the two sources and the tables' header),
+the compiler command, the flags and the machine (``os.uname().machine``,
+which ``platform.machine()`` reads), and loaded once with ``ctypes``.  A
+build goes to a temporary directory in the cache and its library is renamed
+into place, so processes that build at once never load half a file; it then
+removes every other library in the cache older than its own.  Only a build
 imports ``subprocess`` and ``tempfile``.  Nothing here runs at import, and
 the CLI loads this module only for a command that steps a path or writes a
 number table.  Any failure (no compiler, a cache that cannot be written, a
@@ -33,7 +34,7 @@ Python kernels and ``repr`` run instead, with the same bytes.
 import functools
 import os
 
-from ._lazy import np
+import numpy as np
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCES = tuple(os.path.join(_HERE, name) for name in ("_window.c", "_float_rows.c"))
@@ -98,26 +99,35 @@ def _load():
     if not cc:
         return None
     sources = []
-    for name in (*_SOURCES, __file__):
+    for name in _SOURCES:
         with open(name, "rb") as f:
             sources.append(f.read())
-    # the machine as platform.machine() names it, without importing platform
-    key = hashlib.sha256(repr((sources, cc, _FLAGS, os.uname().machine)).encode()).hexdigest()
+    # what the compiler reads, the header included, so an edit of this file alone builds
+    # nothing; the machine as platform.machine() names it, without importing platform
+    tables = _pow5_tables()
+    key = hashlib.sha256(repr((sources, tables, cc, _FLAGS, os.uname().machine)).encode())
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                          or os.path.join(os.path.expanduser("~"), ".cache"), "chemlevy")
-    path = os.path.join(cache, f"chemlevy-{key[:32]}.so")
+    path = os.path.join(cache, f"chemlevy-{key.hexdigest()[:32]}.so")
     if not os.path.exists(path):
+        import glob
         import subprocess
         import tempfile
+        from contextlib import suppress
 
         os.makedirs(cache, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=cache) as build:
             with open(os.path.join(build, "_pow5.h"), "w", encoding="ascii") as f:
-                f.write(_pow5_tables())
+                f.write(tables)
             built = os.path.join(build, "library.so")
             subprocess.run([*cc, *_FLAGS, "-I", build, "-o", built, *_SOURCES, "-lm"],
                            check=True, capture_output=True, timeout=120)
             os.replace(built, path)
+        # one library per cache: any other one older than this build is stale
+        for other in glob.glob(os.path.join(glob.escape(cache), "chemlevy-*.so")):
+            with suppress(OSError):  # another build may have removed it first
+                if os.stat(other).st_mtime_ns < os.stat(path).st_mtime_ns:
+                    os.unlink(other)
     library = ctypes.CDLL(path)
     size, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
     write = library.float_rows

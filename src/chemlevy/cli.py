@@ -17,14 +17,12 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from ._lazy import lazy_import, np
+# the engine loads on a command's first use of chemlevy.integrator or chemlevy.harness
+import chemlevy
+
 from .model import (_PARAM_FIELDS, DIRECT_EULER, LOG_EULER, State, check_H3, crispify,
                     load_model, validate)
 from .thresholds import VerifyTolerances, classify, sweep_rows
-
-# the engine, loaded by the first command that steps a path or writes numbers
-_compiled, harness, integrator = (lazy_import(f"{__package__}.{name}")
-                                  for name in ("_compiled", "harness", "integrator"))
 
 _PARAM_ORDER = ("S0",) + _PARAM_FIELDS
 _REPORT_FIELDS = ("beta1", "beta2", "beta3", "R0s", "R1s")
@@ -59,6 +57,10 @@ def _write_numbers(path, header, columns) -> None:
     """Write float64 columns of one length as CSV lines, every cell its
     repr: a block of rows at a time, through the compiled formatter where it
     loads, else through repr, with the same bytes."""
+    import numpy as np  # here, so that the threshold commands never load it
+
+    from . import _compiled
+
     fmt = _compiled.float_rows()
     n = len(columns[0])
     block = np.empty((min(n, _BLOCK_ROWS), len(columns)))
@@ -75,7 +77,8 @@ def write_trajectory_csv(traj, model, path) -> None:
     header = ["t", "S", "x", "y", "meanS", "meanx", "meany",
               "lnx_over_t", "lny_over_t", "phi"]
     columns = [traj.times, traj.S, traj.x, traj.y, traj.mean_S, traj.mean_x, traj.mean_y,
-               traj.lnx_over_t, traj.lny_over_t, integrator.conservation_residual(traj, model)]
+               traj.lnx_over_t, traj.lny_over_t,
+               chemlevy.integrator.conservation_residual(traj, model)]
     _write_numbers(path, header, columns)
 
 
@@ -271,8 +274,8 @@ def _make_config(args, model, scheme=LOG_EULER, seed=0):
     initial = args.initial
     if initial is None:
         initial = State(model.S0, 0.1 * model.S0, 0.1 * model.S0)
-    return integrator.SimConfig(initial=initial, t_end=args.t_end, dt=args.dt,
-                                seed=seed, output_stride=args.stride, scheme=scheme)
+    return chemlevy.integrator.SimConfig(initial=initial, t_end=args.t_end, dt=args.dt, seed=seed,
+                                         output_stride=args.stride, scheme=scheme)
 
 
 def _print_thresholds(crisp, report) -> None:
@@ -350,16 +353,18 @@ def _cmd_simulate(args, deterministic: bool) -> int:
     crisp = crispify(model, args.p)
     if deterministic:
         config = _make_config(args, crisp)
-        traj = integrator.simulate_ode(crisp, config)
+        traj = chemlevy.integrator.simulate_ode(crisp, config)
     else:
         config = _make_config(args, crisp, scheme=args.scheme, seed=args.seed)
-        traj = integrator.simulate(crisp, config)
+        traj = chemlevy.integrator.simulate(crisp, config)
     out = _out_dir(args, default_to_cwd=True)
     write_trajectory_csv(traj, crisp, out / "trajectory.csv")
     written = [out / "trajectory.csv"]
     if len(traj.jump_times):
         write_jumps_csv(traj, out / "jumps.csv")
         written.append(out / "jumps.csv")
+    else:  # an earlier run's jumps.csv would read as this path's
+        (out / "jumps.csv").unlink(missing_ok=True)
     print(f"final state: S={traj.S[-1]:.6g} x={traj.x[-1]:.6g} y={traj.y[-1]:.6g} "
           f"at t={traj.times[-1]:g} ({len(traj.jump_times)} jumps)")
     for f in written:
@@ -371,14 +376,14 @@ def _cmd_ensemble(args) -> int:
     model = _require_valid(args)
     crisp = crispify(model, args.p)
     config = _make_config(args, crisp, seed=args.seed)
-    summary = harness.ensemble(crisp, config, args.paths, workers=_workers())
+    summary = chemlevy.harness.ensemble(crisp, config, args.paths, workers=_workers())
     out = _out_dir(args, default_to_cwd=True)
     write_ensemble_csv(summary, out / "ensemble_summary.csv")
     write_terminal_csv(summary, out / "ensemble_terminal.csv")
     term = summary.terminal
     print(f"{args.paths} paths to t={summary.horizon:g} "
           f"({len(summary.aborted)} aborted)")
-    median = harness._median
+    median = chemlevy.harness._median
     print(f"terminal medians: <S>={median(term['mean_S']):.6g} "
           f"<x>={median(term['mean_x']):.6g} <y>={median(term['mean_y']):.6g}")
     print(f"extinct fractions: x={term['extinct_x'].mean():.3f} "
@@ -394,9 +399,9 @@ def _cmd_verify(args) -> int:
     config = _make_config(args, crisp, seed=args.seed)
     report = classify(crisp)
     tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)
-    harness.check_horizon(args.t_end)  # refused before anything is simulated
-    summary = harness.ensemble(crisp, config, args.paths, workers=_workers())
-    verdict = harness.verify(report, summary, tol)
+    chemlevy.harness.check_horizon(args.t_end)  # refused before anything is simulated
+    summary = chemlevy.harness.ensemble(crisp, config, args.paths, workers=_workers())
+    verdict = chemlevy.harness.verify(report, summary, tol)
     _print_verdict(verdict)
     out = _out_dir(args, default_to_cwd=True)
     write_verdict_csv(verdict, out / "verdict.csv")
@@ -411,8 +416,8 @@ def _cmd_sweep(args) -> int:
     tol = VerifyTolerances(rate=args.tol_rate, mean=args.tol_mean)  # refused even without paths
     if args.paths:
         config = _make_config(args, model, seed=args.seed)
-        rows = harness.p_sweep(model, args.p_grid, config, args.paths, workers=_workers(),
-                               tol=tol)
+        rows = chemlevy.harness.p_sweep(model, args.p_grid, config, args.paths,
+                                        workers=_workers(), tol=tol)
     else:  # the thresholds alone, without loading the engine
         rows = sweep_rows(model, args.p_grid)
     out = _out_dir(args, default_to_cwd=True)
@@ -440,7 +445,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    except integrator.SimulationError as exc:
+    except chemlevy.integrator.SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

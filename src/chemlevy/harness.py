@@ -18,8 +18,9 @@ import math
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _compiled
-from ._lazy import np
 from .integrator import (
     SimConfig,
     SimulationError,

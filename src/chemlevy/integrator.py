@@ -45,8 +45,9 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _compiled
-from ._lazy import np
 from .model import DIRECT_EULER, LOG_EULER, CrispModel, JumpSpec, State, drift
 
 # Below this log-concentration (state ~ 1e-304) a coordinate is flagged

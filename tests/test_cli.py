@@ -203,13 +203,12 @@ def test_threshold_commands_never_load_numpy(tmp_path):
     code = f"""
 import os
 import sys
-import types
 os.environ["XDG_CACHE_HOME"] = {cache!r}
 
 def loaded():
-    # a lazy module's type is ModuleType only once it has run
+    # a module absent from sys.modules has neither loaded nor run
     engine = [m for m in ("chemlevy.integrator", "chemlevy.harness", "chemlevy._compiled")
-              if type(sys.modules.get(m)) is types.ModuleType]
+              if m in sys.modules]
     return sorted(m for m in sys.modules if m.startswith("numpy.") or m == "ctypes") + engine
 
 import chemlevy
@@ -230,6 +229,35 @@ print(loaded())
     # the check sees the engine once it has run
     assert {"'chemlevy.integrator'", "'chemlevy.harness'"} <= set(lines[-1][1:-1].split(", "))
     assert not os.path.exists(cache)
+
+
+def test_path_commands_load_only_the_engine_they_run(tmp_path):
+    """A fresh thresholds and ode load no numpy.random, which only jump and
+    noise sampling needs, and simulate (either scheme) and ode never run the
+    harness; the same check sees both once they are loaded."""
+    model = str(MODELS / "imprecise_jumps.json")
+    path = ["--model", model, "--p", "0.5", "--t-end", "2"]
+    runs = [["thresholds", "--model", model, "--p", "0.5"],
+            ["ode", *path, "--out", str(tmp_path / "ode")],
+            ["simulate", *path, "--out", str(tmp_path / "sim")],
+            ["simulate", "--scheme", "direct_euler", *path, "--out", str(tmp_path / "direct")]]
+    code = f"""
+import sys
+import chemlevy
+from chemlevy.cli import main
+
+def loaded():
+    return [m for m in ("numpy.random", "chemlevy.harness") if m in sys.modules]
+
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+    print(loaded())
+chemlevy.harness
+print(loaded())
+"""
+    lines = [line for line in run_fresh(code).splitlines() if line.startswith("[")]
+    assert lines == ["[]", "[]", "['numpy.random']", "['numpy.random']",
+                     "['numpy.random', 'chemlevy.harness']"]
 
 
 def test_commands_without_a_pool_never_load_the_pool_modules(tmp_path):
@@ -352,6 +380,22 @@ def test_ode_writes_trajectory(tmp_path):
     lines = (out_dir / "trajectory.csv").read_text().splitlines()
     assert len(lines) > 10
     assert not (out_dir / "jumps.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "ode"])
+def test_a_jump_free_path_removes_an_earlier_runs_jumps_csv(tmp_path, capsys, command):
+    """A jump-free simulate, or an ode, into the --out of a simulate with
+    jumps leaves no jumps.csv there, and prints and writes what it does in a
+    fresh directory."""
+    jumpy = write_model(tmp_path, JUMPY, "jumpy.json")
+    run = ["--p", "0.5", "--t-end", "20", "--out", str(tmp_path / "run")]
+    assert main(["simulate", "--model", jumpy, *run]) == 0
+    assert (tmp_path / "run" / "jumps.csv").exists()
+    capsys.readouterr()
+    argv = [command, "--model", write_model(tmp_path, PERSISTENCE), "--p", "0.5", "--t-end", "20"]
+    got = run_outputs(argv, tmp_path / "run", capsys)
+    assert got == run_outputs(argv, tmp_path / "fresh", capsys)
+    assert list(got[3]) == ["trajectory.csv"] and "(0 jumps)" in got[1]
 
 
 def test_ensemble_outputs(tmp_path, capsys):
@@ -593,6 +637,48 @@ def test_two_fresh_processes_build_one_kernel_in_an_empty_cache(tmp_path, compil
         == [(f.name, f.read_bytes()) for f in sorted((tmp_path / "run1").iterdir())]
     assert len([f.name for f in cache.iterdir()]) == 1
     assert next(cache.iterdir()).name.endswith(".so")
+
+
+def _package_copy(tmp_path):
+    """A copy of the package's sources in tmp_path, and a function that loads
+    its library in a fresh process, cached in tmp_path/cache, and returns the
+    cache's files as (name, inode, mtime)."""
+    package = tmp_path / "src" / "chemlevy"
+    shutil.copytree(Path(cli.__file__).resolve().parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"), XDG_CACHE_HOME=str(cache))
+    code = "from chemlevy import _compiled; print(_compiled.__file__, _compiled.float_rows())"
+
+    def load():
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.startswith(f"{package / '_compiled.py'} <function"), done.stdout
+        return [(f.name, f.stat().st_ino, f.stat().st_mtime_ns)
+                for f in (cache / "chemlevy").iterdir()]
+
+    return package, load
+
+
+def test_a_comment_edit_of_the_library_module_reuses_the_cached_library(tmp_path, compiled):
+    """The cache is keyed by what the compiler reads, not by _compiled.py's
+    text: a new comment there loads the same cached file."""
+    package, load = _package_copy(tmp_path)
+    cached = load()
+    module = package / "_compiled.py"
+    module.write_text("# a comment the compiler never reads\n" + module.read_text())
+    assert load() == cached and len(cached) == 1
+
+
+def test_an_edit_of_a_c_source_rebuilds_and_leaves_one_library(tmp_path, compiled):
+    """An edit of _window.c builds a new library, which replaces the old one
+    in the cache."""
+    package, load = _package_copy(tmp_path)
+    ((old, *_),) = load()
+    source = package / "_window.c"
+    source.write_text(source.read_text() + "/* an edit */\n")
+    ((new, *_),) = load()
+    assert new != old and new.startswith("chemlevy-") and new.endswith(".so")
 
 
 @pytest.mark.parametrize("flag, value", [("--t-end", "inf"), ("--t-end", "nan"),

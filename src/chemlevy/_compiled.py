@@ -8,8 +8,9 @@ and steps a scheme over the result, bit for bit ``integrator._walker`` of
 the scheme's Python step loop.  The walker is shared, and each scheme
 (log-Euler, direct Euler, RK4) adds its step body.  ``window(scheme)``
 returns a binder of a run's constants to the scheme's kernel, which
-returns a function of the engine's window signature; it checks that what
-a window is given fits, reading nothing else, before it passes pointers.
+returns a function of the engine's window signature with out-values of its
+own, one bind per thread; it checks that what a window is given fits,
+reading nothing else, before it passes pointers.
 ``_float_rows.c`` writes a float64 block as CSV lines whose cells are the
 floats' ``repr``, and ``float_rows`` wraps it in a function from a block to
 those bytes.  Its power-of-five tables are generated by ``_pow5_tables``

@@ -14,6 +14,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
 
@@ -34,11 +35,31 @@ _THRESHOLD_HEADER = ["p", *_PARAM_ORDER, *_REPORT_FIELDS, "regime"]
 # CSV writers (shared by the CLI and the test suite)
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _whole(path, mode: str, **kwargs):
+    """A file for path's table at a name of this process's own beside the
+    file path names (through any symlink), moved onto it once whole and
+    removed on any error.  A device or a pipe, such as os.devnull, is written in place."""
+    path = os.path.realpath(path)
+    part = f"{path}.{os.getpid()}.part"
+    if os.path.exists(path) and not os.path.isfile(path):
+        part = path
+    try:
+        with open(part, mode, **kwargs) as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        if part != path:
+            with suppress(OSError):
+                os.unlink(part)
+        raise
+
+
 def _write_rows(path, header, rows) -> None:
     # for the tables with an int, bool, string or empty cell: csv quotes a
     # string where it must, and writes None as an empty cell and anything
     # else as str(v), which for a float is its shortest round-trip repr
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _whole(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -64,7 +85,7 @@ def _write_numbers(path, header, columns) -> None:
     fmt = _compiled.float_rows()
     n = len(columns[0])
     block = np.empty((min(n, _BLOCK_ROWS), len(columns)))
-    with open(path, "wb") as fh:
+    with _whole(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for a in range(0, n, _BLOCK_ROWS):
             rows = block[:min(_BLOCK_ROWS, n - a)]
@@ -262,7 +283,7 @@ def _out_dir(args, default_to_cwd: bool) -> Path | None:
 
 
 def _workers() -> int:
-    """Monte Carlo worker processes: every CPU this process may run on
+    """Monte Carlo worker threads: every CPU this process may run on
     (restrict with taskset).  Results do not depend on the count."""
     try:
         return len(os.sched_getaffinity(0))

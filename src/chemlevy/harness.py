@@ -6,16 +6,18 @@ of the recorded quantities over time, and keeps each path's terminal
 statistics.  ``verify`` compares those statistics against the regime
 predictions of a ThresholdReport and returns one pass/fail claim per
 applicable prediction.  Paths are embarrassingly parallel: each worker's
-contiguous group of them is one task, which writes its paths' rows of the
-run's one record block in place, in memory a forked worker shares with the
-parent, and aggregation is a deterministic fold in path-index order, so
-results are identical for any worker count.
+contiguous group of them is one task on a thread, which writes its paths'
+rows of the run's one record block in place (threads step at once, as the
+compiled kernel and numpy's normal draws release the GIL), and aggregation
+is a deterministic fold in path-index order, so results are identical for
+any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import closing, nullcontext
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,75 +127,59 @@ def _terminal(traj, series: np.ndarray) -> np.ndarray:
                            traj.brownian / t_end, traj.comp_jump / t_end))
 
 
-def _run_paths(model: CrispModel, config: SimConfig, lo: int, hi: int, block) -> list:
-    """Step paths lo..hi-1 into their rows block[:, lo:hi] of a run's record
-    block and return their records.
+def _run_paths(model: CrispModel, config: SimConfig, lo: int, hi: int, block, stop) -> list:
+    """Step paths lo..hi-1, none once stop is set, into their rows
+    block[:, lo:hi] of a run's record block and return their records.
 
     A path's record is (index, None, terminal), terminal being _terminal's
     row, or (index, error message, None) for a failed path.
     """
-    seeds = [derive_path_seed(config.seed, i) for i in range(lo, hi)]
+    seeds = (derive_path_seed(config.seed, i) for i in range(lo, hi) if not stop.is_set())
     _, paths = _integrate(model, config, seeds, block[:, lo:hi])
     return [(i, str(traj), None) if isinstance(traj, SimulationError)
             else (i, None, _terminal(traj, block[:, i]))
             for i, traj in enumerate(paths, lo)]
 
 
-def _shared_block(shape) -> np.ndarray:
-    """A float array of that shape in anonymous shared memory: the pages
-    forked children write are the pages the parent reads."""
-    import mmap
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
-
-
-def _path_records(models, config: SimConfig, n_paths: int, workers: int):
-    """Yield (block, records) of config's run on each model, run by run:
-    its (9, n_paths, records) block of _SERIES over the record times, and
-    its paths' records in path order.
-
-    Each run's paths are split into min(workers, n_paths) contiguous
-    groups, one _run_paths task each, and run k writes into block k mod 2
-    of two, so a block yielded is the caller's until it asks for the next
-    run.  With one group the tasks run lazily in this process, each run
-    when it is asked for, into arrays.  Otherwise they go to a pool of one
-    forked process per group, which write into blocks of shared memory made
-    before the fork: the pool starts a run's tasks once the previous run
-    has been asked for, so the next run is stepped while the caller reads
-    this one.  The caller has checked the config: a path's SimulationError
-    is its record's error, and anything else a path raises, or a broken
-    pool, ends the stream.
-    """
+def _records(model: CrispModel, config: SimConfig, n_paths: int, workers: int, map) -> tuple:
+    """(block, records) of config's run on model: its (9, n_paths, records)
+    block of _SERIES over the record times, and its paths' records in path
+    order.  map (the built-in one, or a pool's) runs a _run_paths task per
+    contiguous group of paths, min(workers, n_paths) of them.  The caller
+    has checked the config: a path's SimulationError is its record's error,
+    and anything else a path raises, or an interrupt, ends the run once
+    each task has ended its path."""
     workers = min(workers, n_paths)
-    groups = [(n_paths * k // workers, n_paths * (k + 1) // workers) for k in range(workers)]
-    shape = (9, n_paths, len(record_times(config.t_end, config.dt, config.output_stride)))
-    make, pool = np.empty, None
-    if workers > 1:
-        # Load numpy, numpy.random (which numpy imports on first access) and
-        # the compiled kernel before forking, so the workers inherit them
-        # instead of each loading them again.
-        np.random
-        _compiled.window(config.scheme)
-        make, pool = _shared_block, _pool(workers)
-    blocks = [make(shape) for _ in models[:2]]
-    tasks = [(model, config, lo, hi, blocks[k % 2])
-             for k, model in enumerate(models) for lo, hi in groups]
-    with pool or nullcontext():
-        results = (pool.map if pool else map)(_run_paths, *zip(*tasks))
-        for k in range(len(models)):
-            yield blocks[k % 2], [r for _ in groups for r in next(results)]
+    bounds = [n_paths * k // workers for k in range(workers + 1)]
+    block = np.empty((9, n_paths, len(record_times(config.t_end, config.dt, config.output_stride))))
+    stop = threading.Event()
+    tasks = [(model, config, lo, hi, block, stop) for lo, hi in zip(bounds, bounds[1:])]
+    try:
+        return block, [r for group in map(_run_paths, *zip(*tasks)) for r in group]
+    finally:
+        stop.set()
+
+
+@contextmanager
+def _map(workers: int, scheme: str):
+    """The built-in map for one worker, else the map of a pool of that many
+    threads, built after the compiled library is loaded, so no two load it."""
+    if workers < 2:
+        yield map
+    else:
+        _compiled.window(scheme)
+        with _pool(workers) as pool:
+            yield pool.map
 
 
 def _pool(workers: int):
-    """A pool of that many forked worker processes (_fork.Pool), whose
-    module is loaded on the first pooled run, so that a process that runs
-    no pool never compiles or loads it."""
-    from ._fork import Pool
-    return Pool(workers)
+    """A pool of that many threads, from a module only a pooled run loads."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers)
 
 
 def _check_args(n_paths, least: int, workers) -> None:
-    """Refuse an n_paths that is not an integer >= least, or a workers that
-    is not an integer >= 1."""
+    """Refuse an n_paths that is not an integer >= least, or workers not one >= 1."""
     check_integer("n_paths", n_paths, least)
     check_integer("workers", workers, 1)
 
@@ -294,8 +280,8 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
              workers: int = 1) -> EnsembleSummary:
     """Simulate n_paths independent paths and aggregate their statistics.
 
-    Deterministic given (model, config, n_paths); ``workers`` only controls
-    process-level parallelism, and the pool never has more workers than
+    Deterministic given (model, config, n_paths); ``workers`` only sets how
+    many threads step the paths, and the pool never has more threads than
     paths.  A config simulate_batch would refuse for n_paths paths, or an
     argument _check_args refuses, raises ValueError before any path runs.
     Individual path failures are recorded; the run fails outright if 10% or
@@ -303,8 +289,9 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
     """
     _check_args(n_paths, 1, workers)
     check_path_config(model, config, n_paths)
-    ((block, records),) = _path_records([model], config, n_paths, workers)
-    return _summarise(block, records, record_times(config.t_end, config.dt, config.output_stride))
+    times = record_times(config.t_end, config.dt, config.output_stride)
+    with _map(min(workers, n_paths), config.scheme) as run:
+        return _summarise(*_records(model, config, n_paths, workers, run), times)
 
 
 def verify(report: ThresholdReport, summary: EnsembleSummary,
@@ -343,10 +330,9 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     refuses, an empty p_grid, a config simulate_batch would refuse for
     n_paths paths or a horizon below MIN_HORIZON raises ValueError before any
     path runs: every row shares the model's jumps, so one check covers them
-    all.  Every row's paths run in one stream, row by row, on one pool, and
-    a row is summarised and verified as soon as its records are in; an
-    exception the stream raises (a broken pool) is the error of its row and
-    of every later row.
+    all.  Every row's paths run on one pool, row after row, and a row is
+    summarised and verified before the next row's paths start, so the
+    sweep holds one row's record block at a time.
     n_paths=0 skips the Monte Carlo part: the rows are sweep_rows', crispified
     and classified at each level, nothing else.
     """
@@ -358,19 +344,11 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     check_path_config(model, config, n_paths)
     check_horizon(config.t_end)
     times = record_times(config.t_end, config.dt, config.output_stride)
-    broken = None  # a stream that raised has ended for every later row too
-    with closing(_path_records([row.crisp for row in rows], config, n_paths,
-                               workers)) as stream:
+    with _map(min(workers, n_paths), config.scheme) as run:
         for row in rows:
             try:
-                if broken is not None:
-                    raise broken
-                try:
-                    block, records = next(stream)
-                except Exception as exc:
-                    broken = exc
-                    raise
-                summary = _summarise(block, records, times)
+                # the block goes with the call, before the next row makes its own
+                summary = _summarise(*_records(row.crisp, config, n_paths, workers, run), times)
                 term = summary.terminal
                 row.stats = {name: float(_median(term[name])) for name in _TERMINAL[:5]}
                 row.stats["extinct_x_frac"] = float(term["extinct_x"].mean())

@@ -1,13 +1,16 @@
 """End-to-end CLI behavior: exit codes, printed output, and emitted CSV files."""
 
 import ctypes
+import errno
 import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -263,30 +266,35 @@ print(loaded())
 def test_commands_without_a_pool_never_load_the_pool_modules(tmp_path):
     """A fresh import chemlevy, validate, thresholds, a threshold-only
     sweep, simulate and ode load neither multiprocessing nor
-    concurrent.futures, and nor do a pilot-size ensemble and verify, or a
-    library ensemble and p_sweep, on two workers, whose pool forks its
-    workers itself; the same check sees them once ProcessPoolExecutor is
-    looked up.  No run loads numpy.ma, which np.median and np.percentile
-    import, and once the compiled library is cached no run loads
-    subprocess, which only its build needs."""
+    concurrent.futures.  A pilot-size ensemble and verify on two CPUs, and
+    a library ensemble and p_sweep on two workers, load the thread pool
+    (concurrent.futures.thread) and never multiprocessing or
+    concurrent.futures.process; the same check sees the process pool once
+    ProcessPoolExecutor is looked up.  No run loads numpy.ma, which
+    np.median and np.percentile import, and once the compiled library is
+    cached no run loads subprocess, which only its build needs."""
     model = str(MODELS / "imprecise_jumps.json")
-    runs = [["validate", "--model", model],
-            ["thresholds", "--model", model, "--p", "0.5", "--out", str(tmp_path / "thr")],
-            ["sweep", "--model", model, "--p-grid", "0,0.5,1", "--out", str(tmp_path / "swp")],
-            ["simulate", "--model", model, "--p", "0.5", "--t-end", "2", "--out",
-             str(tmp_path / "sim")],
-            ["simulate", "--scheme", "direct_euler", "--model", model, "--p", "0.5", "--t-end", "2",
-             "--out", str(tmp_path / "direct")],
-            ["ode", "--model", model, "--p", "0.5", "--t-end", "2", "--out", str(tmp_path / "ode")],
-            ["ensemble", "--model", model, "--p", "0.5", "--t-end", "2", "--paths", "4",
-             "--out", str(tmp_path / "ens")],
-            ["verify", "--model", str(MODELS / "extinction.json"), "--p", "0.5", "--t-end", "500",
-             "--dt", "0.5", "--paths", "4", "--out", str(tmp_path / "ver")]]
+    serial = [["validate", "--model", model],
+              ["thresholds", "--model", model, "--p", "0.5", "--out", str(tmp_path / "thr")],
+              ["sweep", "--model", model, "--p-grid", "0,0.5,1", "--out", str(tmp_path / "swp")],
+              ["simulate", "--model", model, "--p", "0.5", "--t-end", "2", "--out",
+               str(tmp_path / "sim")],
+              ["simulate", "--scheme", "direct_euler", "--model", model, "--p", "0.5",
+               "--t-end", "2", "--out", str(tmp_path / "direct")],
+              ["ode", "--model", model, "--p", "0.5", "--t-end", "2", "--out",
+               str(tmp_path / "ode")]]
+    pooled = [["ensemble", "--model", model, "--p", "0.5", "--t-end", "2", "--paths", "4",
+               "--out", str(tmp_path / "ens")],
+              ["verify", "--model", str(MODELS / "extinction.json"), "--p", "0.5",
+               "--t-end", "500", "--dt", "0.5", "--paths", "4", "--out", str(tmp_path / "ver")]]
     # the library, built here if it must be, so that the runs below load it from the cache
     watched = ("multiprocessing", "concurrent", "numpy.ma")
     if _compiled.float_rows() is not None:
         watched += ("subprocess",)
+    thread_pool = ["concurrent", "concurrent.futures", "concurrent.futures._base",
+                   "concurrent.futures.thread"]
     code = f"""
+import os
 import sys
 import chemlevy
 from chemlevy.cli import main
@@ -296,7 +304,11 @@ def watched_modules():
                   if any(m == w or m.startswith(w + ".") for w in {watched!r}))
 
 print(watched_modules())
-for argv in {runs!r}:
+for argv in {serial!r}:
+    assert main(argv) == 0, argv
+    print(watched_modules())
+os.sched_getaffinity = lambda pid: {{0, 1}}
+for argv in {pooled!r}:
     assert main(argv) == 0, argv
     print(watched_modules())
 model = chemlevy.load_model({model!r})
@@ -311,12 +323,13 @@ numpy.median([1.0, 2.0])
 print(watched_modules())
 import concurrent.futures
 concurrent.futures.ProcessPoolExecutor
-print(bool(watched_modules()))
+print("multiprocessing" in sys.modules and "concurrent.futures.process" in sys.modules)
 """
-    lines = run_fresh(code).splitlines()
+    lines = [line for line in run_fresh(code).splitlines()
+             if line.startswith("[") or line in ("True", "False")]
     assert lines[-1] == "True"
-    assert lines[-2].startswith("['numpy.ma'")
-    assert [line for line in lines[:-2] if line.startswith("[")] == ["[]"] * (len(runs) + 3)
+    assert lines[-2].startswith(str(thread_pool)[:-1] + ", 'numpy.ma'")
+    assert lines[:-2] == ["[]"] * (len(serial) + 1) + [str(thread_pool)] * (len(pooled) + 2)
 
 
 def test_entrypoint_starts_one_blas_thread_unless_told_otherwise(monkeypatch):
@@ -448,13 +461,13 @@ def _overflow_ensemble(tmp_path, name):
                   for f in ("ensemble_summary.csv", "ensemble_terminal.csv")]
 
 
-@pytest.mark.parametrize("pool", ["serial", "recording", "forked"])
+@pytest.mark.parametrize("pool", ["serial", "recording", "threaded"])
 def test_a_jump_past_exps_range_aborts_an_ensemble_path(tmp_path, capsys, monkeypatch, pool):
     """Of 20 paths at seed 2, path 13 jumps: it is counted as aborted and
     left out of the terminal rows, and the ensemble runs on.  Its summary,
     reduced over the surviving rows of the record block, has the same bytes
-    whether that block is in memory (one worker) or a file two workers
-    wrote, in one process or in two."""
+    whether one worker wrote that block or two, one after the other or on
+    two threads at once."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     serial = _overflow_ensemble(tmp_path, "serial")
     capsys.readouterr()
@@ -512,6 +525,106 @@ def test_verify_refuses_short_horizon(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "horizon 100.0 is below min_horizon 500.0" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_an_interrupted_pooled_verify_stops_within_a_path(tmp_path, compiled):
+    """SIGINT to a fresh verify on two threads, each with 8 paths of 1e7
+    steps (about 0.7 s each where this was measured) ahead of it, ends the
+    process within about a path's time: no thread starts a path after it."""
+    model = str(MODELS / "extinction.json")
+    code = f"""
+import os
+from chemlevy.cli import main
+os.sched_getaffinity = lambda pid: {{0, 1}}
+print("ready", flush=True)
+main(["verify", "--model", {model!r}, "--p", "0.5", "--t-end", "100000", "--dt", "0.01",
+      "--stride", "100000", "--paths", "16", "--out", {str(tmp_path / "out")!r}])
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    child = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline() == "ready\n"
+    time.sleep(0.8)  # the threads are stepping their first paths
+    sent = time.perf_counter()
+    child.send_signal(signal.SIGINT)
+    _, err = child.communicate(timeout=120)
+    took = time.perf_counter() - sent
+    assert child.returncode == -signal.SIGINT
+    assert err.rstrip().endswith("KeyboardInterrupt")
+    assert took < 2.5
+    assert not (tmp_path / "out").exists()
+
+
+def _failing_writer(monkeypatch, writer):
+    """The table writer of that kind ("numbers" or "rows"), made to raise
+    OSError once it has written its first block of rows."""
+    import numpy as np
+
+    n = cli._BLOCK_ROWS + 1
+    if writer == "rows":
+        def rows():
+            yield from ((i, "x") for i in range(cli._BLOCK_ROWS))
+            raise OSError("No space left on device")
+        return lambda path: cli._write_rows(path, ["i", "s"], rows())
+    blocks = []
+    fmt = _compiled.float_rows() or (lambda block: "".join(map(cli._line, block.tolist())).encode())
+
+    def failing(block):
+        blocks.append(len(block))
+        if len(blocks) > 1:
+            raise OSError("No space left on device")
+        return fmt(block)
+    monkeypatch.setattr(_compiled, "float_rows", lambda: failing)
+    return lambda path: cli._write_numbers(path, ["a"], [np.arange(n, dtype=float)])
+
+
+@pytest.mark.parametrize("writer", ["numbers", "rows"])
+def test_a_failed_write_leaves_the_earlier_table(tmp_path, monkeypatch, writer):
+    """A table writer that fails after its first block of rows leaves the
+    table an earlier run wrote, byte for byte, and no file of its own."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"an earlier run's table\n")
+    with pytest.raises(OSError, match="No space left on device"):
+        _failing_writer(monkeypatch, writer)(path)
+    assert path.read_bytes() == b"an earlier run's table\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_table_at_a_symlink_is_written_through_it(tmp_path):
+    """A table whose name is a symlink is written to the file it names, and
+    the link stays."""
+    (tmp_path / "out").mkdir()
+    target, link = tmp_path / "table.csv", tmp_path / "out" / "thresholds.csv"
+    target.write_bytes(b"an earlier run's table\n")
+    link.symlink_to(target)
+    assert main(["thresholds", "--model", str(MODELS / "extinction.json"), "--p", "0.5",
+                 "--out", str(link.parent)]) == 0
+    assert link.is_symlink() and target.read_bytes().startswith(b"p,")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "table.csv", "thresholds.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--model", str(MODELS / "extinction.json"), "--p", "0.5"],
+    ["simulate", "--model", str(MODELS / "extinction.json"), "--p", "0.5", "--t-end", "2"],
+], ids=["thresholds", "simulate"])
+def test_a_read_only_out_is_a_usage_error(tmp_path, capsys, monkeypatch, request, argv):
+    """A read-only --out exits 2 with one line on stderr, and leaves the
+    directory empty."""
+    out = tmp_path / "out"
+    out.mkdir()
+    out.chmod(0o555)
+    request.addfinalizer(lambda: out.chmod(0o755))
+    if os.access(out, os.W_OK):
+        # a superuser writes past the mode bits: refuse as the system would
+        def read_only(file, mode="r", *args, **kwargs):
+            if "w" in mode and Path(file).parent == out:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(cli, "open", read_only, raising=False)
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 13] Permission denied") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 MONTE_CARLO = {

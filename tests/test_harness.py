@@ -3,8 +3,10 @@
 import collections
 import dataclasses
 import math
-import os
 import re
+import signal
+import sys
+import threading
 import time
 import warnings
 import weakref
@@ -80,14 +82,26 @@ def test_ensemble_reproducible():
 
 
 def test_ensemble_worker_count_does_not_change_results():
+    """One worker, two, and eight threads (more than the cores) switched
+    every microsecond, all writing their rows of one record block, give the
+    same ensemble."""
     model = make_extinction(jumps=TWO_MARKS)
     a = ensemble(model, small_config(t_end=100.0), 8, workers=1)
     b = ensemble(model, small_config(t_end=100.0), 8, workers=2)
-    for name in a.series:
-        for stat in a.series[name]:
-            assert np.array_equal(a.series[name][stat], b.series[name][stat],
-                                  equal_nan=True)
-    assert np.array_equal(a.extinct_x_frac, b.extinct_x_frac)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        c = ensemble(model, small_config(t_end=100.0), 8, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for other in (b, c):
+        for name in a.series:
+            for stat in a.series[name]:
+                assert np.array_equal(a.series[name][stat], other.series[name][stat],
+                                      equal_nan=True)
+        assert np.array_equal(a.extinct_x_frac, other.extinct_x_frac)
+        for name in a.terminal:
+            assert np.array_equal(a.terminal[name], other.terminal[name])
 
 
 # a narrow and a wide group per worker
@@ -238,34 +252,34 @@ def test_numpy_integer_counts_are_accepted():
     assert list(summary.terminal["path"]) == [0, 1, 2]
 
 
-def test_pool_is_built_after_numpy_is_loaded():
-    """Forked workers inherit numpy, numpy.random and the compiled kernel
-    instead of each loading them."""
+def test_the_compiled_library_is_loaded_before_the_pools_threads_start():
+    """A pooled ensemble and a pooled sweep load the compiled library before
+    they build the pool, so that its threads never load it side by side."""
     code = """
-import sys
-from chemlevy import CrispModel, SimConfig, State, _compiled, harness
-
-def engine_loaded():
-    # numpy loads with the harness; numpy.random and the library only once a path runs
-    return bool("numpy.random" in sys.modules or _compiled._library.cache_info().currsize)
+from chemlevy import ImpreciseModel, IntervalNumber as I, SimConfig, State, _compiled, crispify
+from chemlevy import harness
 
 class PoolBuilt(Exception):
     pass
 
 def pool(max_workers):
-    raise PoolBuilt("numpy.random" in sys.modules, _compiled._library.cache_info().currsize)
+    raise PoolBuilt(_compiled._library.cache_info().currsize)
 
 harness._pool = pool
-model = CrispModel(S0=1.0, D=0.5, m1=0.4, delta1=0.5, sigma1=0.1,
-                   m2=0.3, delta2=0.5, sigma2=0.1, sigma3=0.1)
-config = SimConfig(initial=State(1.0, 0.5, 0.2), t_end=1.0, dt=0.1)
-before = engine_loaded()
-try:
-    harness.ensemble(model, config, n_paths=3, workers=2)
-except PoolBuilt as exc:
-    print(before, *exc.args)
+model = ImpreciseModel(S0=1.0, D=I(0.5, 0.5), m1=I(0.4, 0.4), delta1=I(0.5, 0.5),
+                       sigma1=I(0.1, 0.1), m2=I(0.3, 0.3), delta2=I(0.5, 0.5),
+                       sigma2=I(0.1, 0.1), sigma3=I(0.1, 0.1))
+config = SimConfig(initial=State(1.0, 0.5, 0.2), t_end=500.0, dt=0.5)
+for run in (lambda: harness.ensemble(crispify(model, 0.0), config, n_paths=3, workers=2),
+            lambda: harness.p_sweep(model, [0.0], config, 3, workers=2)):
+    before = _compiled._library.cache_info().currsize
+    try:
+        run()
+    except PoolBuilt as exc:
+        print(before, *exc.args)
+    _compiled._library.cache_clear()
 """
-    assert run_fresh(code).splitlines()[-1] == "False True 1"
+    assert run_fresh(code).splitlines()[-2:] == ["0 1", "0 1"]
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (7, 40), (120, 301)])
@@ -641,88 +655,92 @@ def test_p_sweep_refused_config_raises_before_any_pool(monkeypatch):
     assert RecordingPool.sizes == []
 
 
-def kill_worker_at_p_half(monkeypatch):
-    """Make the worker that steps a p=0.5 path exit at once."""
-    real_integrate = cl.harness._integrate
-
-    def dies_at_p_half(model, config, seeds, out):
-        if model.p == 0.5:
-            os._exit(1)
-        return real_integrate(model, config, seeds, out)
-
-    monkeypatch.setattr(cl.harness, "_integrate", dies_at_p_half)
-
-
-def test_p_sweep_broken_pool_fails_the_rows_it_did_not_finish(monkeypatch):
-    """A worker that dies takes the pool with it: its row and every later
-    row report the broken pool, and p_sweep still returns."""
-    kill_worker_at_p_half(monkeypatch)
-    rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], small_config(dt=0.5),
-                   n_paths=2, workers=2)
-    for row in rows[1:]:
-        assert "terminated abruptly" in row.error
-        assert row.stats is None
-
-
-def assert_no_child_left():
-    """No child process of this one is left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_no_worker_outlives_a_pooled_run(monkeypatch):
-    """Every child of a pool is killed and reaped when its run ends: after
-    an ensemble, after a sweep whose worker died or whose worker raised, and
-    after a stream closed, or interrupted, after its first row."""
-    assert_no_child_left()
-    ensemble(make_extinction(), small_config(t_end=2.0), 5, workers=2)
-    assert_no_child_left()
-    grid, config = [0.0, 0.5, 1.0], small_config(dt=0.5)
-    with monkeypatch.context() as patch:
-        kill_worker_at_p_half(patch)
-        rows = p_sweep(imprecise_extinction(), grid, config, n_paths=2, workers=2)
-        assert "terminated abruptly" in rows[1].error
-    assert_no_child_left()
+def raise_at_p_half(monkeypatch, exc):
+    """Make every group of paths of a p=0.5 run raise exc."""
     real_integrate = cl.harness._integrate
 
     def raises_at_p_half(model, config, seeds, out):
         if model.p == 0.5:
-            raise ValueError("boom")
+            raise exc
         return real_integrate(model, config, seeds, out)
 
+    monkeypatch.setattr(cl.harness, "_integrate", raises_at_p_half)
+
+
+def test_a_path_error_fails_its_sweep_row_only(monkeypatch):
+    """A ValueError a path of the p=0.5 row raises is that row's error: the
+    rows before and after it run on the same pool, and the p=1 row equals
+    its own ensemble."""
+    model = imprecise_extinction(m1=(0.3, 0.7))
+    config = small_config(dt=0.5)
+    raise_at_p_half(monkeypatch, ValueError("boom"))
+    rows = p_sweep(model, [0.0, 0.5, 1.0], config, n_paths=4, workers=2)
+    assert [row.error for row in rows] == [None, "boom", None]
+    assert rows[1].stats is None and rows[1].verdict is None
+    summary = ensemble(crispify(model, 1.0), config, 4, workers=2)
+    assert rows[2].stats["mean_S"] == float(np.median(summary.terminal["mean_S"]))
+    assert rows[2].stats["rate_x"] == float(np.median(summary.terminal["rate_x"]))
+    assert rows[2].verdict == verify(rows[2].report, summary)
+
+
+def test_no_worker_outlives_a_pooled_run(monkeypatch):
+    """Every thread of a pool has ended when its run returns or raises:
+    after an ensemble, after a sweep whose row raised, and after an
+    interrupt of the main thread, which each thread answers by starting no
+    further path."""
+    baseline = threading.active_count()
+    ensemble(make_extinction(), small_config(t_end=2.0), 5, workers=2)
+    assert threading.active_count() == baseline
+    grid, config = [0.0, 0.5, 1.0], small_config(dt=0.5)
     with monkeypatch.context() as patch:
-        patch.setattr(cl.harness, "_integrate", raises_at_p_half)
+        raise_at_p_half(patch, ValueError("boom"))
         rows = p_sweep(imprecise_extinction(), grid, config, n_paths=2, workers=2)
-    assert rows[0].error is None
-    assert [row.error for row in rows[1:]] == ["boom", "boom"]
-    assert_no_child_left()
-    models = [crispify(imprecise_extinction(), p) for p in grid]
-    for end in ("close", "interrupt"):
-        stream = cl.harness._path_records(models, config, 2, 2)
-        block, records = next(stream)
-        assert [i for i, _, _ in records] == [0, 1]
-        if end == "close":
-            stream.close()
-        else:
-            with pytest.raises(KeyboardInterrupt):
-                stream.throw(KeyboardInterrupt)
-        assert_no_child_left()
+    assert [row.error for row in rows] == [None, "boom", None]
+    assert threading.active_count() == baseline
+
+    config = small_config(t_end=2000.0, dt=0.01)
+    first, other = (cl.integrator.derive_path_seed(config.seed, i) for i in (0, 20))
+    started = collections.Counter()  # paths started, by the seed of their group's first
+    real_integrate = cl.harness._integrate
+
+    def interrupted(model, config, seeds, out):
+        def counted():
+            group = None
+            for seed in seeds:
+                group = seed if group is None else group
+                started[group] += 1
+                if group == first and started[group] == 1:
+                    # once both threads step, SIGINT to the main thread, which
+                    # waits on them; this thread's next path must never start
+                    deadline = time.monotonic() + 30
+                    while not started[other] and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    time.sleep(0.05)
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    time.sleep(0.3)
+                yield seed
+        return real_integrate(model, config, counted(), out)
+
+    monkeypatch.setattr(cl.harness, "_integrate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        ensemble(make_extinction(), config, 40, workers=2)
+    assert threading.active_count() == baseline
+    assert started[first] == 1 and started[other] < 20
 
 
-def test_a_sweep_holds_two_record_blocks(monkeypatch):
-    """A pooled stride-1 sweep of 4 rows steps them through two blocks of
-    shared memory, and each row still equals its own serial ensemble: no
-    worker starts a row before the block it reuses is read, even when each
-    row is slow to read."""
+def test_a_sweep_holds_at_most_one_record_block(monkeypatch):
+    """A pooled stride-1 sweep of 4 rows makes each row's record block only
+    once the previous row's is gone, and each row still equals its own
+    serial ensemble, even when each row is slow to read."""
     live, most = [], []
-    make = cl.harness._shared_block
+    records = cl.harness._records
 
-    def counted(shape):
-        block = make(shape)
+    def counted(*args):
+        most.append(len(live) + 1)
+        block, recs = records(*args)
         live.append(1)
         weakref.finalize(block, live.pop)
-        most.append(len(live))
-        return block
+        return block, recs
 
     summaries = []
     summarise = cl.harness._summarise
@@ -732,13 +750,13 @@ def test_a_sweep_holds_two_record_blocks(monkeypatch):
         summaries.append(summarise(block, records, times))
         return summaries[-1]
 
-    monkeypatch.setattr(cl.harness, "_shared_block", counted)
+    monkeypatch.setattr(cl.harness, "_records", counted)
     monkeypatch.setattr(cl.harness, "_summarise", slow)
     model = imprecise_extinction(m1=(0.3, 0.7))
     grid, config = [0.0, 1 / 3, 2 / 3, 1.0], small_config(dt=0.5, output_stride=1)
     rows = p_sweep(model, grid, config, n_paths=4, workers=2)
     assert all(row.error is None for row in rows)
-    assert max(most) == 2 and not live
+    assert most == [1] * 4 and not live
     monkeypatch.setattr(cl.harness, "_summarise", summarise)
     for p, pooled in zip(grid, summaries):
         alone = ensemble(crispify(model, p), config, 4, workers=1)
@@ -750,9 +768,9 @@ def test_a_sweep_holds_two_record_blocks(monkeypatch):
 
 
 def test_pooled_runs_leave_no_files_behind(monkeypatch, tmp_path):
-    """A pooled run's record block is in shared memory: with the temporary
-    directory missing, a pooled ensemble and sweep run, also when a worker
-    dies, and make no file anywhere."""
+    """A pooled run's record block is in memory: with the temporary
+    directory missing, a pooled ensemble and sweep run, also when a row's
+    path raises, and make no file anywhere."""
     missing = tmp_path / "missing"
     monkeypatch.setattr("tempfile.tempdir", str(missing))
     monkeypatch.chdir(tmp_path)
@@ -760,9 +778,9 @@ def test_pooled_runs_leave_no_files_behind(monkeypatch, tmp_path):
     config = small_config(dt=0.5)
     rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], config, n_paths=3, workers=2)
     assert all(row.error is None for row in rows)
-    kill_worker_at_p_half(monkeypatch)
+    raise_at_p_half(monkeypatch, ValueError("boom"))
     rows = p_sweep(imprecise_extinction(), [0.0, 0.5, 1.0], config, n_paths=3, workers=2)
-    assert "terminated abruptly" in rows[1].error
+    assert [row.error for row in rows] == [None, "boom", None]
     assert list(tmp_path.iterdir()) == []
 
 

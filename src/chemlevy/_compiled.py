@@ -8,9 +8,9 @@ and steps a scheme over the result, bit for bit ``integrator._walker`` of
 the scheme's Python step loop.  The walker is shared, and each scheme
 (log-Euler, direct Euler, RK4) adds its step body.  ``window(scheme)``
 returns a binder of a run's constants to the scheme's kernel, which
-returns a function of the engine's window signature with out-values of its
-own, one bind per thread; it checks that what a window is given fits,
-reading nothing else, before it passes pointers.
+returns a function of the engine's window signature, which makes its
+out-values per call, so one bind serves every thread; it checks that what
+a window is given fits, reading nothing else, before it passes pointers.
 ``_float_rows.c`` writes a float64 block as CSV lines whose cells are the
 floats' ``repr``, and ``float_rows`` wraps it in a function from a block to
 those bytes.  Its power-of-five tables are generated by ``_pow5_tables``
@@ -147,9 +147,6 @@ def _load():
                     and sigmas.shape == (3,) and 1 <= stride <= n):
                 raise ValueError("a run's constants do not fit the compiled kernel")
             run = (k.ctypes.data, jl.ctypes.data, sigmas.ctypes.data, n, h, t_end, stride)
-            # the resume point as the kernel reads and moves it: grid point and event,
-            # then the time (set to the stopping step's if the path stops)
-            place, now = (size * 2)(), real()
 
             def window(at, ev_t, ev_mark, z, s, out):
                 u, i, t = at
@@ -165,7 +162,9 @@ def _load():
                         and len(out) >= 8 and -(-n // stride) < out.shape[1]
                         and out.strides[1] == out.itemsize and s.dtype == out.dtype == np.float64):
                     raise ValueError("a window's arrays do not fit the compiled kernel")
-                place[:], now.value = (u, i), t
+                # the resume point as the kernel reads and moves it: grid point and event,
+                # then the time (set to the stopping step's if the path stops)
+                place, now = (size * 2)(u, i), real(t)
                 why = step(*run, place, now, steps, ev_t.ctypes.data, ev_mark.ctypes.data, m,
                            z.ctypes.data, s.ctypes.data, out.ctypes.data,
                            out.strides[0] // out.itemsize)

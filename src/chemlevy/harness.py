@@ -5,18 +5,18 @@ from (seed, path index), aggregates cross-path mean and 5/50/95 percentiles
 of the recorded quantities over time, and keeps each path's terminal
 statistics.  ``verify`` compares those statistics against the regime
 predictions of a ThresholdReport and returns one pass/fail claim per
-applicable prediction.  Paths are embarrassingly parallel: each worker's
-contiguous group of them is one task on a thread, which writes its paths'
-rows of the run's one record block in place (threads step at once, as the
-compiled kernel and numpy's normal draws release the GIL), and aggregation
-is a deterministic fold in path-index order, so results are identical for
-any worker count.
+applicable prediction.  Paths are embarrassingly parallel: a run binds the
+window engine once and its tasks, one per worker thread, take its paths
+one at a time from one queue, each writing its path's rows of the run's
+one record block in place (threads step at once, as the compiled kernel
+and numpy's normal draws release the GIL), and aggregation is a
+deterministic fold in path-index order, so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -26,10 +26,11 @@ from . import _compiled
 from .integrator import (
     SimConfig,
     SimulationError,
-    _integrate,
+    _bind,
     check_integer,
     check_path_config,
     derive_path_seed,
+    record_block,
     record_times,
 )
 from .model import CrispModel, ImpreciseModel
@@ -127,47 +128,45 @@ def _terminal(traj, series: np.ndarray) -> np.ndarray:
                            traj.brownian / t_end, traj.comp_jump / t_end))
 
 
-def _run_paths(model: CrispModel, config: SimConfig, lo: int, hi: int, block, stop) -> list:
-    """Step paths lo..hi-1, none once stop is set, into their rows
-    block[:, lo:hi] of a run's record block and return their records.
-
-    A path's record is (index, None, terminal), terminal being _terminal's
-    row, or (index, error message, None) for a failed path.
-    """
-    seeds = (derive_path_seed(config.seed, i) for i in range(lo, hi) if not stop.is_set())
-    _, paths = _integrate(model, config, seeds, block[:, lo:hi])
-    return [(i, str(traj), None) if isinstance(traj, SimulationError)
-            else (i, None, _terminal(traj, block[:, i]))
-            for i, traj in enumerate(paths, lo)]
+def _record(path, seed: int, row: np.ndarray) -> tuple:
+    """Step the path of seed into its rows of a record block and return
+    (None, _terminal's row), or (error message, None) for a failed path: its
+    Trajectory, jump schedule and all, is gone once this returns."""
+    traj = path(seed, row)
+    return (str(traj), None) if isinstance(traj, SimulationError) else (None, _terminal(traj, row))
 
 
 def _records(model: CrispModel, config: SimConfig, n_paths: int, workers: int, map) -> tuple:
     """(block, records) of config's run on model: its (9, n_paths, records)
-    block of _SERIES over the record times, and its paths' records in path
-    order.  map (the built-in one, or a pool's) runs a _run_paths task per
-    contiguous group of paths, min(workers, n_paths) of them.  The caller
-    has checked the config: a path's SimulationError is its record's error,
-    and anything else a path raises, or an interrupt, ends the run once
+    block of _SERIES and its records (index, *_record's) in path order.
+    map (the built-in one, or a pool's) runs min(workers, n_paths) tasks on
+    one bind, each taking the next index from one queue, under the GIL.
+    The caller has checked the config: anything but a SimulationError a
+    path raises, or an interrupt, empties the queue, so the run ends once
     each task has ended its path."""
-    workers = min(workers, n_paths)
-    bounds = [n_paths * k // workers for k in range(workers + 1)]
-    block = np.empty((9, n_paths, len(record_times(config.t_end, config.dt, config.output_stride))))
-    stop = threading.Event()
-    tasks = [(model, config, lo, hi, block, stop) for lo, hi in zip(bounds, bounds[1:])]
+    path, block = _bind(model, config), record_block(config, n_paths)
+    queue = iter(range(n_paths))
+
+    def task(_):
+        return [(i, *_record(path, derive_path_seed(config.seed, i), block[:, i]))
+                for i in queue]
+
     try:
-        return block, [r for group in map(_run_paths, *zip(*tasks)) for r in group]
+        records = [r for done in map(task, range(min(workers, n_paths))) for r in done]
     finally:
-        stop.set()
+        for _ in queue:
+            pass
+    return block, sorted(records, key=lambda r: r[0])
 
 
 @contextmanager
 def _map(workers: int, scheme: str):
-    """The built-in map for one worker, else the map of a pool of that many
-    threads, built after the compiled library is loaded, so no two load it."""
-    if workers < 2:
+    """The built-in map for one worker or a scheme whose kernel is not
+    compiled (the Python kernels hold the GIL), else the map of a pool of
+    that many threads, built once the library is loaded, so no two load it."""
+    if workers < 2 or _compiled.window(scheme) is None:
         yield map
     else:
-        _compiled.window(scheme)
         with _pool(workers) as pool:
             yield pool.map
 
@@ -282,8 +281,9 @@ def ensemble(model: CrispModel, config: SimConfig, n_paths: int,
 
     Deterministic given (model, config, n_paths); ``workers`` only sets how
     many threads step the paths, and the pool never has more threads than
-    paths.  A config simulate_batch would refuse for n_paths paths, or an
-    argument _check_args refuses, raises ValueError before any path runs.
+    paths, nor any where the scheme's kernel is not compiled.  A config
+    simulate_batch would refuse for n_paths paths, or an argument
+    _check_args refuses, raises ValueError before any path runs.
     Individual path failures are recorded; the run fails outright if 10% or
     more abort.
     """
@@ -330,9 +330,9 @@ def p_sweep(model: ImpreciseModel, p_grid, config: SimConfig, n_paths: int,
     refuses, an empty p_grid, a config simulate_batch would refuse for
     n_paths paths or a horizon below MIN_HORIZON raises ValueError before any
     path runs: every row shares the model's jumps, so one check covers them
-    all.  Every row's paths run on one pool, row after row, and a row is
-    summarised and verified before the next row's paths start, so the
-    sweep holds one row's record block at a time.
+    all.  Every row's paths run on one pool, where there is one, row after
+    row, and a row is summarised and verified before the next row's paths
+    start, so the sweep holds one row's record block at a time.
     n_paths=0 skips the Monte Carlo part: the rows are sweep_rows', crispified
     and classified at each level, nothing else.
     """

@@ -9,19 +9,19 @@ A naive linear-space Euler scheme ("direct_euler") is kept purely as a
 diagnostic of why that guarantee matters.
 
 Both schemes and the RK4 solver of the noise-free system are kernels of one
-window engine, which steps every path alone and cuts its mesh into windows
-of _CHUNK_STEPS mesh steps.  Every kernel is a plain function of one
-signature after what a run binds once (its constants, the grid and the
-sigmas): the path's resume point at = [u, i, t] (its next grid point, its
-next event and the mesh time it has reached), the schedule's slice from
-event i on, the window's raw normals z (a row per mesh step), then the
-path's carried state s and its row out of the record block.  s has 15
-slots, l1 l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3: log-states, states,
-their trapezoid integrals, the Brownian sums and the first pin times (NaN
-until set).  A kernel runs len(z) mesh steps, writes S, x, y, the
-integrals, ln x and ln y into the rows its record points name, moves at
-on, and returns None, or the reason and the time of the step that stopped
-the path, which the engine makes the path's SimulationError.
+window engine, which a run binds once (_bind) to step one path a call, its
+mesh cut into windows of _CHUNK_STEPS mesh steps.  Every kernel is a plain
+function of one signature after what the bind fixes (the run's constants,
+the grid and the sigmas): the path's resume point at = [u, i, t] (its next
+grid point, its next event and the mesh time it has reached), the
+schedule's slice from event i on, the window's raw normals z (a row per
+mesh step), then the path's carried state s and its row out of the record
+block.  s has 15 slots, l1 l2 l3 e1 e2 e3 iS ix iy b1 b2 b3 p1 p2 p3:
+log-states, states, their trapezoid integrals, the Brownian sums and the
+first pin times (NaN until set).  A kernel runs len(z) mesh steps, writes
+S, x, y, the integrals, ln x and ln y into the rows its record points name,
+moves at on, and returns None, or the reason and the time of the step that
+stopped the path, which the engine makes the path's SimulationError.
 Every scheme runs the compiled kernel (``_window.c``) where it loads,
 which weaves the window's mesh and scales its noise itself; elsewhere
 ``_walker`` does both in numpy and hands the result to a step loop:
@@ -255,6 +255,12 @@ def record_times(t_end: float, dt: float, stride: int) -> np.ndarray:
     return mesh.grid(np.append(np.arange(0, mesh.n, mesh.stride), mesh.n))
 
 
+def record_block(config: SimConfig, paths: int) -> np.ndarray:
+    """An unfilled record block of paths of config: S, x, y, mean_S, mean_x,
+    mean_y, lnx_over_t, lny_over_t and phi, (9, paths, records)."""
+    return np.empty((9, paths, len(record_times(config.t_end, config.dt, config.output_stride))))
+
+
 def _log_drift(model: CrispModel) -> tuple:
     """The Ito-corrected per-capita log drift the log-Euler kernels step
     (not model.drift), its constants folded once:
@@ -466,10 +472,12 @@ def _log_jumps(model: CrispModel) -> np.ndarray:
 def _comp_jump(model: CrispModel, marks: np.ndarray, t_end: float) -> np.ndarray:
     """Terminal compensated jump martingale of a schedule's marks: the log
     jumps summed in event order, then compensated at the horizon.  The sums
-    are cumsums, which add in order, one coordinate at a time, so that no
-    (events, 3) array is made."""
+    are cumsums, which add in order, _CHUNK_STEPS events at a time, so no
+    array of the whole schedule's jumps is made."""
     jl = _log_jumps(model)
-    jump_sum = np.array([np.cumsum(np.append(0.0, jl[marks, i]))[-1] for i in range(3)])
+    jump_sum = np.zeros(3)
+    for lo in range(0, len(marks), _CHUNK_STEPS):
+        jump_sum = np.cumsum(np.vstack((jump_sum, jl[marks[lo:lo + _CHUNK_STEPS]])), axis=0)[-1]
     lcomp = np.array([model.jumps.log_gamma_intensity(i) for i in (1, 2, 3)])
     return jump_sum - t_end * lcomp
 
@@ -498,30 +506,23 @@ def _kernel(model: CrispModel, config: SimConfig, mesh: _Mesh, stochastic: bool)
     return kernel, start
 
 
-def _integrate(model: CrispModel, config: SimConfig, seeds=None, out=None) -> tuple:
-    """The window engine: run one path per seed, or without seeds one
-    noise-free RK4 path, into the record block out if one is given, and
-    return (series, paths) as simulate_batch does.
-
-    Each path draws its jump schedule from its own seed's stream, then each
-    window's normals in stream order, so neither the window size nor the
-    paths beside it change the result; without seeds the mesh is the
-    uniform grid, nothing is drawn, the normals are zero and so are both
-    martingales.  Every sampled event is a mesh step, so a finished path's
-    jump log is its schedule.  Every path records into its own rows of one
-    (9, paths, records) block, at its mesh's record points.  Each path runs
-    to its end before the next starts, and ends as a Trajectory, whose
-    brownian and floor_times are slots of its carried state, or as the
-    SimulationError that aborted it, its rows then filled with NaN.
-    """
-    stochastic = seeds is not None
+def _bind(model: CrispModel, config: SimConfig, stochastic: bool = True):
+    """The window engine bound to a run: its mesh, kernel, start state and
+    record times, made once.  path(seed, out) steps the path of seed (or,
+    not stochastic, the RK4 path) into its (9, records) rows out of a
+    record block and returns its Trajectory, whose brownian and floor_times
+    are slots of its carried state, or the SimulationError that aborted it,
+    out then NaN.  A path draws its jump schedule from its seed's stream,
+    then each window's normals in stream order, so neither the window size
+    nor the paths beside it change it; an RK4 path's mesh is the grid, its
+    normals and martingales zero.  Every sampled event is a mesh step, so a
+    path's jump log is its schedule.  Paths share only the bind, so threads
+    may step them at once."""
     mesh = _Mesh(config.t_end, config.dt, config.output_stride)
     kernel, start = _kernel(model, config, mesh, stochastic)
     times = record_times(config.t_end, config.dt, config.output_stride)
-    seeds = seeds if stochastic else [None]
-    series = np.empty((9, len(seeds), len(times))) if out is None else out
-    paths = []
-    for i, seed in enumerate(seeds):
+
+    def path(seed, out):
         if stochastic:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
             ev_t, ev_mark = _jump_schedule(model.jumps, config.t_end, rng)
@@ -531,7 +532,6 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None, out=None) -> tu
             normals = np.zeros
         s = np.array(start)
         at = [1, 0, 0.0]        # the resume point: next grid point, next event, mesh time
-        out = series[:, i]      # S .. lny_over_t, in Trajectory's field order, then phi
         # the t=0 record: a time average is the initial value, a rate is 0/0
         out[:8, 0] = (*start[3:6], *start[3:6], math.nan, math.nan)
         left = mesh.n + len(ev_t)
@@ -540,21 +540,19 @@ def _integrate(model: CrispModel, config: SimConfig, seeds=None, out=None) -> tu
             end = kernel(at, ev_t[e:e + steps], ev_mark[e:e + steps], normals((steps, 3)), s, out)
             if end is not None:
                 out[:] = math.nan
-                paths.append(SimulationError(*end))
-                break
-        else:
-            out[3:8, 1:] /= times[1:]
-            comp_jump = _comp_jump(model, ev_mark, config.t_end) if stochastic else np.zeros(3)
-            floor_times = tuple(None if math.isnan(v) else v for v in s[12:].tolist())
-            traj = Trajectory(times, *out[:8], s[9:12], comp_jump, ev_t, ev_mark, floor_times)
-            out[8] = conservation_residual(traj, model)
-            paths.append(traj)
-    return series, paths
+                return SimulationError(*end)
+        out[3:8, 1:] /= times[1:]
+        comp_jump = _comp_jump(model, ev_mark, config.t_end) if stochastic else np.zeros(3)
+        floor_times = tuple(None if math.isnan(v) else v for v in s[12:].tolist())
+        traj = Trajectory(times, *out[:8], s[9:12], comp_jump, ev_t, ev_mark, floor_times)
+        out[8] = conservation_residual(traj, model)
+        return traj
+
+    return path
 
 
-def _alone(run: tuple) -> Trajectory:
-    """The one path of an _integrate run, or its error raised."""
-    (path,) = run[1]
+def _alone(path) -> Trajectory:
+    """A path's Trajectory, or its SimulationError raised."""
     if isinstance(path, SimulationError):
         raise path
     return path
@@ -564,8 +562,8 @@ def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
     """Integrate one path per seed of the config's stochastic scheme.
 
     Path i is bit for bit ``simulate(model, replace(config, seed=seeds[i]))``:
-    every path steps alone.  A path aborts alone, with simulate's
-    SimulationError.
+    the run's one bind steps every path alone, one call per seed.  A path
+    aborts alone, with simulate's SimulationError.
 
     Returns (series, paths).  series is one (9, len(seeds), n_records) array
     of S, x, y, mean_S, mean_x, mean_y, lnx_over_t, lny_over_t and the
@@ -580,7 +578,8 @@ def simulate_batch(model: CrispModel, config: SimConfig, seeds) -> tuple:
         raise ValueError("seeds must be nonempty")
     for seed in seeds:
         check_integer("seed", seed, 0)
-    return _integrate(model, config, seeds)
+    path, series = _bind(model, config), record_block(config, len(seeds))
+    return series, [path(seed, series[:, i]) for i, seed in enumerate(seeds)]
 
 
 def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
@@ -593,7 +592,7 @@ def simulate(model: CrispModel, config: SimConfig) -> Trajectory:
     downward excursions are pinned at FLOOR_LOG and flagged instead of
     aborting.  The direct_euler scheme aborts on a nonpositive state.
     """
-    return _alone(simulate_batch(model, config, [config.seed]))
+    return _alone(simulate_batch(model, config, [config.seed])[1][0])
 
 
 def simulate_ode(model: CrispModel, config: SimConfig) -> Trajectory:
@@ -604,7 +603,7 @@ def simulate_ode(model: CrispModel, config: SimConfig) -> Trajectory:
     contract matches ``simulate``.
     """
     _check_config(config, positive_initial=False)
-    return _alone(_integrate(model, config))
+    return _alone(_bind(model, config, stochastic=False)(None, record_block(config, 1)[:, 0]))
 
 
 def conservation_residual(traj: Trajectory, model: CrispModel) -> np.ndarray:

@@ -8,6 +8,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 
@@ -104,7 +105,7 @@ def test_ensemble_worker_count_does_not_change_results():
             assert np.array_equal(a.terminal[name], other.terminal[name])
 
 
-# a narrow and a wide group per worker
+# a few paths per worker, and many
 @pytest.mark.parametrize("n_paths", [6, 80])
 def test_path_alone_equals_path_in_pooled_ensemble(monkeypatch, n_paths):
     model = make_extinction(jumps=TWO_MARKS)
@@ -139,7 +140,7 @@ def test_path_alone_equals_path_in_pooled_ensemble(monkeypatch, n_paths):
 
 @pytest.mark.parametrize("n_paths, workers, pools", [
     (3, 64, [3]), (3, 2, [2]), (1, 64, []), (5, 1, [])])
-def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, pools):
+def test_pool_never_has_more_workers_than_paths(monkeypatch, compiled, n_paths, workers, pools):
     monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     summary = ensemble(make_extinction(), small_config(t_end=2.0), n_paths, workers=workers)
@@ -153,13 +154,12 @@ def test_pool_never_has_more_workers_than_paths(monkeypatch, n_paths, workers, p
 ])
 def test_log_euler_paths_run_compiled_and_the_others_in_python(monkeypatch, compiled, n_paths,
                                                                 workers, scheme):
-    """Each worker's group is one simulate_batch, whose paths all run their
-    scheme's compiled kernel whatever the group's width, as the RK4 path of
-    simulate_ode does; with the kernels' loader made to return nothing,
-    log-Euler paths run _log_euler in Python and the others _linear, with
-    the same terminal rows.  The window calls of each kernel are counted,
-    the compiled ones by scheme and _linear's by the scheme whose step it
-    was given."""
+    """Every path of a run, on one worker or two, runs its scheme's compiled
+    kernel whatever the run's width, as the RK4 path of simulate_ode does;
+    with the kernels' loader made to return nothing, log-Euler paths run
+    _log_euler in Python and the others _linear, with the same terminal
+    rows.  The window calls of each kernel are counted, the compiled ones
+    by scheme and _linear's by the scheme whose step it was given."""
     monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     calls = collections.Counter()
@@ -252,7 +252,7 @@ def test_numpy_integer_counts_are_accepted():
     assert list(summary.terminal["path"]) == [0, 1, 2]
 
 
-def test_the_compiled_library_is_loaded_before_the_pools_threads_start():
+def test_the_compiled_library_is_loaded_before_the_pools_threads_start(compiled):
     """A pooled ensemble and a pooled sweep load the compiled library before
     they build the pool, so that its threads never load it side by side."""
     code = """
@@ -604,7 +604,7 @@ def _rows(rows):
     return [(row.p, row.stats, row.verdict, row.error) for row in rows]
 
 
-def test_p_sweep_builds_one_pool_for_every_row(monkeypatch):
+def test_p_sweep_builds_one_pool_for_every_row(monkeypatch, compiled):
     monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     model = imprecise_extinction(m1=(0.3, 0.7))
@@ -656,15 +656,19 @@ def test_p_sweep_refused_config_raises_before_any_pool(monkeypatch):
 
 
 def raise_at_p_half(monkeypatch, exc):
-    """Make every group of paths of a p=0.5 run raise exc."""
-    real_integrate = cl.harness._integrate
+    """Make every path of a p=0.5 run raise exc."""
+    real_bind = cl.harness._bind
 
-    def raises_at_p_half(model, config, seeds, out):
-        if model.p == 0.5:
-            raise exc
-        return real_integrate(model, config, seeds, out)
+    def bind(model, config):
+        path = real_bind(model, config)
 
-    monkeypatch.setattr(cl.harness, "_integrate", raises_at_p_half)
+        def raises_at_p_half(seed, out):
+            if model.p == 0.5:
+                raise exc
+            return path(seed, out)
+        return raises_at_p_half
+
+    monkeypatch.setattr(cl.harness, "_bind", bind)
 
 
 def test_a_path_error_fails_its_sweep_row_only(monkeypatch):
@@ -686,8 +690,8 @@ def test_a_path_error_fails_its_sweep_row_only(monkeypatch):
 def test_no_worker_outlives_a_pooled_run(monkeypatch):
     """Every thread of a pool has ended when its run returns or raises:
     after an ensemble, after a sweep whose row raised, and after an
-    interrupt of the main thread, which each thread answers by starting no
-    further path."""
+    interrupt of the main thread, which each thread answers by ending the
+    path it is on and starting no further one."""
     baseline = threading.active_count()
     ensemble(make_extinction(), small_config(t_end=2.0), 5, workers=2)
     assert threading.active_count() == baseline
@@ -699,33 +703,72 @@ def test_no_worker_outlives_a_pooled_run(monkeypatch):
     assert threading.active_count() == baseline
 
     config = small_config(t_end=2000.0, dt=0.01)
-    first, other = (cl.integrator.derive_path_seed(config.seed, i) for i in (0, 20))
-    started = collections.Counter()  # paths started, by the seed of their group's first
-    real_integrate = cl.harness._integrate
+    first = cl.integrator.derive_path_seed(config.seed, 0)
+    started, ended = [], []     # the seeds of the paths started and of those ended
+    real_bind = cl.harness._bind
 
-    def interrupted(model, config, seeds, out):
-        def counted():
-            group = None
-            for seed in seeds:
-                group = seed if group is None else group
-                started[group] += 1
-                if group == first and started[group] == 1:
-                    # once both threads step, SIGINT to the main thread, which
-                    # waits on them; this thread's next path must never start
-                    deadline = time.monotonic() + 30
-                    while not started[other] and time.monotonic() < deadline:
-                        time.sleep(0.001)
-                    time.sleep(0.05)
-                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                    time.sleep(0.3)
-                yield seed
-        return real_integrate(model, config, counted(), out)
+    def bind(model, config):
+        path = real_bind(model, config)
 
-    monkeypatch.setattr(cl.harness, "_integrate", interrupted)
+        def interrupted(seed, out):
+            started.append(seed)
+            if seed == first:
+                # once both threads step, SIGINT to the main thread, which
+                # waits on them; no thread may start a path after this one
+                deadline = time.monotonic() + 30
+                while len(started) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.05)
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.3)
+            traj = path(seed, out)
+            ended.append(seed)
+            return traj
+        return interrupted
+
+    monkeypatch.setattr(cl.harness, "_bind", bind)
     with pytest.raises(KeyboardInterrupt):
         ensemble(make_extinction(), config, 40, workers=2)
     assert threading.active_count() == baseline
-    assert started[first] == 1 and started[other] < 20
+    assert first in started and sorted(ended) == sorted(started) and len(started) < 20
+
+
+def test_a_runs_peak_memory_does_not_grow_with_its_paths():
+    """Each path of a run is reduced to its record before the next one
+    starts, its jump schedule gone: a one-worker ensemble of paths of about
+    5e5 jump events each peaks as high on 8 paths as on 1, within 10 MB
+    (tracemalloc, to which numpy reports its arrays)."""
+    model = make_persistence(jumps=cl.JumpSpec((cl.JumpMark(1.25e5, -0.001, -0.001, -0.001),
+                                                cl.JumpMark(1.25e5, 0.001, 0.001, 0.001))))
+    config = small_config(t_end=2.0, dt=0.5, output_stride=1)
+    peaks = []
+    for n_paths in (1, 8):
+        tracemalloc.start()
+        try:
+            ensemble(model, config, n_paths, workers=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] > 8 * 5e5        # the schedule's times and marks were traced
+    assert peaks[1] - peaks[0] < 10 * 2**20, peaks
+
+
+@pytest.mark.parametrize("command", ["ensemble", "p_sweep"])
+def test_no_pool_where_the_kernel_is_not_compiled(monkeypatch, command):
+    """The Python kernels hold the GIL, so a two-worker ensemble or sweep
+    without the compiled kernel builds no pool and steps its paths in the
+    main thread."""
+    monkeypatch.setattr(cl.harness, "_pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cl._compiled, "window", lambda scheme: None)
+    config = small_config(dt=0.5)
+    if command == "ensemble":
+        summary = ensemble(make_extinction(), config, 4, workers=2)
+        assert list(summary.terminal["path"]) == [0, 1, 2, 3]
+    else:
+        rows = p_sweep(imprecise_extinction(), [0.0, 1.0], config, n_paths=3, workers=2)
+        assert all(row.error is None for row in rows)
+    assert RecordingPool.sizes == []
 
 
 def test_a_sweep_holds_at_most_one_record_block(monkeypatch):
